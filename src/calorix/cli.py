@@ -2,17 +2,19 @@
 
 Each invocation runs one task against a JSON config, writes CSV/JSON
 artifacts, prints a summary table, and exits 0 only if every assertion of
-the task passed (1 on a failed assertion, 2 on an invalid config).
+the task passed (1 on a failed assertion, 2 on an invalid config or input).
 """
 
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -23,7 +25,6 @@ from .core import (
     conormal_kernel_source,
     fundamental_solution,
     make_coefficients,
-    SpaceTimePoint,
 )
 from .errors import CalorixError, ConfigInvalid, TaskFailed
 from .geometry import CrossSection, build_mesh
@@ -44,7 +45,12 @@ from .solver import (
 )
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema (the task registry and the root schema follow the tasks)
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_DEGREE = {"type": "integer", "minimum": 0}
+_RCOND = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 
 _MATRIX_SCHEMA = {
     "type": "array",
@@ -65,105 +71,12 @@ _DATA_SCHEMA = {
     },
 }
 
-_TASK_SCHEMAS = {
-    "verify-kernels": {
-        "probes": {"type": "integer", "minimum": 1},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "verify-jumps": {
-        "probes": {"type": "integer", "minimum": 1},
-        "kinds": {"type": "array",
-                  "items": {"enum": ["double", "conormal_single"]}},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "verify-identities": {
-        "interior_probes": {"type": "integer", "minimum": 1},
-        "exterior_probes": {"type": "integer", "minimum": 1},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "surface_tolerance": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "poly-table": {
-        "max_degree": {"type": "integer", "minimum": 0},
-    },
-    "solve": {
-        "degree": {"type": "integer", "minimum": 0},
-        "rcond": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "data": _DATA_SCHEMA,
-        "max_residual": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "completeness": {
-        "degrees": {"type": "array", "minItems": 1,
-                    "items": {"type": "integer", "minimum": 0}},
-        "rcond": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "data": _DATA_SCHEMA,
-        "cross_validate": {"type": "boolean"},
-        "final_max_residual": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
 _GEOMETRY_PARAMS = {
-    "disk": {"radius": {"type": "number", "exclusiveMinimum": 0}},
-    "ellipse": {"a": {"type": "number", "exclusiveMinimum": 0},
-                "b": {"type": "number", "exclusiveMinimum": 0}},
-    "star": {"r0": {"type": "number", "exclusiveMinimum": 0},
-             "cos3": {"type": "number"}},
-    "ball": {"radius": {"type": "number", "exclusiveMinimum": 0}},
-    "ellipsoid": {"a": {"type": "number", "exclusiveMinimum": 0},
-                  "b": {"type": "number", "exclusiveMinimum": 0},
-                  "c": {"type": "number", "exclusiveMinimum": 0}},
-}
-
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["operator", "geometry", "mesh", "task"],
-    "properties": {
-        "operator": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n", "matrix"],
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "matrix": _MATRIX_SCHEMA,
-                "parity": {"enum": ["v", "w"]},
-            },
-        },
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "params", "T"],
-            "properties": {
-                "kind": {"enum": sorted(_GEOMETRY_PARAMS)},
-                "params": {"type": "object"},
-                "T": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "mesh": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["m_angular", "m_time", "m_radial"],
-            "properties": {
-                "m_angular": {"type": "integer", "minimum": 4},
-                "m_time": {"type": "integer", "minimum": 2},
-                "m_radial": {"type": "integer", "minimum": 2},
-            },
-        },
-        "task": {
-            "type": "object",
-            "required": ["name"],
-            "properties": {"name": {"enum": sorted(_TASK_SCHEMAS)}},
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string"},
-                "formats": {"type": "array",
-                            "items": {"enum": ["csv", "json"]}},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
+    "disk": {"radius": _POSITIVE},
+    "ellipse": {"a": _POSITIVE, "b": _POSITIVE},
+    "star": {"r0": _POSITIVE, "cos3": {"type": "number"}},
+    "ball": {"radius": _POSITIVE},
+    "ellipsoid": {"a": _POSITIVE, "b": _POSITIVE, "c": _POSITIVE},
 }
 
 
@@ -186,7 +99,7 @@ def validate_config(config):
         "type": "object",
         "additionalProperties": False,
         "required": ["name"],
-        "properties": {"name": {"const": name}, **_TASK_SCHEMAS[name]},
+        "properties": {"name": {"const": name}, **TASKS[name].schema},
     }
     errors = _schema_errors(task_schema, task)
     if errors:
@@ -357,7 +270,9 @@ class Reporter:
 # ---------------------------------------------------------------------------
 # shared probe helpers
 
-def _interior_points(ctx, count, frac_range=(0.15, 0.8)):
+def _radial_points(ctx, count, frac_range):
+    """Random points at a radial fraction in frac_range of the section's
+    radius along their direction (<1 inside, >1 outside)."""
     out = []
     for _ in range(count):
         d = ctx.rng.normal(size=ctx.A.n)
@@ -366,18 +281,28 @@ def _interior_points(ctx, count, frac_range=(0.15, 0.8)):
         out.append(frac * float(ctx.cs.radius(d[None, :])[0]) * d)
     return out
 
-def _exterior_points(ctx, count):
-    out = []
-    for _ in range(count):
-        d = ctx.rng.normal(size=ctx.A.n)
-        d /= np.linalg.norm(d)
-        frac = ctx.rng.uniform(1.3, 1.8)
-        out.append(frac * float(ctx.cs.radius(d[None, :])[0]) * d)
-    return out
+
+_FD_STEP = float(np.finfo(float).eps) ** 0.25
 
 
-def _fd_step(scale=1.0):
-    return scale * float(np.finfo(float).eps) ** 0.25
+def _parabolic_residual(A, f, z, tau, sign):
+    """E f - sign * df/dtau at (z, tau) by central differences, for a scalar
+    field f(z, tau): the residual of H for sign=+1 and of H* for sign=-1
+    (the sign convention of caloric_exponential)."""
+    n = A.n
+    h = _FD_STEP
+    lap = 0.0
+    for i in range(n):
+        for j in range(n):
+            a = A.a[i, j]
+            if a == 0.0:
+                continue
+            ei = np.zeros(n); ei[i] = h
+            ej = np.zeros(n); ej[j] = h
+            lap += a * (f(z + ei + ej, tau) - f(z + ei - ej, tau)
+                        - f(z - ei + ej, tau) + f(z - ei - ej, tau)) / (4.0 * h * h)
+    dt = (f(z, tau + h) - f(z, tau - h)) / (2.0 * h)
+    return lap - sign * dt
 
 
 # ---------------------------------------------------------------------------
@@ -392,40 +317,21 @@ def _task_verify_kernels(ctx):
     tol = cfg.get("tolerance", 1e-5)
     A, n = ctx.A, ctx.A.n
     rows = [["probe", "check", "value", "reference", "error"]]
-
-    def heat_residual(z, tau, adjoint=False):
-        h = _fd_step()
-        lap = 0.0
-        for i in range(n):
-            for j in range(n):
-                a = A.a[i, j]
-                if a == 0.0:
-                    continue
-                ei = np.zeros(n); ei[i] = h
-                ej = np.zeros(n); ej[j] = h
-                val = (fundamental_solution(A, z + ei + ej, tau)
-                       - fundamental_solution(A, z + ei - ej, tau)
-                       - fundamental_solution(A, z - ei + ej, tau)
-                       + fundamental_solution(A, z - ei - ej, tau))
-                lap += a * val / (4.0 * h * h)
-        dt = (fundamental_solution(A, z, tau + h)
-              - fundamental_solution(A, z, tau - h)) / (2.0 * h)
-        sign = 1.0 if adjoint else -1.0
-        return lap + sign * dt
-
-    errs = {"heat-pde": [], "conormal-kernel": [], "exp-pde": [], "mass": []}
+    kernel = functools.partial(fundamental_solution, A)
+    errs = {"heat-pde": [], "conormal-kernel": [], "exp-pde": [],
+            "exp-pde-adjoint": [], "mass": []}
     for k in range(probes):
         z = ctx.rng.normal(size=n) * 0.8
         tau = ctx.rng.uniform(0.3, 1.0)
         g = float(fundamental_solution(A, z, tau))
-        r = float(heat_residual(z, tau))
+        r = float(_parabolic_residual(A, kernel, z, tau, +1))
         err = abs(r) / max(abs(g), 1.0)
         errs["heat-pde"].append(err)
         rows.append([k, "heat-pde", r, 0.0, err])
 
         nu = ctx.rng.normal(size=n); nu /= np.linalg.norm(nu)
         x = z + ctx.rng.normal(size=n)
-        h = _fd_step()
+        h = _FD_STEP
         step = h * (A.a @ nu)
         fd = (float(fundamental_solution(A, x - (z + step), tau))
               - float(fundamental_solution(A, x - (z - step), tau))) / (2.0 * h)
@@ -436,28 +342,13 @@ def _task_verify_kernels(ctx):
         rows.append([k, "conormal-kernel", ker, fd, err])
 
         xi = ctx.rng.normal(size=n) * 0.5
-        pt = SpaceTimePoint(z, tau)
-        h = _fd_step()
-        lap = 0.0
-        for i in range(n):
-            for j in range(n):
-                a = A.a[i, j]
-                if a == 0.0:
-                    continue
-                ei = np.zeros(n); ei[i] = h
-                ej = np.zeros(n); ej[j] = h
-                lap += a * (
-                    caloric_exponential(A, SpaceTimePoint(z + ei + ej, tau), xi)
-                    - caloric_exponential(A, SpaceTimePoint(z + ei - ej, tau), xi)
-                    - caloric_exponential(A, SpaceTimePoint(z - ei + ej, tau), xi)
-                    + caloric_exponential(A, SpaceTimePoint(z - ei - ej, tau), xi)
-                ) / (4.0 * h * h)
-        dt = (caloric_exponential(A, SpaceTimePoint(z, tau + h), xi)
-              - caloric_exponential(A, SpaceTimePoint(z, tau - h), xi)) / (2.0 * h)
-        r = lap - dt
-        err = abs(r) / max(abs(caloric_exponential(A, pt, xi)), 1.0)
-        errs["exp-pde"].append(err)
-        rows.append([k, "exp-pde", r, 0.0, err])
+        for check, sign in (("exp-pde", +1), ("exp-pde-adjoint", -1)):
+            def u(y, s):
+                return caloric_exponential(A, (y, s), xi, sign)
+            r = _parabolic_residual(A, u, z, tau, sign)
+            err = abs(r) / max(abs(u(z, tau)), 1.0)
+            errs[check].append(err)
+            rows.append([k, check, r, 0.0, err])
 
         # unit mass = moment identity at the zero multi-index
         err = moment_identity_check(A, (0,) * n, (z, tau),
@@ -549,9 +440,9 @@ def _task_verify_identities(ctx):
         return " ".join("%.17g" % c for c in x)
 
     ints = [(x, ctx.rng.uniform(0.1, 0.9) * ctx.T)
-            for x in _interior_points(ctx, n_int)]
+            for x in _radial_points(ctx, n_int, (0.15, 0.8))]
     exts = [(x, ctx.rng.uniform(0.1, 0.9) * ctx.T)
-            for x in _exterior_points(ctx, n_ext)]
+            for x in _radial_points(ctx, n_ext, (1.3, 1.8))]
 
     def part(job):
         x, t = job
@@ -634,13 +525,8 @@ def _load_boundary_data(ctx, spec):
         alpha = tuple(spec.get("alpha", [0] * A.n))
         if len(alpha) != A.n:
             raise ConfigInvalid("data/alpha length must equal operator n")
-        p = caloric_poly(A, alpha, parity)
-
-        class _PolyField:
-            def value(self, pts, ts):
-                return p.evaluate(pts, ts)
-
-        return BoundaryData.from_field(mesh, parity, _PolyField(),
+        return BoundaryData.from_field(mesh, parity,
+                                       caloric_poly(A, alpha, parity),
                                        tag=f"caloric-poly {alpha}")
     if kind == "caloric-exponential":
         xi = np.asarray(spec.get("xi", [0.3] * A.n), dtype=float)
@@ -749,52 +635,128 @@ def _task_completeness(ctx):
     rep.finish()
 
 
+# ---------------------------------------------------------------------------
+# task registry
+
+class TaskSpec(NamedTuple):
+    """One CLI task: what runs, its catalog text, and the schema of the keys
+    its config block accepts besides ``name``."""
+
+    run: Callable
+    summary: str
+    params: str
+    schema: dict
+
+
 TASKS = {
-    "verify-kernels": _task_verify_kernels,
-    "verify-jumps": _task_verify_jumps,
-    "verify-identities": _task_verify_identities,
-    "poly-table": _task_poly_table,
-    "solve": _task_solve,
-    "completeness": _task_completeness,
+    "verify-kernels": TaskSpec(
+        _task_verify_kernels,
+        "finite-difference and quadrature checks of the kernel: both "
+        "parabolic equations, the conormal kernel, unit mass, vanishing at "
+        "non-positive times",
+        "probes (int), tolerance (float)",
+        {"probes": _COUNT, "tolerance": _POSITIVE}),
+    "verify-jumps": TaskSpec(
+        _task_verify_jumps,
+        "two-sided boundary limits of the double layer and of the conormal "
+        "derivative of the single layer against the predicted density jumps",
+        "probes (int), kinds (subset of double, conormal_single), "
+        "tolerance (float); planar sections only",
+        {"probes": _COUNT,
+         "kinds": {"type": "array",
+                   "items": {"enum": ["double", "conormal_single"]}},
+         "tolerance": _POSITIVE}),
+    "verify-identities": TaskSpec(
+        _task_verify_identities,
+        "partition of unity by the double layer plus cap potential, "
+        "interior/exterior representation of caloric fields, and (n=3) the "
+        "elliptic boundary integral taking values 1, 1/2, 0",
+        "interior_probes, exterior_probes, tolerance, surface_tolerance",
+        {"interior_probes": _COUNT, "exterior_probes": _COUNT,
+         "tolerance": _POSITIVE, "surface_tolerance": _POSITIVE}),
+    "poly-table": TaskSpec(
+        _task_poly_table,
+        "exact polynomial solutions of both parabolic equations",
+        "max_degree (int); parity from the operator block",
+        {"max_degree": _DEGREE}),
+    "solve": TaskSpec(
+        _task_solve,
+        "one weighted least-squares fit of Dirichlet boundary data by "
+        "polynomial solutions",
+        "degree, rcond, data (caloric-poly | caloric-exponential | "
+        "abs-coordinate | values-file), max_residual (optional)",
+        {"degree": _DEGREE, "rcond": _RCOND, "data": _DATA_SCHEMA,
+         "max_residual": _POSITIVE}),
+    "completeness": TaskSpec(
+        _task_completeness,
+        "residual decay of least-squares fits over increasing polynomial "
+        "degree, with optional cross-validation on a finer mesh",
+        "degrees (increasing ints), rcond, data, cross_validate (bool), "
+        "final_max_residual (optional)",
+        {"degrees": {"type": "array", "minItems": 1, "items": _DEGREE},
+         "rcond": _RCOND, "data": _DATA_SCHEMA,
+         "cross_validate": {"type": "boolean"},
+         "final_max_residual": _POSITIVE}),
 }
 
-_TASK_SUMMARIES = {
-    "verify-kernels": ("finite-difference and quadrature checks of the "
-                       "kernel: both parabolic equations, the conormal "
-                       "kernel, unit mass, vanishing at non-positive times"),
-    "verify-jumps": ("two-sided boundary limits of the double layer and of "
-                     "the conormal derivative of the single layer against "
-                     "the predicted density jumps"),
-    "verify-identities": ("partition of unity by the double layer plus cap "
-                          "potential, interior/exterior representation of "
-                          "caloric fields, and (n=3) the elliptic boundary "
-                          "integral taking values 1, 1/2, 0"),
-    "poly-table": "exact polynomial solutions of both parabolic equations",
-    "solve": ("one weighted least-squares fit of Dirichlet boundary data "
-              "by polynomial solutions"),
-    "completeness": ("residual decay of least-squares fits over increasing "
-                     "polynomial degree, with optional cross-validation on "
-                     "a finer mesh"),
-}
-
-_TASK_PARAMS = {
-    "verify-kernels": "probes (int), tolerance (float)",
-    "verify-jumps": "probes (int), kinds (subset of double, conormal_single), "
-                    "tolerance (float); planar sections only",
-    "verify-identities": "interior_probes, exterior_probes, tolerance, "
-                         "surface_tolerance",
-    "poly-table": "max_degree (int); parity from the operator block",
-    "solve": "degree, rcond, data (caloric-poly | caloric-exponential | "
-             "abs-coordinate | values-file), max_residual (optional)",
-    "completeness": "degrees (increasing ints), rcond, data, "
-                    "cross_validate (bool), final_max_residual (optional)",
+_CONFIG_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["operator", "geometry", "mesh", "task"],
+    "properties": {
+        "operator": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["n", "matrix"],
+            "properties": {
+                "n": {"type": "integer", "minimum": 1},
+                "matrix": _MATRIX_SCHEMA,
+                "parity": {"enum": ["v", "w"]},
+            },
+        },
+        "geometry": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind", "params", "T"],
+            "properties": {
+                "kind": {"enum": sorted(_GEOMETRY_PARAMS)},
+                "params": {"type": "object"},
+                "T": _POSITIVE,
+            },
+        },
+        "mesh": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["m_angular", "m_time", "m_radial"],
+            "properties": {
+                "m_angular": {"type": "integer", "minimum": 4},
+                "m_time": {"type": "integer", "minimum": 2},
+                "m_radial": {"type": "integer", "minimum": 2},
+            },
+        },
+        "task": {
+            "type": "object",
+            "required": ["name"],
+            "properties": {"name": {"enum": sorted(TASKS)}},
+        },
+        "output": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "directory": {"type": "string"},
+                "formats": {"type": "array",
+                            "items": {"enum": ["csv", "json"]}},
+            },
+        },
+        "seed": {"type": "integer", "minimum": 0},
+    },
 }
 
 
 def list_tasks():
     """Stable catalog of tasks: (name, what it verifies, parameters)."""
-    return [(name, _TASK_SUMMARIES[name], _TASK_PARAMS[name])
-            for name in sorted(TASKS)]
+    return [(name, spec.summary, spec.params)
+            for name, spec in sorted(TASKS.items())]
 
 
 def _print_task_list():
@@ -851,16 +813,24 @@ def main(argv=None):
         if args.threads is not None:
             threads = args.threads
         else:
-            threads = int(os.environ.get("CALORIX_THREADS", "1"))
+            raw = os.environ.get("CALORIX_THREADS", "1")
+            try:
+                threads = int(raw)
+            except ValueError:
+                raise ConfigInvalid(
+                    f"CALORIX_THREADS must be an integer, got {raw!r}") from None
 
         ctx = RunContext(config, config_dir, out_dir, threads)
-        TASKS[args.task](ctx)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        TASKS[args.task].run(ctx)
     except TaskFailed as exc:
         print(f"task failed: {exc}", file=sys.stderr)
         return 1
+    except ConfigInvalid as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except CalorixError as exc:
+        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

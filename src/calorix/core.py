@@ -109,6 +109,7 @@ def make_coefficients(n, entries):
 
 
 def _as_xt(point):
+    """(x, t) of a target given as a SpaceTimePoint or an (x, t) pair."""
     if isinstance(point, SpaceTimePoint):
         return point.x, point.t
     x, t = point
@@ -182,7 +183,9 @@ def caloric_exponential(A, point, xi, sign=+1):
     t = np.asarray(t, dtype=float)
     xi = xi.xi if isinstance(xi, FrequencyVector) else np.asarray(xi, dtype=float)
     rate = float(xi @ A.a @ xi)
-    out = np.exp(x @ xi + float(sign) * t * rate)
+    # overflow gives inf, which callers reject with a typed error
+    with np.errstate(over="ignore"):
+        out = np.exp(x @ xi + float(sign) * t * rate)
     if np.ndim(out) == 0:
         return float(out)
     return out

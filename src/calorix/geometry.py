@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidResolution, OffsetTooLarge
-from .core import SpaceTimePoint
+from .core import SpaceTimePoint, _as_xt
 from .quadrature import gauss_legendre, periodic_trapezoid
 
 _BOUNDARY_TOL = 1e-12
@@ -294,7 +294,7 @@ class CylinderMesh:
         return float(d.min())
 
     def locate(self, point):
-        x, t = (point.x, point.t) if isinstance(point, SpaceTimePoint) else point
+        x, t = _as_xt(point)
         tol = _BOUNDARY_TOL
         if t < -tol or t > self.T + tol:
             return Location("exterior")

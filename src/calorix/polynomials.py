@@ -16,7 +16,7 @@ from functools import lru_cache, total_ordering
 
 import numpy as np
 
-from .core import CoefficientMatrix, SpaceTimePoint
+from .core import CoefficientMatrix, SpaceTimePoint, _as_xt
 from .errors import NotCaloric
 from .quadrature import gauss_legendre
 
@@ -225,6 +225,12 @@ class CaloricPolynomial:
             acc += term
         return acc
 
+    def value(self, points, times):
+        """evaluate(points, times), so that a polynomial can serve as a field
+        for BoundaryData.from_field.  A method rather than an alias, so that
+        a wrapped or overridden evaluate is the one called."""
+        return self.evaluate(points, times)
+
     def evaluate_exact(self, x, t):
         """Exact evaluation at rational (x, t)."""
         x = [Fraction(v) for v in x]
@@ -394,8 +400,7 @@ def moment_identity_check(A, alpha, point, resolution=80):
     The integral is taken over a box where the Gaussian tail is below 1e-16
     with a tensor Gauss-Legendre rule of ``resolution`` nodes per axis.
     """
-    x, t = (point.x, point.t) if isinstance(point, SpaceTimePoint) else point
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x, t = _as_xt(point)
     alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
     if t <= 0:
         raise ValueError("moment identity needs t > 0")

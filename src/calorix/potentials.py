@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimePoint, fundamental_solution, conormal_kernel_source
+from .core import _as_xt, caloric_exponential, conormal_kernel_source, fundamental_solution
 from .errors import CornerTooClose, DimensionMismatch, DimensionTooSmall, TargetOnBoundary
 from .quadrature import (
     composite_gauss,
@@ -75,12 +75,10 @@ class CaloricExponentialField:
         self.A = A
         self.xi = np.asarray(xi, dtype=float).reshape(-1)
         self.sign = int(sign)
-        self.rate = float(self.xi @ A.a @ self.xi)
 
     def value(self, points, times):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        times = np.asarray(times, dtype=float)
-        return np.exp(points @ self.xi + self.sign * times * self.rate)
+        return caloric_exponential(self.A, (points, times), self.xi, self.sign)
 
     def conormal(self, points, times, normals):
         # <A nu, grad u> = <nu, A xi> u
@@ -191,6 +189,12 @@ def _geometry_factor(kind, x, pts, normals, nu_fixed):
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
+def _graded_depth(cs, dist):
+    """Levels of the graded rule that resolve a target ``dist`` from the wall."""
+    scale = max(dist, 1e-9) / max(cs.radius_extremes()[1], 1e-12)
+    return int(min(48, max(8, math.ceil(math.log2(math.pi / max(scale, 1e-12))) + 1)))
+
+
 def _near_boundary_rule(cs, x, m_angular, depth=None):
     """Graded composite Gauss rule in the boundary parameter, refined toward
     the boundary point nearest to x (planar sections only)."""
@@ -224,8 +228,7 @@ def _near_boundary_rule(cs, x, m_angular, depth=None):
     dist = math.sqrt(min(fc, fd))
 
     if depth is None:
-        scale = max(dist, 1e-9) / max(cs.radius_extremes()[1], 1e-12)
-        depth = int(min(48, max(8, math.ceil(math.log2(math.pi / max(scale, 1e-12))) + 1)))
+        depth = _graded_depth(cs, dist)
     edges = graded_edges_toward(phi_star, math.pi, depth)
     npts = max(8, m_angular // 12)
     nodes, wgl = composite_gauss(edges, npts)
@@ -316,9 +319,7 @@ def _lateral_generator(mesh, A, phi, x, t, kind, nu_fixed, star, rule):
 def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False, rule=None):
     if phi.region != "sigma3":
         raise DimensionMismatch("lateral potentials need a density on sigma3")
-    x, t = (target.x, target.t) if isinstance(target, SpaceTimePoint) else target
-    x = np.asarray(x, dtype=float).reshape(-1)
-    t = float(t)
+    x, t = _as_xt(target)
     if rule is None and phi.generator is not None and mesh.cs.n == 2:
         if mesh.distance_to_wall(x) < _NEAR_FACTOR * mesh.boundary_spacing:
             bp, bw, bn, _ = _near_boundary_rule(mesh.cs, x, mesh.m_angular)
@@ -370,9 +371,7 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h, rule=None):
 
 
 def _cap_value(mesh, A, phi, target, star):
-    x, t = (target.x, target.t) if isinstance(target, SpaceTimePoint) else target
-    x = np.asarray(x, dtype=float).reshape(-1)
-    t = float(t)
+    x, t = _as_xt(target)
     T = mesh.T
     w = (T - t) if star else t
     if w <= 0.0:
@@ -444,9 +443,7 @@ def stokes_check(mesh, A, u_field, target, which="H"):
     """
     if which not in ("H", "H*"):
         raise ValueError("which must be 'H' or 'H*'")
-    x, t = (target.x, target.t) if isinstance(target, SpaceTimePoint) else target
-    x = np.asarray(x, dtype=float).reshape(-1)
-    t = float(t)
+    x, t = _as_xt(target)
     star = which == "H*"
 
     trace = DensityField.from_function(
@@ -559,8 +556,7 @@ def jump_probe(mesh, A, phi, node_index, kind="double", levels=9, h0_factor=0.05
         # one graded rule deep enough for the smallest offset, reused at every
         # level so the h-expansion seen by the extrapolation stays smooth
         probe = x0 + offsets[-1] * nu
-        scale = max(offsets[-1], 1e-9) / max(mesh.cs.radius_extremes()[1], 1e-12)
-        depth = int(min(48, max(8, math.ceil(math.log2(math.pi / scale)) + 1)))
+        depth = _graded_depth(mesh.cs, offsets[-1])
         bp, bw, bn, _ = _near_boundary_rule(mesh.cs, probe, mesh.m_angular, depth=depth)
         rule = (bp, bw, bn)
 

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from .core import SpaceTimePoint
 from .errors import DegenerateData, RegionMismatch
 from .polynomials import caloric_poly, enumerate_basis
 
@@ -107,6 +106,12 @@ class TrefftzSystem:
         return count
 
 
+def _dirichlet_nodes(mesh, parity):
+    """(points, times, weights) of the parity's regions, stacked in order."""
+    nodes = [mesh.region_nodes(r) for r in parity_regions(parity)]
+    return tuple(np.concatenate(parts) for parts in zip(*nodes))
+
+
 def assemble_system(mesh, A, parity, degree):
     """Design matrix for |alpha| <= degree on the parity's Dirichlet regions.
 
@@ -114,10 +119,7 @@ def assemble_system(mesh, A, parity, degree):
     2-norm); scales are recorded so coefficients can be mapped back to the
     raw basis.
     """
-    regions = parity_regions(parity)
-    pts = np.concatenate([mesh.region_nodes(r)[0] for r in regions])
-    ts = np.concatenate([mesh.region_nodes(r)[1] for r in regions])
-    wts = np.concatenate([mesh.region_nodes(r)[2] for r in regions])
+    pts, ts, wts = _dirichlet_nodes(mesh, parity)
     if not np.any(wts > 0.0):
         raise DegenerateData("all quadrature weights vanish")
     sq = np.sqrt(wts)
@@ -374,10 +376,7 @@ def cross_validate(coarse_mesh, fine_mesh, A, parity, degree, data,
 
     fine_data = BoundaryData.from_function(fine_mesh, parity, data.generator,
                                            exact=data.exact, tag=data.tag)
-    regions = parity_regions(parity)
-    pts = np.concatenate([fine_mesh.region_nodes(r)[0] for r in regions])
-    ts = np.concatenate([fine_mesh.region_nodes(r)[1] for r in regions])
-    wts = np.concatenate([fine_mesh.region_nodes(r)[2] for r in regions])
+    pts, ts, wts = _dirichlet_nodes(fine_mesh, parity)
     f = fine_data.concatenated(fine_mesh)
     misfit = evaluate_solution(approx, A, pts, ts) - f
     num = math.sqrt(float(np.sum(wts * misfit**2)))

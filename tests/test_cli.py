@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 
@@ -280,3 +281,45 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "list-tasks"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "completeness" in proc.stdout
+
+
+def test_catalog_names_every_schema_key():
+    params = {name: text for name, _, text in cli.list_tasks()}
+    assert set(params) == set(cli.TASKS)
+    for name, spec in cli.TASKS.items():
+        for key in spec.schema:
+            assert re.search(rf"\b{key}\b", params[name]), (name, key)
+
+
+def test_verify_kernels_run(tmp_path):
+    cfg = make_config("verify-kernels", {"probes": 2}, mesh=(8, 4, 4))
+    assert run_cli("verify-kernels", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert [a["name"] for a in summary["assertions"]] == [
+        "heat-pde", "conormal-kernel", "exp-pde", "exp-pde-adjoint", "mass",
+        "vanishes-nonpositive-time"]
+
+
+# -- input errors exit 2 with one line ----------------------------------------
+
+def test_non_integer_thread_env_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CALORIX_THREADS", "abc")
+    cfg = make_config("poly-table", {"max_degree": 1})
+    assert run_cli("poly-table", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "CALORIX_THREADS" in err
+    assert err.count("\n") == 1
+
+
+def test_degenerate_data_exits_two(tmp_path, capsys):
+    # exp(<x, xi> + t <xi, xi>) overflows on the boundary nodes
+    cfg = make_config("solve", {"degree": 2,
+                                "data": {"kind": "caloric-exponential",
+                                         "xi": [30, 40]}})
+    assert run_cli("solve", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "DegenerateData" in err and "Traceback" not in err
+    assert err.count("\n") == 1

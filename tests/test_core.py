@@ -155,6 +155,30 @@ def test_exponential_frozen_value(I2):
     assert float(val) == pytest.approx(math.exp(3.5), rel=1e-14)
 
 
+# -- target normalisation ---------------------------------------------------
+
+TARGET_USERS = {
+    "double_layer": lambda mesh, A, p: cx.double_layer(
+        mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+    "cap_potential": lambda mesh, A, p: cx.cap_potential(
+        mesh, A, cx.DensityField.constant(mesh, "sigma2"), p),
+    "partition_identity": lambda mesh, A, p: cx.partition_identity(mesh, A, p),
+    "stokes_check": lambda mesh, A, p: cx.stokes_check(
+        mesh, A, cx.CaloricExponentialField(A, [0.3, -0.2]), p),
+    "CylinderMesh.locate": lambda mesh, A, p: mesh.locate(p),
+    "moment_identity_check": lambda mesh, A, p: cx.moment_identity_check(
+        A, (1, 2), p, resolution=20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_USERS))
+def test_point_and_pair_targets_agree(name, disk, B2):
+    mesh = cx.build_mesh(disk, B2, 1.0, 32, 8, 6)
+    x, t = np.array([0.3, -0.2]), 0.4
+    use = TARGET_USERS[name]
+    assert use(mesh, B2, SpaceTimePoint(x, t)) == use(mesh, B2, (list(x), t))
+
+
 # -- elliptic companions ----------------------------------------------------
 
 def test_elliptic_fundamental_classical_value(I3):
