@@ -38,6 +38,7 @@ from .polynomials import (
     MultiIndex,
     RationalScalar,
     apply_parabolic_operator,
+    basis_matrix,
     caloric_poly,
     decompose,
     enumerate_basis,

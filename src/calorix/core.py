@@ -9,6 +9,7 @@ time-independent (elliptic) kernel used for the Gauss-type surface identity.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -83,9 +84,10 @@ class CoefficientMatrix:
         z = np.asarray(z, dtype=float)
         return np.einsum("...i,ij,...j->...", z, self.inv, z)
 
-    @property
+    @cached_property
     def entries_exact(self):
-        """Entries snapped to exact rationals (floats are dyadic, so exact)."""
+        """Entries snapped to exact rationals (floats are dyadic, so exact);
+        built on first access and kept, since the matrix is immutable."""
         rows = []
         for row in self.a:
             out = []

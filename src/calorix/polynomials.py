@@ -1,13 +1,22 @@
-"""Exact caloric polynomial families over the rationals.
+"""Caloric polynomial families: an exact rational path and a float path.
 
 v_alpha is the alpha-th xi-derivative at 0 of exp(<x, xi> + t <A xi, xi>);
 w_alpha uses -t and solves the adjoint equation.  Both are built by the
-recurrence
+heat-polynomial recurrence (Rosenbloom & Widder, Trans. AMS 92, 1959)
 
-    v_(alpha + e_j) = x_j v_alpha + 2 t sum_k a_jk alpha_k v_(alpha - e_k)
+    v_alpha = x_j v_(alpha - e_j) + 2 t sum_k a_jk (alpha - e_j)_k v_(alpha - e_j - e_k)
 
-(with -2t for the w family), entirely in Fraction arithmetic so the
-annihilation identities hold with zero tolerance.
+with j the first nonzero index of alpha (and -2t for the w family).  The
+recurrence is run two ways:
+
+* exactly, in Fraction arithmetic (``caloric_poly``), so the annihilation
+  identities hold with zero tolerance.  ``apply_parabolic_operator``,
+  ``decompose``, ``CaloricPolynomial.evaluate`` and the CLI's
+  ``poly-table`` and caloric-poly data use this path;
+* in floats over a batch of points (``basis_matrix``), one multiply-add per
+  family member over members already evaluated.  The solver's design
+  matrix and its probe evaluations use this path; float entries of A are
+  dyadic, so both paths start from the same coefficients.
 """
 
 from dataclasses import dataclass, field
@@ -353,6 +362,49 @@ def caloric_poly(A, alpha, parity="v"):
     sign = 1 if parity == "v" else -1
     terms = dict(_family_terms(A.entries_exact, A.n, alpha.alpha, sign))
     return CaloricPolynomial(A.n, terms, parity=parity, alpha=alpha)
+
+
+def _lowered(alpha, k):
+    return alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+
+
+def basis_matrix(A, alphas, parity, points, times):
+    """Float values of the family members ``alphas`` at (points, times).
+
+    Returns an (m, len(alphas)) array, column k holding v_alphas[k] (parity
+    'v') or w_alphas[k] (parity 'w') at the m points, by the recurrence of
+    the module docstring.  ``alphas`` must be closed downward (every
+    alpha - e_j with alpha_j > 0 is in it), as a graded-lex prefix of
+    ``enumerate_basis`` is; ValueError otherwise.
+    """
+    if parity not in ("v", "w"):
+        raise ValueError("parity must be 'v' or 'w'")
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    st = (2.0 if parity == "v" else -2.0) * np.asarray(times, dtype=float).reshape(-1)
+    keys = [a.alpha if isinstance(a, MultiIndex) else MultiIndex(a).alpha for a in alphas]
+    if any(len(a) != A.n for a in keys):
+        raise ValueError(f"multi-index lengths must match dimension {A.n}")
+    row = {a: i for i, a in enumerate(keys)}
+    for alpha in keys:
+        for k in range(A.n):
+            if alpha[k] and _lowered(alpha, k) not in row:
+                raise ValueError(f"alphas are not closed downward: {alpha} "
+                                 f"needs {_lowered(alpha, k)}")
+    # rows are contiguous; each row combines rows of lower degree
+    out = np.empty((len(keys), x.shape[0]))
+    for i in sorted(range(len(keys)), key=lambda i: sum(keys[i])):
+        alpha = keys[i]
+        if not any(alpha):
+            out[i] = 1.0
+            continue
+        j = next(k for k, a in enumerate(alpha) if a > 0)
+        prev = _lowered(alpha, j)
+        out[i] = x[:, j] * out[row[prev]]
+        lower = [A.a[j, k] * prev[k] * out[row[_lowered(prev, k)]]
+                 for k in range(A.n) if prev[k] > 0 and A.a[j, k] != 0.0]
+        if lower:
+            out[i] += st * sum(lower)
+    return out.T
 
 
 def apply_parabolic_operator(p, A, which="H"):

@@ -4,6 +4,12 @@ The approximant is a combination of exact polynomial solutions, so only the
 boundary misfit is minimized; no volume discretization of the operator is
 involved.  Fits use the quadrature-weighted discrete norm of the mesh, a
 quadrature approximation to the L2 norm of the parabolic boundary.
+
+Columns come from the float recurrence ``polynomials.basis_matrix``.  A
+system is factored once per right-hand side: one QR of [matrix | rhs] gives
+R, and the fit at any degree is a truncated SVD of the leading block of R
+(nested least squares, Golub & Van Loan, Matrix Computations, ch. 5), so a
+ladder of degrees shares one factorization.
 """
 
 import math
@@ -12,7 +18,11 @@ import time
 import numpy as np
 
 from .errors import DegenerateData, RegionMismatch
-from .polynomials import caloric_poly, enumerate_basis
+from .polynomials import basis_matrix, enumerate_basis
+
+# points per basis block in evaluate_solution: 8192 points x 455 columns
+# (n=3, degree 12) is 30 MB
+_EVAL_BLOCK = 8192
 
 _PARITY_REGIONS = {"v": ("sigma2", "sigma3"), "w": ("sigma1", "sigma3")}
 
@@ -94,6 +104,19 @@ class TrefftzSystem:
         self.times = times
         self.weights = weights
         self.parity = parity
+        self._factored = None  # (rhs, R) of the last triangular() call
+
+    def triangular(self, rhs):
+        """R of the QR factorization of [matrix | rhs].
+
+        The result for the last rhs seen (compared by value) is kept, so a
+        degree ladder on one right-hand side factors once.  Q is not formed.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if self._factored is None or not np.array_equal(self._factored[0], rhs):
+            r = np.linalg.qr(np.column_stack([self.matrix, rhs]), mode="r")
+            self._factored = (rhs.copy(), r)
+        return self._factored[1]
 
     @property
     def sqrt_weights(self):
@@ -125,14 +148,12 @@ def assemble_system(mesh, A, parity, degree):
     sq = np.sqrt(wts)
 
     alphas = enumerate_basis(A.n, degree)
-    matrix = np.empty((pts.shape[0], len(alphas)))
-    scales = np.empty(len(alphas))
-    for k, alpha in enumerate(alphas):
-        col = sq * caloric_poly(A, alpha, parity).evaluate(pts, ts)
-        norm = float(np.linalg.norm(col))
-        scales[k] = max(1.0, norm)
-        matrix[:, k] = col / scales[k]
-    return TrefftzSystem(matrix, alphas, scales, pts, ts, wts, parity)
+    # scale the contiguous rows of the transpose in place: no second copy
+    cols = basis_matrix(A, alphas, parity, pts, ts).T
+    cols *= sq
+    scales = np.maximum(1.0, np.linalg.norm(cols, axis=1))
+    cols /= scales[:, None]
+    return TrefftzSystem(cols.T, alphas, scales, pts, ts, wts, parity)
 
 
 class CaloricApproximant:
@@ -182,26 +203,41 @@ def _svd_solve(matrix, rhs, rcond):
     return coeff, rank, cond
 
 
-def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
-    """Weighted least-squares fit of boundary data by caloric polynomials.
-
-    Minimizes sum_i w_i (sum_k c_k v_k(node_i)/s_k - f_i)^2 by truncated
-    singular value decomposition; rcond is the relative cutoff.  The
-    residual is the weighted misfit norm over the weighted data norm
-    (absolute when the data norm vanishes).
-    """
-    if not 0.0 < rcond < 1.0:
-        raise ValueError("rcond must lie in (0, 1)")
+def _check_parity(data, parity):
     if data.parity != parity:
         raise RegionMismatch(
             f"data parity {data.parity!r} does not match solve parity {parity!r}")
+
+
+def _weighted_rhs(system, data, mesh):
+    return system.sqrt_weights * data.concatenated(mesh)
+
+
+def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
+    """Weighted least-squares fit of boundary data by caloric polynomials.
+
+    Minimizes sum_i w_i (sum_k c_k v_k(node_i)/s_k - f_i)^2.  One QR of
+    [matrix | rhs] (``TrefftzSystem.triangular``, shared by every degree
+    fitted on the same system and data) reduces the fit to the leading
+    block of R, which is solved by truncated singular value decomposition;
+    rcond is the relative cutoff.  The singular values of that block are
+    those of the leading columns of the design matrix, so rank and cond are
+    theirs.  The residual is the weighted misfit norm, computed on the
+    design matrix itself, over the weighted data norm (absolute when the
+    data norm vanishes).
+    """
+    if not 0.0 < rcond < 1.0:
+        raise ValueError("rcond must lie in (0, 1)")
+    _check_parity(data, parity)
     if system is None:
         system = assemble_system(mesh, A, parity, degree)
     ncols = system.columns_for_degree(degree)
     matrix = system.matrix[:, :ncols]
-    rhs = system.sqrt_weights * data.concatenated(mesh)
+    rhs = _weighted_rhs(system, data, mesh)
 
-    coeff, rank, cond = _svd_solve(matrix, rhs, rcond)
+    r = system.triangular(rhs)
+    p = min(ncols, r.shape[0])  # fewer rows than columns: R is wide
+    coeff, rank, cond = _svd_solve(r[:p, :ncols], r[:p, -1], rcond)
     misfit = float(np.linalg.norm(matrix @ coeff - rhs))
     norm = float(np.linalg.norm(rhs))
     residual = misfit / norm if norm > 0.0 else misfit
@@ -213,29 +249,37 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
 def evaluate_solution(approx, A, points, times=None):
     """Evaluate the approximant: sum over k of c_k / s_k v_k(x, t).
 
-    Accepts (points, times) arrays or a list of SpaceTimePoint.
+    Accepts (points, times) arrays or a list of SpaceTimePoint.  The basis
+    is evaluated in blocks of at most _EVAL_BLOCK points, which bounds the
+    memory of a fine-mesh evaluation.
     """
     if times is None:
         pts = np.array([p.x for p in points], dtype=float)
         ts = np.array([p.t for p in points], dtype=float)
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ts = np.asarray(times, dtype=float)
-    out = np.zeros(pts.shape[0])
+        ts = np.asarray(times, dtype=float).reshape(-1)
+    out = np.empty(pts.shape[0])
     raw = approx.raw_coefficients()
-    for k, alpha in enumerate(approx.alphas):
-        if raw[k] == 0.0:
-            continue
-        out += raw[k] * caloric_poly(A, alpha, approx.parity).evaluate(pts, ts)
+    for lo in range(0, pts.shape[0], _EVAL_BLOCK):
+        hi = lo + _EVAL_BLOCK
+        block = basis_matrix(A, approx.alphas, approx.parity, pts[lo:hi], ts[lo:hi])
+        out[lo:hi] = block @ raw
     return out
 
 
 class StudyReport:
-    """Residual-decay record over a sequence of basis degrees."""
+    """Residual-decay record over a sequence of basis degrees.
+
+    seconds[i] is the time of degree i alone: its solve and probe errors,
+    without the design-matrix assembly (assembly_s) and the one QR
+    factorization the degrees share (factorization_s).  rows and columns
+    are the shape of each degree's least-squares problem.
+    """
 
     def __init__(self, parity, degrees, residuals, ranks, conds,
                  interior_max_errors, seconds, mesh_fingerprint, tag,
-                 exploratory):
+                 exploratory, rows, columns, assembly_s, factorization_s):
         self.parity = parity
         self.degrees = list(degrees)
         self.residuals = list(residuals)
@@ -246,9 +290,13 @@ class StudyReport:
         self.mesh_fingerprint = mesh_fingerprint
         self.tag = tag
         self.exploratory = bool(exploratory)
+        self.rows = list(rows)
+        self.columns = list(columns)
+        self.assembly_s = assembly_s
+        self.factorization_s = factorization_s
         lengths = {len(self.degrees), len(self.residuals), len(self.ranks),
                    len(self.conds), len(self.interior_max_errors),
-                   len(self.seconds)}
+                   len(self.seconds), len(self.rows), len(self.columns)}
         if len(lengths) != 1:
             raise ValueError("study columns must share one length")
 
@@ -273,6 +321,10 @@ class StudyReport:
             "conds": self.conds,
             "interior_max_errors": self.interior_max_errors,
             "seconds": self.seconds,
+            "rows": self.rows,
+            "columns": self.columns,
+            "assembly_s": self.assembly_s,
+            "factorization_s": self.factorization_s,
         }
 
 
@@ -302,8 +354,9 @@ def interior_probe_grid(mesh, n_radial=5, n_angular=5, n_time=5):
 
 def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12,
                        probe_points=None, probe_times=None):
-    """solve_dirichlet per degree on one shared system; nested least squares
-    makes the residual sequence non-increasing.
+    """solve_dirichlet per degree on one shared system and one shared QR
+    factorization; nested least squares makes the residual sequence
+    non-increasing.
 
     Interior max errors are reported when the data carries an exact field;
     n=2 runs are flagged exploratory (the density theory is stated for
@@ -312,11 +365,18 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12,
     degrees = list(degrees)
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be strictly increasing")
+    _check_parity(data, parity)
+    start = time.perf_counter()
     system = assemble_system(mesh, A, parity, degrees[-1])
+    assembly_s = time.perf_counter() - start
+    start = time.perf_counter()
+    system.triangular(_weighted_rhs(system, data, mesh))
+    factorization_s = time.perf_counter() - start
     if data.exact is not None and probe_points is None:
         probe_points, probe_times = interior_probe_grid(mesh)
 
     residuals, ranks, conds, errors, seconds = [], [], [], [], []
+    columns = []
     for deg in degrees:
         start = time.perf_counter()
         approx = solve_dirichlet(mesh, A, parity, deg, data, rcond=rcond,
@@ -324,6 +384,7 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12,
         residuals.append(approx.residual)
         ranks.append(approx.rank)
         conds.append(approx.cond)
+        columns.append(len(approx.alphas))
         if data.exact is not None:
             vals = evaluate_solution(approx, A, probe_points, probe_times)
             ref = np.asarray(data.exact.value(probe_points, probe_times),
@@ -334,7 +395,10 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12,
         seconds.append(time.perf_counter() - start)
     return StudyReport(parity, degrees, residuals, ranks, conds, errors,
                        seconds, mesh.fingerprint(), data.tag,
-                       exploratory=(A.n == 2))
+                       exploratory=(A.n == 2),
+                       rows=[system.matrix.shape[0]] * len(degrees),
+                       columns=columns, assembly_s=assembly_s,
+                       factorization_s=factorization_s)
 
 
 class CrossValidation:

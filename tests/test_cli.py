@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import shutil
 import subprocess
@@ -111,6 +112,16 @@ def test_completeness_csv_columns(tmp_path):
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert "seconds" not in header
     assert header.split(",")[0] == "degree"
+
+
+def test_shipped_ball_completeness_run(tmp_path):
+    config = pathlib.Path(__file__).parent.parent / "configs" / "completeness_ball.json"
+    assert run_cli("completeness", str(config), "--out", str(tmp_path / "o")) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["config"]["operator"]["n"] == 3
+    passed = {a["name"]: a["passed"] for a in summary["assertions"]}
+    for name in ("monotone-residuals", "final-residual", "cross-consistent"):
+        assert passed[name], name
 
 
 def test_values_file_relative_to_config_dir(tmp_path):

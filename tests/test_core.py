@@ -49,6 +49,14 @@ def test_entries_exact_are_fractions(B2):
     assert all(isinstance(v, Fraction) for row in exact for v in row)
 
 
+def test_entries_exact_built_once(C3):
+    first = C3.entries_exact
+    again = C3.entries_exact
+    assert again == first and again is first
+    assert isinstance(again, tuple) and all(isinstance(row, tuple) for row in again)
+    assert all(isinstance(v, Fraction) for row in again for v in row)
+
+
 # -- fundamental solution ---------------------------------------------------
 
 def test_matches_reference_formula(B2, C3):

@@ -106,6 +106,37 @@ def test_series_extraction_matches_recurrence(I1, B2, C3):
                 assert built == extracted, (key, alpha.alpha, parity)
 
 
+# -- float basis against the exact family -----------------------------------
+
+LADDER_A = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]]
+
+
+@pytest.mark.parametrize("entries", [ENTRIES["B2"], LADDER_A], ids=["B2", "ladder"])
+@pytest.mark.parametrize("parity", ["v", "w"])
+def test_basis_matrix_matches_exact_family(entries, parity):
+    A = cx.make_coefficients(len(entries), entries)
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1.0, 1.0, size=(300, A.n))
+    ts = rng.uniform(-0.5, 1.0, size=300)
+    alphas = cx.enumerate_basis(A.n, 12)
+    got = cx.basis_matrix(A, alphas, parity, pts, ts)
+    assert got.shape == (300, len(alphas))
+    for k, alpha in enumerate(alphas):
+        want = cx.caloric_poly(A, alpha, parity).evaluate(pts, ts)
+        assert np.max(np.abs(got[:, k] - want)) <= 1e-13 * np.max(np.abs(want)), alpha
+    # any order of a downward-closed set gives the same columns
+    assert np.array_equal(cx.basis_matrix(A, alphas[::-1], parity, pts, ts),
+                          got[:, ::-1])
+
+
+def test_basis_matrix_needs_downward_closed_set(I2):
+    pts, ts = np.zeros((2, 2)), np.zeros(2)
+    with pytest.raises(ValueError, match="closed downward"):
+        cx.basis_matrix(I2, [(0, 0), (1, 1)], "v", pts, ts)
+    with pytest.raises(ValueError):
+        cx.basis_matrix(I2, [(0, 0)], "x", pts, ts)
+
+
 # -- evaluation -------------------------------------------------------------
 
 def test_evaluate_exact_at_rational_points(B2):

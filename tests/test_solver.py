@@ -95,6 +95,79 @@ def test_reproduction_survives_high_degree_conditioning(solver_mesh, I2):
     assert ap.cond > 1e3  # basis really is ill-conditioned by then
 
 
+# -- shared factorization against direct oracles ----------------------------
+
+def _tall_svd_oracle(matrix, rhs, rcond):
+    """Truncated SVD of the design matrix itself: rank, cond, residual."""
+    u, sing, vt = np.linalg.svd(matrix, full_matrices=False)
+    keep = sing >= rcond * sing[0]
+    coeff = vt[keep].T @ ((u[:, keep].T @ rhs) / sing[keep])
+    residual = np.linalg.norm(matrix @ coeff - rhs) / np.linalg.norm(rhs)
+    return int(np.count_nonzero(keep)), sing[0] / sing[keep][-1], residual
+
+
+@pytest.mark.parametrize("case", ["disk", "ball"])
+def test_qr_ladder_matches_tall_svd(solver_mesh, I2, case):
+    if case == "disk":
+        A, mesh, data, top = I2, solver_mesh, exp_data(solver_mesh, I2), 12
+    else:
+        A = cx.make_coefficients(3, [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25],
+                                     [0.0, 0.25, 1.0]])
+        mesh = cx.build_mesh(cx.CrossSection.ball(1.0), A, 0.5, 24, 12, 6)
+        fld = cx.CaloricExponentialField(A, np.array([0.3, -0.2, 0.4]), sign=+1)
+        data = cx.BoundaryData.from_field(mesh, "v", fld, tag="exp")
+        top = 10
+    system = cx.assemble_system(mesh, A, "v", top)
+    rhs = system.sqrt_weights * data.concatenated(mesh)
+    for deg in range(top + 1):
+        ap = cx.solve_dirichlet(mesh, A, "v", deg, data, system=system)
+        k = system.columns_for_degree(deg)
+        rank, cond, residual = _tall_svd_oracle(system.matrix[:, :k], rhs, 1e-12)
+        assert ap.rank == rank, deg
+        assert ap.cond == pytest.approx(cond, rel=1e-8), deg
+        assert ap.residual == pytest.approx(residual, rel=1e-4, abs=1e-14), deg
+
+
+def test_wide_fit_matches_tall_svd(disk, I2):
+    # 861 columns on 64 rows: the fit interpolates
+    mesh = cx.build_mesh(disk, I2, 0.5, 8, 4, 4)
+    data = exp_data(mesh, I2)
+    system = cx.assemble_system(mesh, I2, "v", 40)
+    assert system.matrix.shape == (64, 861)
+    ap = cx.solve_dirichlet(mesh, I2, "v", 40, data, system=system)
+    rhs = system.sqrt_weights * data.concatenated(mesh)
+    rank, _, residual = _tall_svd_oracle(system.matrix, rhs, 1e-12)
+    assert ap.rank == rank
+    assert abs(ap.residual - residual) <= 1e-12
+
+
+def test_shared_system_never_serves_a_stale_factorization(solver_mesh, I2):
+    first = exp_data(solver_mesh, I2)
+    second = exp_data(solver_mesh, I2, xi=(-0.5, 0.2))
+    shared = cx.assemble_system(solver_mesh, I2, "v", 6)
+    for data in (first, second, first):
+        got = cx.solve_dirichlet(solver_mesh, I2, "v", 6, data, system=shared)
+        fresh = cx.solve_dirichlet(solver_mesh, I2, "v", 6, data)
+        assert np.array_equal(got.coefficients, fresh.coefficients)
+        assert (got.residual, got.rank, got.cond) == \
+            (fresh.residual, fresh.rank, fresh.cond)
+
+
+def test_blocked_evaluation_matches_exact_sum(solver_mesh, I2):
+    from calorix.solver import _EVAL_BLOCK
+
+    ap = cx.solve_dirichlet(solver_mesh, I2, "v", 6, exp_data(solver_mesh, I2))
+    rng = np.random.default_rng(3)
+    count = _EVAL_BLOCK + 37
+    pts = rng.uniform(-1.0, 1.0, size=(count, 2))
+    ts = rng.uniform(0.0, 0.5, size=count)
+    want = np.zeros(count)
+    for c, alpha in zip(ap.raw_coefficients(), ap.alphas):
+        want += c * cx.caloric_poly(I2, alpha, "v").evaluate(pts, ts)
+    got = cx.evaluate_solution(ap, I2, pts, ts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # -- error paths ------------------------------------------------------------
 
 def test_parity_mismatch_raises(solver_mesh, I2):
@@ -236,9 +309,16 @@ def test_study_report_round_trip(solver_mesh, I2):
     rows = report.to_csv_rows()
     assert rows[0][0] == "degree"
     assert len(rows) == 3
+    assert not {"rows", "columns", "assembly_s", "factorization_s"} & set(rows[0])
     d = report.to_json_dict()
     assert d["degrees"] == [0, 2]
     assert d["exploratory"] is True
+    n_rows = sum(solver_mesh.region_nodes(r)[0].shape[0]
+                 for r in cx.parity_regions("v"))
+    assert d["rows"] == [n_rows, n_rows]
+    assert d["columns"] == [1, 6]
+    assert d["assembly_s"] > 0.0 and d["factorization_s"] > 0.0
+    assert len(d["seconds"]) == 2 and all(s > 0.0 for s in d["seconds"])
 
 
 # -- cross validation -------------------------------------------------------
