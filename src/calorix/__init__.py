@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .core import (
     CoefficientMatrix,
-    FrequencyVector,
     SpaceTimePoint,
     caloric_exponential,
     conormal_kernel_source,

@@ -36,16 +36,6 @@ class SpaceTimePoint:
         object.__setattr__(self, "t", float(self.t))
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Exponent vector xi for caloric exponentials."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float).reshape(-1))
-
-
 class CoefficientMatrix:
     """Validated SPD coefficient matrix with cached factorizations.
 
@@ -183,7 +173,7 @@ def caloric_exponential(A, point, xi, sign=+1):
         x, t = point
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    xi = xi.xi if isinstance(xi, FrequencyVector) else np.asarray(xi, dtype=float)
+    xi = np.asarray(xi, dtype=float)
     rate = float(xi @ A.a @ xi)
     # overflow gives inf, which callers reject with a typed error
     with np.errstate(over="ignore"):

@@ -149,10 +149,6 @@ class CaloricPolynomial:
     def degree_in_t(self):
         return max((m for (_beta, m) in self.terms), default=0)
 
-    def parabolic_degree(self):
-        """Total degree counting t twice (x degree + 2 * t degree)."""
-        return max((sum(beta) + 2 * m for (beta, m) in self.terms), default=0)
-
     def trace_t0(self):
         """Coefficients of the restriction to t = 0, as beta -> Fraction."""
         return {beta: c for (beta, m), c in self.terms.items() if m == 0}

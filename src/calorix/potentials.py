@@ -34,6 +34,14 @@ from .quadrature import (
 _U_CAP = 45.0  # exp(-45) ~ 3e-20: truncation point of the substituted time integral
 _GH_POINTS = 22
 _NEAR_FACTOR = 3.0
+# elliptic_gauss_identity: Gauss points in the polar angle of the on-surface
+# rule, trapezoid points in azimuth of both surface rules
+_SURFACE_POLAR = 64
+_SURFACE_AZIMUTH = 128
+# offset ladder of jump_probe (its docstring gives the values)
+_JUMP_LEVELS = 9
+_JUMP_H0_FACTOR = 0.05
+_JUMP_RICHARDSON = 4
 
 
 @dataclass
@@ -144,16 +152,6 @@ class JumpProbeReport:
     def relative_error(self):
         scale = max(abs(self.predicted_jump), 1e-30)
         return self.error / scale
-
-    def to_rows(self):
-        rows = []
-        for h, vi, ve in zip(self.offsets, self.interior_values, self.exterior_values):
-            rows.append([self.node_index, h, vi, ve, "", "", ""])
-        rows.append(
-            [self.node_index, 0.0, self.interior_limit, self.exterior_limit,
-             self.jump_estimate, self.predicted_jump, self.error]
-        )
-        return rows
 
 
 def richardson(values, ratio=2.0):
@@ -474,7 +472,7 @@ def stokes_check(mesh, A, u_field, target, which="H"):
     return abs(val)
 
 
-def elliptic_gauss_identity(cs, A, x, m_polar=64, m_azimuth=128):
+def elliptic_gauss_identity(cs, A, x):
     """Surface integral of minus the elliptic conormal kernel over the
     cross-section boundary (n >= 3).
 
@@ -501,8 +499,8 @@ def elliptic_gauss_identity(cs, A, x, m_polar=64, m_azimuth=128):
         e1 = e - (e @ u0) * u0
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(u0, e1)
-        gam, wg = gauss_legendre(m_polar, 0.0, math.pi)
-        psi, wp = periodic_trapezoid(m_azimuth)
+        gam, wg = gauss_legendre(_SURFACE_POLAR, 0.0, math.pi)
+        psi, wp = periodic_trapezoid(_SURFACE_AZIMUTH)
         cg, sg = np.cos(gam)[:, None], np.sin(gam)[:, None]
         dirs = (cg[..., None] * u0[None, None, :]
                 + sg[..., None] * (np.cos(psi)[None, :, None] * e1[None, None, :]
@@ -513,7 +511,7 @@ def elliptic_gauss_identity(cs, A, x, m_polar=64, m_azimuth=128):
     else:
         from .geometry import _sphere_rule
 
-        dirs, sphere_w = _sphere_rule(m_azimuth)
+        dirs, sphere_w = _sphere_rule(_SURFACE_AZIMUTH)
 
     pts, jac, inward = cs.sphere_frame(dirs)
     diff = x[None, :] - pts
@@ -527,12 +525,12 @@ def elliptic_gauss_identity(cs, A, x, m_polar=64, m_azimuth=128):
 # jump probes
 
 
-def jump_probe(mesh, A, phi, node_index, kind="double", levels=9, h0_factor=0.05,
-               richardson_levels=4):
+def jump_probe(mesh, A, phi, node_index, kind="double"):
     """Approach a lateral node from both sides and extrapolate the limits.
 
-    Offsets are h0 * 2^-k along the interior normal with h0 = h0_factor times
-    the domain diameter.  The two-sided difference of the Richardson limits
+    Offsets are h0 * 2^-k, k = 0..8, along the interior normal with h0 = 0.05
+    times the domain diameter; the innermost 4 are extrapolated by
+    Richardson.  The two-sided difference of the Richardson limits
     estimates the density jump: +phi for the double layer, -phi for the
     conormal derivative of the single layer.  Nodes with times within 10% of
     the corners are rejected.
@@ -548,8 +546,8 @@ def jump_probe(mesh, A, phi, node_index, kind="double", levels=9, h0_factor=0.05
     x0 = mesh.bpoints[b]
     nu = mesh.bnormals[b]
 
-    h0 = h0_factor * mesh.diameter
-    offsets = h0 * 0.5 ** np.arange(levels)
+    h0 = _JUMP_H0_FACTOR * mesh.diameter
+    offsets = h0 * 0.5 ** np.arange(_JUMP_LEVELS)
 
     rule = None
     if mesh.cs.n == 2:
@@ -567,8 +565,8 @@ def jump_probe(mesh, A, phi, node_index, kind="double", levels=9, h0_factor=0.05
 
     vin = np.array([value_at(+h) for h in offsets])
     vex = np.array([value_at(-h) for h in offsets])
-    li = richardson(vin[-richardson_levels:])
-    le = richardson(vex[-richardson_levels:])
+    li = richardson(vin[-_JUMP_RICHARDSON:])
+    le = richardson(vex[-_JUMP_RICHARDSON:])
 
     phi0 = float(np.asarray(phi.generator(x0[None, :], np.array([t0]), nu[None, :]))[0])
     predicted = phi0 if kind == "double" else -phi0

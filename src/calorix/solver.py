@@ -274,12 +274,14 @@ class StudyReport:
     seconds[i] is the time of degree i alone: its solve and probe errors,
     without the design-matrix assembly (assembly_s) and the one QR
     factorization the degrees share (factorization_s).  rows and columns
-    are the shape of each degree's least-squares problem.
+    are the shape of each degree's least-squares problem.  final is the
+    CaloricApproximant of the last degree; it is not serialized.
     """
 
     def __init__(self, parity, degrees, residuals, ranks, conds,
                  interior_max_errors, seconds, mesh_fingerprint, tag,
-                 exploratory, rows, columns, assembly_s, factorization_s):
+                 exploratory, rows, columns, assembly_s, factorization_s,
+                 final):
         self.parity = parity
         self.degrees = list(degrees)
         self.residuals = list(residuals)
@@ -294,6 +296,7 @@ class StudyReport:
         self.columns = list(columns)
         self.assembly_s = assembly_s
         self.factorization_s = factorization_s
+        self.final = final
         lengths = {len(self.degrees), len(self.residuals), len(self.ranks),
                    len(self.conds), len(self.interior_max_errors),
                    len(self.seconds), len(self.rows), len(self.columns)}
@@ -301,12 +304,13 @@ class StudyReport:
             raise ValueError("study columns must share one length")
 
     def to_csv_rows(self):
-        rows = [["degree", "residual", "rank", "cond", "interior_max_err",
-                 "seconds"]]
+        """The study table; it has no timing column, so it is a pure function
+        of the mesh, the data and the degrees."""
+        rows = [["degree", "residual", "rank", "cond", "interior_max_err"]]
         for i, deg in enumerate(self.degrees):
             err = self.interior_max_errors[i]
             rows.append([deg, self.residuals[i], self.ranks[i], self.conds[i],
-                         "" if err is None else err, self.seconds[i]])
+                         "" if err is None else err])
         return rows
 
     def to_json_dict(self):
@@ -328,18 +332,19 @@ class StudyReport:
         }
 
 
-def interior_probe_grid(mesh, n_radial=5, n_angular=5, n_time=5):
-    """Deterministic interior probe points: radial fractions x directions x
-    times, clear of the boundary."""
-    fracs = np.linspace(0.1, 0.9, n_radial)
-    times = np.linspace(0.1, 0.9, n_time) * mesh.T
+def interior_probe_grid(mesh):
+    """Deterministic interior probe points: 5 radial fractions x 5
+    directions x 5 times, clear of the boundary."""
+    k = 5
+    fracs = np.linspace(0.1, 0.9, k)
+    times = np.linspace(0.1, 0.9, k) * mesh.T
     if mesh.n == 2:
-        angles = 2.0 * np.pi * np.arange(n_angular) / n_angular
+        angles = 2.0 * np.pi * np.arange(k) / k
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
         # golden-spiral directions: even coverage without a pole cluster
-        idx = np.arange(n_angular) + 0.5
-        cosom = 1.0 - 2.0 * idx / n_angular
+        idx = np.arange(k) + 0.5
+        cosom = 1.0 - 2.0 * idx / k
         sinom = np.sqrt(1.0 - cosom**2)
         az = np.pi * (1.0 + math.sqrt(5.0)) * idx
         dirs = np.stack([sinom * np.cos(az), sinom * np.sin(az), cosom], axis=1)
@@ -352,15 +357,14 @@ def interior_probe_grid(mesh, n_radial=5, n_angular=5, n_time=5):
     return np.concatenate(pts), np.concatenate(ts)
 
 
-def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12,
-                       probe_points=None, probe_times=None):
+def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12):
     """solve_dirichlet per degree on one shared system and one shared QR
     factorization; nested least squares makes the residual sequence
     non-increasing.
 
-    Interior max errors are reported when the data carries an exact field;
-    n=2 runs are flagged exploratory (the density theory is stated for
-    higher dimensions).
+    Interior max errors, at the points of interior_probe_grid, are reported
+    when the data carries an exact field; n=2 runs are flagged exploratory
+    (the density theory is stated for higher dimensions).
     """
     degrees = list(degrees)
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
@@ -372,7 +376,7 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12,
     start = time.perf_counter()
     system.triangular(_weighted_rhs(system, data, mesh))
     factorization_s = time.perf_counter() - start
-    if data.exact is not None and probe_points is None:
+    if data.exact is not None:
         probe_points, probe_times = interior_probe_grid(mesh)
 
     residuals, ranks, conds, errors, seconds = [], [], [], [], []
@@ -398,7 +402,7 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12,
                        exploratory=(A.n == 2),
                        rows=[system.matrix.shape[0]] * len(degrees),
                        columns=columns, assembly_s=assembly_s,
-                       factorization_s=factorization_s)
+                       factorization_s=factorization_s, final=approx)
 
 
 class CrossValidation:
@@ -429,14 +433,15 @@ class CrossValidation:
         }
 
 
-def cross_validate(coarse_mesh, fine_mesh, A, parity, degree, data,
-                   rcond=1e-12):
-    """Guard against quadrature artifacts: fit on the coarse mesh, then
-    re-evaluate the same approximant's residual against the data resampled
-    on the finer mesh.  Needs a data generator."""
+def cross_validate(approx, fine_mesh, A, data):
+    """Guard against quadrature artifacts: re-score a coarse-mesh fit of
+    ``data`` against the data resampled on a finer mesh.  Nothing is fitted
+    again; the coarse residual is ``approx.residual``.  Needs a data
+    generator."""
     if data.generator is None:
         raise DegenerateData("cross validation needs resamplable data")
-    approx = solve_dirichlet(coarse_mesh, A, parity, degree, data, rcond=rcond)
+    parity = approx.parity
+    _check_parity(data, parity)
 
     fine_data = BoundaryData.from_function(fine_mesh, parity, data.generator,
                                            exact=data.exact, tag=data.tag)
@@ -446,4 +451,4 @@ def cross_validate(coarse_mesh, fine_mesh, A, parity, degree, data,
     num = math.sqrt(float(np.sum(wts * misfit**2)))
     den = math.sqrt(float(np.sum(wts * f**2)))
     fine_res = num / den if den > 0.0 else num
-    return CrossValidation(degree, approx.residual, fine_res)
+    return CrossValidation(approx.degree, approx.residual, fine_res)

@@ -124,6 +124,27 @@ def test_shipped_ball_completeness_run(tmp_path):
         assert passed[name], name
 
 
+def test_cross_validated_study_fits_once(tmp_path, monkeypatch):
+    # cross validation re-scores the study's top-degree fit: one assembly and
+    # one QR for the whole run
+    calls = {"assemble": 0, "qr": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("calorix.solver.assemble_system",
+                        counted("assemble", cx.assemble_system))
+    monkeypatch.setattr("numpy.linalg.qr", counted("qr", np.linalg.qr))
+    config = pathlib.Path(__file__).parent.parent / "configs" / "completeness_exp.json"
+    assert run_cli("completeness", str(config), "--out", str(tmp_path / "o")) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["cross_validation"]["degree"] == 12
+    assert calls == {"assemble": 1, "qr": 1}
+
+
 def test_values_file_relative_to_config_dir(tmp_path):
     cfg = make_config("solve", {"degree": 2,
                                 "data": {"kind": "values-file",

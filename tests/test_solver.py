@@ -326,7 +326,8 @@ def test_study_report_round_trip(solver_mesh, I2):
 def test_cross_validation_flags_nothing_for_smooth_data(solver_mesh, disk, I2):
     fine = cx.build_mesh(disk, I2, 0.5, 192, 96, 48)
     data = exp_data(solver_mesh, I2)
-    cv = cx.cross_validate(solver_mesh, fine, I2, "v", 8, data)
+    cv = cx.cross_validate(cx.solve_dirichlet(solver_mesh, I2, "v", 8, data),
+                           fine, I2, data)
     assert cv.ratio < 2.0
     assert not cv.flagged
 
@@ -334,7 +335,8 @@ def test_cross_validation_flags_nothing_for_smooth_data(solver_mesh, disk, I2):
 def test_cross_validation_polynomial_both_tiny(solver_mesh, disk, I2):
     fine = cx.build_mesh(disk, I2, 0.5, 192, 96, 48)
     data = poly_data(solver_mesh, I2, (2, 1))
-    cv = cx.cross_validate(solver_mesh, fine, I2, "v", 4, data)
+    cv = cx.cross_validate(cx.solve_dirichlet(solver_mesh, I2, "v", 4, data),
+                           fine, I2, data)
     assert cv.coarse_residual < 1e-9
     assert cv.fine_residual < 1e-9
 
@@ -344,7 +346,8 @@ def test_cross_validation_zero_data(solver_mesh, disk, I2):
     zero = cx.BoundaryData.from_function(solver_mesh, "v",
                                          lambda p, t: np.zeros(p.shape[0]),
                                          tag="zero")
-    cv = cx.cross_validate(solver_mesh, fine, I2, "v", 3, zero)
+    cv = cx.cross_validate(cx.solve_dirichlet(solver_mesh, I2, "v", 3, zero),
+                           fine, I2, zero)
     assert cv.coarse_residual == 0.0
     assert cv.fine_residual == 0.0
     assert not cv.flagged
@@ -356,7 +359,29 @@ def test_cross_validation_needs_generator(solver_mesh, disk, I2):
             for r in ("sigma2", "sigma3")}
     data = cx.BoundaryData.from_values(solver_mesh, "v", vals)
     with pytest.raises(DegenerateData):
-        cx.cross_validate(solver_mesh, fine, I2, "v", 2, data)
+        cx.cross_validate(cx.solve_dirichlet(solver_mesh, I2, "v", 2, data),
+                          fine, I2, data)
+
+
+def test_study_final_is_the_top_degree_fit(solver_mesh, disk, I2):
+    data = exp_data(solver_mesh, I2)
+    final = cx.completeness_study(solver_mesh, I2, "v", data, [2, 6, 8]).final
+    fresh = cx.solve_dirichlet(solver_mesh, I2, "v", 8, data)
+    assert np.array_equal(final.coefficients, fresh.coefficients)
+    assert final.residual == fresh.residual
+    assert final.rank == fresh.rank
+    fine = cx.build_mesh(disk, I2, 0.5, 128, 64, 32)
+    assert (cx.cross_validate(final, fine, I2, data).to_json_dict()
+            == cx.cross_validate(fresh, fine, I2, data).to_json_dict())
+
+
+def test_cross_validation_checks_parity(solver_mesh, disk, I2):
+    fine = cx.build_mesh(disk, I2, 0.5, 128, 64, 32)
+    data = exp_data(solver_mesh, I2)
+    adjoint = cx.BoundaryData.from_function(solver_mesh, "w", data.generator)
+    approx = cx.solve_dirichlet(solver_mesh, I2, "v", 2, data)
+    with pytest.raises(RegionMismatch):
+        cx.cross_validate(approx, fine, I2, adjoint)
 
 
 def test_interior_probe_grid_inside(solver_mesh):
