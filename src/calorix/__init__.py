@@ -35,7 +35,6 @@ from .geometry import CrossSection, CylinderMesh, build_mesh, mesh_to_csv
 from .polynomials import (
     CaloricPolynomial,
     MultiIndex,
-    RationalScalar,
     apply_parabolic_operator,
     basis_matrix,
     caloric_poly,

@@ -71,12 +71,24 @@ _DATA_SCHEMA = {
     },
 }
 
-_GEOMETRY_PARAMS = {
-    "disk": {"radius": _POSITIVE},
-    "ellipse": {"a": _POSITIVE, "b": _POSITIVE},
-    "star": {"r0": _POSITIVE, "cos3": {"type": "number"}},
-    "ball": {"radius": _POSITIVE},
-    "ellipsoid": {"a": _POSITIVE, "b": _POSITIVE, "c": _POSITIVE},
+
+class GeometrySpec(NamedTuple):
+    """One geometry kind: its dimension, the schema of its params (all
+    required) and the CrossSection factory that takes them as keywords."""
+
+    n: int
+    params: dict
+    build: Callable
+
+
+GEOMETRIES = {
+    "disk": GeometrySpec(2, {"radius": _POSITIVE}, CrossSection.disk),
+    "ellipse": GeometrySpec(2, {"a": _POSITIVE, "b": _POSITIVE}, CrossSection.ellipse),
+    "star": GeometrySpec(2, {"r0": _POSITIVE, "cos3": {"type": "number"}},
+                         lambda r0, cos3: CrossSection.star(r0, (0.0, 0.0, cos3))),
+    "ball": GeometrySpec(3, {"radius": _POSITIVE}, CrossSection.ball),
+    "ellipsoid": GeometrySpec(3, {"a": _POSITIVE, "b": _POSITIVE, "c": _POSITIVE},
+                              CrossSection.ellipsoid),
 }
 
 
@@ -106,11 +118,12 @@ def validate_config(config):
         raise ConfigInvalid(f"task/{name}: {errors[0].message}")
 
     geom = config["geometry"]
+    spec = GEOMETRIES[geom["kind"]]
     params_schema = {
         "type": "object",
         "additionalProperties": False,
-        "required": sorted(_GEOMETRY_PARAMS[geom["kind"]]),
-        "properties": _GEOMETRY_PARAMS[geom["kind"]],
+        "required": sorted(spec.params),
+        "properties": spec.params,
     }
     errors = _schema_errors(params_schema, geom["params"])
     if errors:
@@ -120,23 +133,9 @@ def validate_config(config):
     matrix = config["operator"]["matrix"]
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ConfigInvalid(f"operator/matrix: expected a {n}x{n} matrix")
-    kind_dim = 2 if geom["kind"] in ("disk", "ellipse", "star") else 3
-    if n != kind_dim:
+    if n != spec.n:
         raise ConfigInvalid(
-            f"geometry/{geom['kind']}: needs n={kind_dim}, operator has n={n}")
-
-
-def _build_cross_section(geom):
-    kind, p = geom["kind"], geom["params"]
-    if kind == "disk":
-        return CrossSection.disk(p["radius"])
-    if kind == "ellipse":
-        return CrossSection.ellipse(p["a"], p["b"])
-    if kind == "star":
-        return CrossSection.star(p["r0"], (0.0, 0.0, p.get("cos3", 0.0)))
-    if kind == "ball":
-        return CrossSection.ball(p["radius"])
-    return CrossSection.ellipsoid(p["a"], p["b"], p["c"])
+            f"geometry/{geom['kind']}: needs n={spec.n}, operator has n={n}")
 
 
 class RunContext:
@@ -151,7 +150,8 @@ class RunContext:
         try:
             self.A = make_coefficients(config["operator"]["n"],
                                        config["operator"]["matrix"])
-            self.cs = _build_cross_section(config["geometry"])
+            geom = config["geometry"]
+            self.cs = GEOMETRIES[geom["kind"]].build(**geom["params"])
         except (CalorixError, ValueError) as exc:
             raise ConfigInvalid(str(exc)) from exc
         self.parity = config["operator"].get("parity", "v")
@@ -717,7 +717,7 @@ _CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind", "params", "T"],
             "properties": {
-                "kind": {"enum": sorted(_GEOMETRY_PARAMS)},
+                "kind": {"enum": sorted(GEOMETRIES)},
                 "params": {"type": "object"},
                 "T": _POSITIVE,
             },

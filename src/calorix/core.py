@@ -64,7 +64,6 @@ class CoefficientMatrix:
         self.det = float(np.prod(np.diag(chol)) ** 2)
         self.inv = np.linalg.inv(a)
         self.eig_max = float(np.linalg.eigvalsh(a)[-1])
-        self.eig_min = float(np.linalg.eigvalsh(a)[0])
         self.a.setflags(write=False)
         self.chol.setflags(write=False)
         self.inv.setflags(write=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidResolution, OffsetTooLarge
 from .core import SpaceTimePoint, _as_xt
-from .quadrature import gauss_legendre, periodic_trapezoid
+from .quadrature import gauss_legendre, periodic_trapezoid, sphere_rule
 
 _BOUNDARY_TOL = 1e-12
 
@@ -121,6 +121,14 @@ class CrossSection:
         phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         rho = self._star_rho(phi)
         return float(rho.min()), float(rho.max())
+
+    def radial_gap(self, x):
+        """|x| - rho(x/|x|); negative inside the cross-section."""
+        x = np.asarray(x, dtype=float)
+        r = float(np.linalg.norm(x))
+        if r == 0.0:
+            return -self.radius_extremes()[0]
+        return r - float(self.radius(x / r))
 
     # -- boundary frames ---------------------------------------------------
 
@@ -280,14 +288,6 @@ class CylinderMesh:
 
     # -- point location ----------------------------------------------------
 
-    def radial_gap(self, x):
-        """|x| - rho(x/|x|); negative inside the cross-section."""
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            return -self.cs.radius_extremes()[0]
-        return r - float(self.cs.radius(x / r))
-
     def distance_to_wall(self, x):
         """Euclidean distance from x to the discretized lateral boundary."""
         d = np.linalg.norm(self.bpoints - np.asarray(x, dtype=float)[None, :], axis=1)
@@ -298,7 +298,7 @@ class CylinderMesh:
         tol = _BOUNDARY_TOL
         if t < -tol or t > self.T + tol:
             return Location("exterior")
-        gap = self.radial_gap(x)
+        gap = self.cs.radial_gap(x)
         if gap > tol:
             return Location("exterior")
         if abs(gap) <= tol:
@@ -330,25 +330,6 @@ class CylinderMesh:
         if h < 0 and loc.kind != "exterior":
             raise OffsetTooLarge(f"outward offset {h} fails to leave the cylinder ({loc.kind})")
         return SpaceTimePoint(x, t)
-
-
-def _sphere_rule(m_angular):
-    """Gauss in the polar cosine times trapezoid in azimuth on the unit sphere."""
-    m_polar = max(2, m_angular // 2)
-    u, wu = gauss_legendre(m_polar, -1.0, 1.0)
-    psi, wpsi = periodic_trapezoid(m_angular)
-    ct = u[:, None]
-    st = np.sqrt(1.0 - u[:, None] ** 2)
-    dirs = np.stack(
-        [
-            (st * np.cos(psi)[None, :]).reshape(-1),
-            (st * np.sin(psi)[None, :]).reshape(-1),
-            np.broadcast_to(ct, (m_polar, m_angular)).reshape(-1),
-        ],
-        axis=-1,
-    )
-    weights = (wu[:, None] * wpsi[None, :]).reshape(-1)
-    return dirs, weights
 
 
 def build_mesh(cs, A, T, m_angular, m_time, m_radial):
@@ -383,7 +364,7 @@ def build_mesh(cs, A, T, m_angular, m_time, m_radial):
         mesh.cap_points = cap_pts.reshape(-1, 2)
         mesh.cap_weights = cap_w.reshape(-1)
     else:
-        dirs, wdirs = _sphere_rule(m_angular)
+        dirs, wdirs = sphere_rule(m_angular)
         points, jac, inward = cs.sphere_frame(dirs)
         mesh.bpoints = points
         mesh.bnormals = inward

@@ -25,13 +25,9 @@ from functools import lru_cache, total_ordering
 
 import numpy as np
 
-from .core import CoefficientMatrix, SpaceTimePoint, _as_xt
+from .core import SpaceTimePoint, _as_xt, fundamental_solution
 from .errors import NotCaloric
-from .quadrature import gauss_legendre
-
-# RationalScalar is the coefficient field: stdlib Fraction already keeps the
-# canonical form (gcd 1, positive denominator) this package relies on.
-RationalScalar = Fraction
+from .quadrature import gauss_legendre, tensor_rule
 
 
 @total_ordering
@@ -344,18 +340,23 @@ def _family_terms(entries, n, alpha, sign):
     return tuple(sorted((k, v) for k, v in out.items() if v != 0))
 
 
+def _family_sign(parity):
+    """+1 for the v family, -1 for the w family; ValueError for any other parity."""
+    if parity not in ("v", "w"):
+        raise ValueError("parity must be 'v' or 'w'")
+    return 1 if parity == "v" else -1
+
+
 def caloric_poly(A, alpha, parity="v"):
     """The family member v_alpha (parity 'v') or w_alpha (parity 'w') for A.
 
     Matrix entries are snapped to exact rationals; float entries are dyadic
     so the snap is lossless.
     """
-    if parity not in ("v", "w"):
-        raise ValueError("parity must be 'v' or 'w'")
+    sign = _family_sign(parity)
     alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
     if alpha.n != A.n:
         raise ValueError(f"multi-index length {alpha.n} does not match dimension {A.n}")
-    sign = 1 if parity == "v" else -1
     terms = dict(_family_terms(A.entries_exact, A.n, alpha.alpha, sign))
     return CaloricPolynomial(A.n, terms, parity=parity, alpha=alpha)
 
@@ -373,10 +374,9 @@ def basis_matrix(A, alphas, parity, points, times):
     alpha - e_j with alpha_j > 0 is in it), as a graded-lex prefix of
     ``enumerate_basis`` is; ValueError otherwise.
     """
-    if parity not in ("v", "w"):
-        raise ValueError("parity must be 'v' or 'w'")
+    sign = _family_sign(parity)
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    st = (2.0 if parity == "v" else -2.0) * np.asarray(times, dtype=float).reshape(-1)
+    st = (2.0 * sign) * np.asarray(times, dtype=float).reshape(-1)
     keys = [a.alpha if isinstance(a, MultiIndex) else MultiIndex(a).alpha for a in alphas]
     if any(len(a) != A.n for a in keys):
         raise ValueError(f"multi-index lengths must match dimension {A.n}")
@@ -455,19 +455,13 @@ def moment_identity_check(A, alpha, point, resolution=80):
     # exp(-q/(4t)) <= exp(-|z|^2/(4 t eig_max)); tail below 1e-16 needs
     # |z| > sqrt(4 * 37 * t * eig_max)
     radius = np.sqrt(148.0 * t * A.eig_max)
-    rules = [gauss_legendre(resolution, xj - radius, xj + radius) for xj in x]
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    weights = rules[0][1]
-    for r in rules[1:]:
-        weights = np.multiply.outer(weights, r[1])
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    from .core import fundamental_solution  # local import keeps module load light
-
+    pts, weights = tensor_rule([gauss_legendre(resolution, xj - radius, xj + radius)
+                                for xj in x])
     g = fundamental_solution(A, x[None, :] - pts, t)
     mono = np.ones(pts.shape[0])
     for j, a in enumerate(alpha):
         if a:
             mono = mono * pts[:, j] ** a
-    quad = float(np.sum(weights.reshape(-1) * g * mono))
+    quad = float(np.sum(weights * g * mono))
     exact = caloric_poly(A, alpha, "v").evaluate(x[None, :], np.array([t]))[0]
     return abs(quad - exact)

@@ -13,6 +13,12 @@ mesh, which is accurate for targets well separated from the boundary.
 Adjoint (star) variants integrate against the time-reversed kernel; they are
 computed directly, and tests compare them with the forward operators on a
 time-reflected cylinder.
+
+This module composes; it owns no kernel, node offset or quadrature rule.
+Pointwise kernels (G, its conormal derivatives, the elliptic conormal
+kernel) come from ``core``, targets moved off a lateral node from
+``CylinderMesh.offset_point``, radial gaps from ``CrossSection.radial_gap``,
+and every rule (graded, Gauss-Hermite, sphere, tensor) from ``quadrature``.
 """
 
 import math
@@ -20,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_xt, caloric_exponential, conormal_kernel_source, fundamental_solution
+from .core import (
+    _as_xt,
+    caloric_exponential,
+    conormal_kernel_target,
+    elliptic_conormal_kernel,
+    fundamental_solution,
+)
 from .errors import CornerTooClose, DimensionMismatch, DimensionTooSmall, TargetOnBoundary
 from .quadrature import (
     composite_gauss,
@@ -28,7 +40,8 @@ from .quadrature import (
     gauss_legendre,
     graded_edges_toward,
     periodic_trapezoid,
-    unit_sphere_area,
+    sphere_rule,
+    tensor_rule,
 )
 
 _U_CAP = 45.0  # exp(-45) ~ 3e-20: truncation point of the substituted time integral
@@ -117,15 +130,12 @@ class TranslatedKernelField:
         return fundamental_solution(self.A, points - self.x0[None, :], self._tau(times))
 
     def conormal(self, points, times, normals):
+        # G is even in its space argument, so the x-gradient ignores the
+        # time orientation: both fields are G(x - x0, tau).
         points = np.atleast_2d(np.asarray(points, dtype=float))
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        times = np.asarray(times, dtype=float)
-        z = points - self.x0[None, :]
-        tau = self._tau(times)
-        # G is even in its space argument, so the x-gradient ignores the
-        # time orientation: d/dnubar = -<nu, x - x0> / (2 tau) G either way.
-        proj = np.einsum("ij,ij->i", normals, z)
-        return -proj / (2.0 * tau) * self.value(points, times)
+        tau = self._tau(np.asarray(times, dtype=float))
+        return conormal_kernel_target(self.A, points, self.x0, normals, tau)
 
 
 @dataclass
@@ -231,7 +241,7 @@ def _near_boundary_rule(cs, x, m_angular, depth=None):
     npts = max(8, m_angular // 12)
     nodes, wgl = composite_gauss(edges, npts)
     bp, jac, inward = cs.boundary_frame(nodes)
-    return bp, wgl * jac, inward, depth
+    return bp, wgl * jac, inward
 
 
 def _barycentric_matrix(nodes, times):
@@ -320,8 +330,7 @@ def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False, ru
     x, t = _as_xt(target)
     if rule is None and phi.generator is not None and mesh.cs.n == 2:
         if mesh.distance_to_wall(x) < _NEAR_FACTOR * mesh.boundary_spacing:
-            bp, bw, bn, _ = _near_boundary_rule(mesh.cs, x, mesh.m_angular)
-            rule = (bp, bw, bn)
+            rule = _near_boundary_rule(mesh.cs, x, mesh.m_angular)
     return _lateral_generator(mesh, A, phi, x, t, kind, nu_fixed, star, rule)
 
 
@@ -354,14 +363,14 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h, rule=None):
     """Conormal derivative of the single layer at lateral node i, offset h.
 
     The derivative direction is frozen at the node (conormal A nu(x0)); the
-    evaluation point is x0 + h nu(x0) at the node's time.
+    evaluation point is ``mesh.offset_point(node_index, h)``, which raises
+    OffsetTooLarge when |h| exceeds the diameter or the point lands on the
+    wrong side of the wall.
     """
-    b, k = mesh.lateral_index(int(node_index))
-    x0 = mesh.bpoints[b]
-    nu = mesh.bnormals[b]
-    t0 = float(mesh.tnodes[k])
-    x = x0 + float(h) * nu
-    return _lateral_potential(mesh, A, phi, (x, t0), "conormal_fixed", nu_fixed=nu, rule=rule)
+    b, _ = mesh.lateral_index(int(node_index))
+    target = mesh.offset_point(node_index, h)
+    return _lateral_potential(mesh, A, phi, target, "conormal_fixed",
+                              nu_fixed=mesh.bnormals[b], rule=rule)
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +385,16 @@ def _cap_value(mesh, A, phi, target, star):
         return 0.0
     sample_t = T if star else 0.0
 
-    if phi.generator is not None and mesh.radial_gap(x) < 0.0:
+    if phi.generator is not None and mesh.cs.radial_gap(x) < 0.0:
         clearance = mesh.distance_to_wall(x)
         if 12.0 * math.sqrt(w * A.eig_max) <= clearance:
             # Gaussian fits inside the cross-section: tensor Gauss-Hermite
-            u, wu = gauss_hermite(_GH_POINTS)
-            grids = np.meshgrid(*([u] * A.n), indexing="ij")
-            uu = np.stack([g.reshape(-1) for g in grids], axis=-1)
-            wwt = wu
-            for _ in range(A.n - 1):
-                wwt = np.multiply.outer(wwt, wu)
+            uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
             pts = x[None, :] + 2.0 * math.sqrt(w) * (uu @ A.chol.T)
             vals = np.asarray(
                 phi.generator(pts, np.full(pts.shape[0], sample_t), None), dtype=float
             )
-            return float(np.sum(wwt.reshape(-1) * vals) / math.pi ** (A.n / 2.0))
+            return float(np.sum(wwt * vals) / math.pi ** (A.n / 2.0))
 
     g = fundamental_solution(A, x[None, :] - mesh.cap_points, w)
     return float(np.sum(mesh.cap_weights * phi.values * g))
@@ -484,40 +488,24 @@ def elliptic_gauss_identity(cs, A, x):
     if cs.n != A.n:
         raise DimensionMismatch("cross-section and operator dimensions differ")
     x = np.asarray(x, dtype=float).reshape(-1)
-    omega = unit_sphere_area(cs.n)
-    rmin, rmax = cs.radius_extremes()
-
-    r = float(np.linalg.norm(x))
-    gap = (r - float(cs.radius(x / r))) if r > 0 else -rmin
-    on_surface = abs(gap) <= 1e-9 * rmax
-
-    if on_surface:
-        u0 = x / r
-        pick = int(np.argmin(np.abs(u0)))
+    if abs(cs.radial_gap(x)) <= 1e-9 * cs.radius_extremes()[1]:
+        # on the surface: polar angle gam about x, azimuth psi
+        u0 = x / np.linalg.norm(x)
         e = np.zeros(3)
-        e[pick] = 1.0
+        e[int(np.argmin(np.abs(u0)))] = 1.0
         e1 = e - (e @ u0) * u0
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(u0, e1)
         gam, wg = gauss_legendre(_SURFACE_POLAR, 0.0, math.pi)
-        psi, wp = periodic_trapezoid(_SURFACE_AZIMUTH)
-        cg, sg = np.cos(gam)[:, None], np.sin(gam)[:, None]
-        dirs = (cg[..., None] * u0[None, None, :]
-                + sg[..., None] * (np.cos(psi)[None, :, None] * e1[None, None, :]
-                                   + np.sin(psi)[None, :, None] * e2[None, None, :]))
-        sphere_w = (wg * np.sin(gam))[:, None] * wp[None, :]
-        dirs = dirs.reshape(-1, 3)
-        sphere_w = sphere_w.reshape(-1)
+        nodes, sphere_w = tensor_rule([(gam, wg * np.sin(gam)),
+                                       periodic_trapezoid(_SURFACE_AZIMUTH)])
+        gam, psi = nodes[:, :1], nodes[:, 1:]
+        dirs = np.cos(gam) * u0 + np.sin(gam) * (np.cos(psi) * e1 + np.sin(psi) * e2)
     else:
-        from .geometry import _sphere_rule
-
-        dirs, sphere_w = _sphere_rule(_SURFACE_AZIMUTH)
+        dirs, sphere_w = sphere_rule(_SURFACE_AZIMUTH)
 
     pts, jac, inward = cs.sphere_frame(dirs)
-    diff = x[None, :] - pts
-    q = A.qform_inv(diff)
-    num = np.einsum("ij,ij->i", inward, diff)
-    integrand = num / (omega * math.sqrt(A.det) * q ** (cs.n / 2.0))
+    integrand = -elliptic_conormal_kernel(A, x, pts, inward)
     return float(np.sum(sphere_w * jac * integrand))
 
 
@@ -553,14 +541,14 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     if mesh.cs.n == 2:
         # one graded rule deep enough for the smallest offset, reused at every
         # level so the h-expansion seen by the extrapolation stays smooth
-        probe = x0 + offsets[-1] * nu
+        probe = mesh.offset_point(node_index, offsets[-1]).x
         depth = _graded_depth(mesh.cs, offsets[-1])
-        bp, bw, bn, _ = _near_boundary_rule(mesh.cs, probe, mesh.m_angular, depth=depth)
-        rule = (bp, bw, bn)
+        rule = _near_boundary_rule(mesh.cs, probe, mesh.m_angular, depth=depth)
 
     def value_at(h):
         if kind == "double":
-            return _lateral_potential(mesh, A, phi, (x0 + h * nu, t0), "double", rule=rule)
+            target = mesh.offset_point(node_index, h)
+            return _lateral_potential(mesh, A, phi, target, "double", rule=rule)
         return conormal_derivative_single_layer(mesh, A, phi, node_index, h, rule=rule)
 
     vin = np.array([value_at(+h) for h in offsets])

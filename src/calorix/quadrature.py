@@ -1,7 +1,10 @@
-"""Small quadrature and special-value helpers used across the package.
+"""Quadrature rules and special values; the one home of every rule in calorix.
 
 Everything here is plain numpy; rules are returned as (nodes, weights)
-pairs ready for a dot product.
+pairs ready for a dot product.  ``geometry`` builds the cylinder mesh from
+these rules, and ``potentials`` and ``polynomials`` take their graded,
+Gauss-Hermite, sphere and tensor rules from here rather than building
+their own.
 """
 
 import math
@@ -36,6 +39,30 @@ def periodic_trapezoid(m, period=2.0 * math.pi):
 def gauss_hermite(m):
     """Gauss-Hermite rule for the weight exp(-u^2) on the real line."""
     return np.polynomial.hermite.hermgauss(int(m))
+
+
+def tensor_rule(rules):
+    """Tensor product of one-dimensional (nodes, weights) rules.
+
+    Returns points of shape (m, len(rules)), the first rule's axis varying
+    slowest, and their weights, the products taken left to right.
+    """
+    grids = np.meshgrid(*[nodes for nodes, _ in rules], indexing="ij")
+    points = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    weights = rules[0][1]
+    for _, w in rules[1:]:
+        weights = np.multiply.outer(weights, w)
+    return points, weights.reshape(-1)
+
+
+def sphere_rule(m_angular):
+    """Gauss in the polar cosine times trapezoid in azimuth on the unit sphere
+    of R^3: (directions of shape (m, 3), weights)."""
+    nodes, weights = tensor_rule([gauss_legendre(max(2, m_angular // 2), -1.0, 1.0),
+                                  periodic_trapezoid(m_angular)])
+    ct, psi = nodes[:, 0], nodes[:, 1]
+    st = np.sqrt(1.0 - ct**2)
+    return np.stack([st * np.cos(psi), st * np.sin(psi), ct], axis=-1), weights
 
 
 def composite_gauss(edges, npts):

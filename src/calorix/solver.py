@@ -96,12 +96,10 @@ class TrefftzSystem:
     sides: rows are sqrt(weight)-scaled node evaluations, columns are
     caloric polynomials divided by their recorded scale."""
 
-    def __init__(self, matrix, alphas, scales, points, times, weights, parity):
+    def __init__(self, matrix, alphas, scales, weights, parity):
         self.matrix = matrix
         self.alphas = alphas
         self.scales = scales
-        self.points = points
-        self.times = times
         self.weights = weights
         self.parity = parity
         self._factored = None  # (rhs, R) of the last triangular() call
@@ -153,7 +151,7 @@ def assemble_system(mesh, A, parity, degree):
     cols *= sq
     scales = np.maximum(1.0, np.linalg.norm(cols, axis=1))
     cols /= scales[:, None]
-    return TrefftzSystem(cols.T, alphas, scales, pts, ts, wts, parity)
+    return TrefftzSystem(cols.T, alphas, scales, wts, parity)
 
 
 class CaloricApproximant:
@@ -272,10 +270,11 @@ class StudyReport:
     """Residual-decay record over a sequence of basis degrees.
 
     seconds[i] is the time of degree i alone: its solve and probe errors,
-    without the design-matrix assembly (assembly_s) and the one QR
-    factorization the degrees share (factorization_s).  rows and columns
-    are the shape of each degree's least-squares problem.  final is the
-    CaloricApproximant of the last degree; it is not serialized.
+    without the design-matrix assembly (assembly_s), the one QR
+    factorization the degrees share (factorization_s) and the shared
+    probe-grid evaluation.  rows and columns are the shape of each
+    degree's least-squares problem.  final is the CaloricApproximant of
+    the last degree; it is not serialized.
     """
 
     def __init__(self, parity, degrees, residuals, ranks, conds,
@@ -377,7 +376,10 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12):
     system.triangular(_weighted_rhs(system, data, mesh))
     factorization_s = time.perf_counter() - start
     if data.exact is not None:
+        # the leading columns of one top-degree evaluation serve every degree
         probe_points, probe_times = interior_probe_grid(mesh)
+        probe = basis_matrix(A, system.alphas, parity, probe_points, probe_times)
+        ref = np.asarray(data.exact.value(probe_points, probe_times), dtype=float)
 
     residuals, ranks, conds, errors, seconds = [], [], [], [], []
     columns = []
@@ -390,9 +392,7 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12):
         conds.append(approx.cond)
         columns.append(len(approx.alphas))
         if data.exact is not None:
-            vals = evaluate_solution(approx, A, probe_points, probe_times)
-            ref = np.asarray(data.exact.value(probe_points, probe_times),
-                             dtype=float)
+            vals = probe[:, :len(approx.alphas)] @ approx.raw_coefficients()
             errors.append(float(np.max(np.abs(vals - ref))))
         else:
             errors.append(None)

@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import pathlib
 import re
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -355,3 +357,32 @@ def test_degenerate_data_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "DegenerateData" in err and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+def test_traced_pass_runs_the_cli(tmp_path, monkeypatch):
+    # the benchmark's traced pass (perfbench/tracer.py) patches library hooks
+    # by name; renaming or removing one breaks only that pass, so run it here
+    # (without writing bytecode into the benchmark's directory)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    root = pathlib.Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", root / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    original = cli.main
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify-identities", "--config",
+                         str(root / "configs" / "verify_identities.json"),
+                         "--out", str(tmp_path / "o")])
+    finally:
+        tracer.restore()
+    assert cli.main is original
+    assert code == 0
+    assert tracer.spans
+    names = {span[tracer_module.NAME] for span in tracer.spans}
+    for hook in ("cli.main", "cli.run_context", "cli.parallel_map",
+                 "potentials.DensityField.from_function"):
+        assert hook in names, hook
+    assert tracer_module.layer_metrics(tracer.spans, 1)["trace.wall_s"] > 0.0

@@ -8,6 +8,7 @@ from calorix import SpaceTimePoint
 from calorix.errors import (
     CornerTooClose,
     DimensionMismatch,
+    OffsetTooLarge,
     TargetOnBoundary,
 )
 
@@ -161,6 +162,17 @@ def test_jump_probe_rejects_corner_times(disk_mesh_I, I2):
     phi = smooth_density(disk_mesh_I)
     with pytest.raises(CornerTooClose):
         cx.jump_probe(disk_mesh_I, I2, phi, 0, "double")
+
+
+def test_conormal_single_layer_rejects_offset_beyond_diameter(disk_mesh_I, I2):
+    # the target comes from CylinderMesh.offset_point, which refuses |h|
+    # beyond the diameter on either side of the wall
+    phi = smooth_density(disk_mesh_I)
+    K = disk_mesh_I.tnodes.shape[0]
+    h = 1.5 * disk_mesh_I.diameter
+    for offset in (h, -h):
+        with pytest.raises(OffsetTooLarge):
+            cx.conormal_derivative_single_layer(disk_mesh_I, I2, phi, 3 * K + K // 2, offset)
 
 
 def test_jump_probe_needs_generator(disk_mesh_I, I2):

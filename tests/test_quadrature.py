@@ -11,6 +11,7 @@ from calorix.quadrature import (
     gamma_half_integer,
     graded_edges_toward,
     periodic_trapezoid,
+    tensor_rule,
     unit_sphere_area,
 )
 
@@ -40,6 +41,25 @@ def test_gauss_hermite_moments():
     u, w = gauss_hermite(20)
     assert abs(float(np.sum(w)) - math.sqrt(math.pi)) < 1e-13
     assert abs(float(np.sum(w * u**2)) - math.sqrt(math.pi) / 2.0) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tensor_rule_exact_on_tensor_polynomials(dim):
+    # m Gauss-Legendre nodes per axis integrate degree 2m - 1 exactly, so the
+    # tensor rule is exact on x^7 y^9 z^5 over a box
+    rules = [gauss_legendre(4, 0.0, 1.0), gauss_legendre(5, -1.0, 2.0),
+             gauss_legendre(3, 0.5, 1.5)][:dim]
+    bounds = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)][:dim]
+    powers = [7, 9, 5][:dim]
+    pts, w = tensor_rule(rules)
+    assert pts.shape == (int(np.prod([len(r[0]) for r in rules])), dim)
+    assert w.shape == (pts.shape[0],)
+    # the first axis varies slowest
+    assert np.array_equal(pts[: len(rules[-1][0]), -1], rules[-1][0])
+    quad = float(np.sum(w * np.prod(pts ** np.array(powers), axis=1)))
+    exact = math.prod((b ** (p + 1) - a ** (p + 1)) / (p + 1)
+                      for (a, b), p in zip(bounds, powers))
+    assert abs(quad - exact) < 1e-13 * abs(exact)
 
 
 def test_composite_gauss_matches_single_panel():
