@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -139,14 +138,14 @@ def validate_config(config):
 
 
 class RunContext:
-    """Validated config turned into live objects."""
+    """Validated config turned into live objects.  ``threads`` is accepted
+    for compatibility and ignored: runs are serial."""
 
     def __init__(self, config, config_dir, out_dir, threads):
         validate_config(config)
         self.config = config
         self.config_dir = config_dir
         self.out_dir = out_dir
-        self.threads = max(1, threads)
         try:
             self.A = make_coefficients(config["operator"]["n"],
                                        config["operator"]["matrix"])
@@ -172,11 +171,7 @@ class RunContext:
         return self.config["task"]
 
     def parallel_map(self, fn, items):
-        items = list(items)
-        if self.threads == 1 or len(items) < 2:
-            return [fn(it) for it in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
+        return [fn(it) for it in items]
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +770,7 @@ def main(argv=None):
     parser.add_argument("--out", help="output directory (default: the "
                                       "config's output block, else 'out')")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: CALORIX_THREADS or 1)")
+                        help="accepted and ignored: runs are serial")
     args = parser.parse_args(argv)
 
     if args.task == "list-tasks":

@@ -1,14 +1,16 @@
 """Parabolic layer potentials on the cylinder boundary and their jump probes.
 
 The lateral (double, single, conormal-of-single) potentials integrate a
-density against kernels built from the fundamental solution.  For densities
-with a closed-form generator the time integral is computed with the
-exponential substitution u = <A^-1(x-y), (x-y)> / (4 (t-s)), which turns the
-sharply peaked profile (t-s)^(-p) exp(-u) into a smooth integrand on a log
-grid; targets closer to the lateral boundary than a few angular spacings
-additionally get a graded angular rule centered at the nearest boundary
-point.  Sample-only densities fall back to the plain tensor rule of the
-mesh, which is accurate for targets well separated from the boundary.
+density against kernels built from the fundamental solution.  The time
+integral uses the exponential substitution u = <A^-1(x-y), (x-y)> / (4 (t-s)),
+which turns the sharply peaked profile (t-s)^(-p) exp(-u) into a smooth
+integrand on a log grid.  There is one time path: a lateral density is held
+as samples at its rule's points x ``mesh.tnodes`` and interpolated in time
+(barycentric Lagrange), so it must be smooth in t on [0, T].  The mesh rule
+takes the nodal samples.  A closed-form generator serves only angular
+resampling, onto the graded rule that n = 2 targets within a few angular
+spacings of the wall get (sampled once per rule), and the Gauss-Hermite rule
+of the bottom cap.
 
 Adjoint (star) variants integrate against the time-reversed kernel; they are
 computed directly, and tests compare them with the forward operators on a
@@ -203,10 +205,12 @@ def _graded_depth(cs, dist):
     return int(min(48, max(8, math.ceil(math.log2(math.pi / max(scale, 1e-12))) + 1)))
 
 
-def _near_boundary_rule(cs, x, m_angular, depth=None):
+def _near_boundary_rule(mesh, phi, x, depth=None):
     """Graded composite Gauss rule in the boundary parameter, refined toward
-    the boundary point nearest to x (planar sections only)."""
-    coarse = max(512, 4 * m_angular)
+    the boundary point nearest to x (planar sections only), with the density
+    generator sampled once on its points x ``mesh.tnodes``."""
+    cs = mesh.cs
+    coarse = max(512, 4 * mesh.m_angular)
     phis, _ = periodic_trapezoid(coarse)
     pts, _, _ = cs.boundary_frame(phis)
     d2 = np.sum((pts - x[None, :]) ** 2, axis=1)
@@ -214,8 +218,8 @@ def _near_boundary_rule(cs, x, m_angular, depth=None):
     lo = phis[i0] - 2.0 * math.pi / coarse
     hi = phis[i0] + 2.0 * math.pi / coarse
 
-    def dist2(phi):
-        p, _, _ = cs.boundary_frame(np.array([phi]))
+    def dist2(angle):
+        p, _, _ = cs.boundary_frame(np.array([angle]))
         return float(np.sum((p[0] - x) ** 2))
 
     # golden-section polish of the nearest parameter
@@ -238,10 +242,13 @@ def _near_boundary_rule(cs, x, m_angular, depth=None):
     if depth is None:
         depth = _graded_depth(cs, dist)
     edges = graded_edges_toward(phi_star, math.pi, depth)
-    npts = max(8, m_angular // 12)
+    npts = max(8, mesh.m_angular // 12)
     nodes, wgl = composite_gauss(edges, npts)
     bp, jac, inward = cs.boundary_frame(nodes)
-    return bp, wgl * jac, inward
+    K = mesh.tnodes.shape[0]
+    samples = phi.generator(np.repeat(bp, K, axis=0), np.tile(mesh.tnodes, bp.shape[0]),
+                            np.repeat(inward, K, axis=0))
+    return bp, wgl * jac, inward, np.asarray(samples, dtype=float).reshape(bp.shape[0], K)
 
 
 def _barycentric_matrix(nodes, times):
@@ -265,10 +272,12 @@ def _barycentric_matrix(nodes, times):
     return m
 
 
-def _lateral_generator(mesh, A, phi, x, t, kind, nu_fixed, star, rule):
+def _lateral_sum(mesh, A, x, t, kind, nu_fixed, star, rule):
     """Weighted boundary sum with the substituted time integral.
 
-    rule = (points, weights, normals) overrides the boundary quadrature.
+    rule = (points, weights, normals, samples), where samples[i, k] is the
+    density at points[i] and time mesh.tnodes[k]; the density at the
+    substituted times is interpolated from these samples.
     """
     n = A.n
     T = mesh.T
@@ -276,11 +285,7 @@ def _lateral_generator(mesh, A, phi, x, t, kind, nu_fixed, star, rule):
     if tau_hi <= 0.0:
         return 0.0
     tau_lo = max(-t, 0.0) if star else max(t - T, 0.0)
-
-    if rule is None:
-        pts, wts, normals = mesh.bpoints, mesh.bweights, mesh.bnormals
-    else:
-        pts, wts, normals = rule
+    pts, wts, normals, samples = rule
 
     q = A.qform_inv(x[None, :] - pts)
     qmin = float(q.min())
@@ -305,18 +310,7 @@ def _lateral_generator(mesh, A, phi, x, t, kind, nu_fixed, star, rule):
     p = _kernel_exponent(kind, n)
     with np.errstate(under="ignore"):
         profile = np.exp((p - 1.0) * vnodes[None, :] - u0[:, None] * np.exp(vnodes)[None, :])
-
-    npts, nv = pts.shape[0], vnodes.shape[0]
-    if phi.generator is not None:
-        flat_pts = np.repeat(pts, nv, axis=0)
-        flat_nrm = np.repeat(normals, nv, axis=0)
-        flat_t = np.tile(times, npts)
-        dens = np.asarray(phi.generator(flat_pts, flat_t, flat_nrm), dtype=float).reshape(npts, nv)
-    else:
-        # nodal samples carry no angular generator, so the boundary rule is
-        # the mesh's own; interpolate in time along each boundary fibre
-        interp = _barycentric_matrix(mesh.tnodes, times)
-        dens = phi.values.reshape(npts, mesh.tnodes.shape[0]) @ interp.T
+    dens = samples @ _barycentric_matrix(mesh.tnodes, times).T
 
     inner = tau_hi ** (1.0 - p) * (profile * dens) @ vw
     geom = _geometry_factor(kind, x, pts, normals, nu_fixed)
@@ -328,10 +322,14 @@ def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False, ru
     if phi.region != "sigma3":
         raise DimensionMismatch("lateral potentials need a density on sigma3")
     x, t = _as_xt(target)
-    if rule is None and phi.generator is not None and mesh.cs.n == 2:
-        if mesh.distance_to_wall(x) < _NEAR_FACTOR * mesh.boundary_spacing:
-            rule = _near_boundary_rule(mesh.cs, x, mesh.m_angular)
-    return _lateral_generator(mesh, A, phi, x, t, kind, nu_fixed, star, rule)
+    if rule is None:
+        if (phi.generator is not None and mesh.cs.n == 2
+                and mesh.distance_to_wall(x) < _NEAR_FACTOR * mesh.boundary_spacing):
+            rule = _near_boundary_rule(mesh, phi, x)
+        else:
+            rule = (mesh.bpoints, mesh.bweights, mesh.bnormals,
+                    phi.values.reshape(mesh.n_boundary, mesh.tnodes.shape[0]))
+    return _lateral_sum(mesh, A, x, t, kind, nu_fixed, star, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +357,7 @@ def single_layer_star(mesh, A, phi, target):
     return _lateral_potential(mesh, A, phi, target, "single", star=True)
 
 
-def conormal_derivative_single_layer(mesh, A, phi, node_index, h, rule=None):
+def conormal_derivative_single_layer(mesh, A, phi, node_index, h):
     """Conormal derivative of the single layer at lateral node i, offset h.
 
     The derivative direction is frozen at the node (conormal A nu(x0)); the
@@ -370,7 +368,7 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h, rule=None):
     b, _ = mesh.lateral_index(int(node_index))
     target = mesh.offset_point(node_index, h)
     return _lateral_potential(mesh, A, phi, target, "conormal_fixed",
-                              nu_fixed=mesh.bnormals[b], rule=rule)
+                              nu_fixed=mesh.bnormals[b])
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +541,12 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
         # level so the h-expansion seen by the extrapolation stays smooth
         probe = mesh.offset_point(node_index, offsets[-1]).x
         depth = _graded_depth(mesh.cs, offsets[-1])
-        rule = _near_boundary_rule(mesh.cs, probe, mesh.m_angular, depth=depth)
+        rule = _near_boundary_rule(mesh, phi, probe, depth=depth)
+    lateral_kind = "double" if kind == "double" else "conormal_fixed"
 
     def value_at(h):
-        if kind == "double":
-            target = mesh.offset_point(node_index, h)
-            return _lateral_potential(mesh, A, phi, target, "double", rule=rule)
-        return conormal_derivative_single_layer(mesh, A, phi, node_index, h, rule=rule)
+        return _lateral_potential(mesh, A, phi, mesh.offset_point(node_index, h),
+                                  lateral_kind, nu_fixed=nu, rule=rule)
 
     vin = np.array([value_at(+h) for h in offsets])
     vex = np.array([value_at(-h) for h in offsets])

@@ -66,18 +66,14 @@ def sphere_rule(m_angular):
 
 
 def composite_gauss(edges, npts):
-    """Gauss-Legendre rule with npts nodes on each panel delimited by ``edges``."""
+    """Gauss-Legendre rule with npts nodes on each panel delimited by ``edges``;
+    panels with b <= a are skipped."""
     edges = np.asarray(edges, dtype=float)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        x, w = gauss_legendre(npts, a, b)
-        xs.append(x)
-        ws.append(w)
-    if not xs:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(xs), np.concatenate(ws)
+    keep = edges[1:] > edges[:-1]
+    a, b = edges[:-1][keep, None], edges[1:][keep, None]
+    half = 0.5 * (b - a)
+    x, w = _leggauss(int(npts))
+    return (a + half * (x + 1.0)).reshape(-1), (half * w).reshape(-1)
 
 
 def graded_edges_toward(center, half_width, depth):

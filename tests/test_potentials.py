@@ -89,6 +89,38 @@ def test_sampled_matches_generator(ellipse_mesh_B, B2):
             assert b == pytest.approx(a, rel=1e-11, abs=1e-13)
 
 
+def test_lateral_layers_converge_under_time_refinement(disk, B2):
+    # every lateral density is interpolated in time from its samples at
+    # mesh.tnodes; doubling m_time must leave all four layers unchanged to
+    # roundoff, on the mesh rule (r = 0.5, 1.5) and on graded rules
+    # (r = 0.97, 1.03)
+    meshes = [cx.build_mesh(disk, B2, 1.0, 96, m_time, 24) for m_time in (48, 96)]
+    exp_field = cx.CaloricExponentialField(B2, np.array([0.4, -0.3]))
+    kernel = cx.TranslatedKernelField(B2, np.array([2.4, 1.0]), -0.3)
+
+    def quadratic(p, t, nu):
+        th = np.arctan2(p[:, 1], p[:, 0])
+        return (1.0 + 0.5 * np.cos(th)) * (1.0 - 0.7 * t + 1.3 * t * t)
+
+    densities = [
+        quadratic,
+        lambda p, t, nu: exp_field.value(p, t),
+        lambda p, t, nu: kernel.value(p, t),
+        lambda p, t, nu: kernel.conormal(p, t, nu),
+    ]
+    ops = (cx.double_layer, cx.single_layer, cx.double_layer_star, cx.single_layer_star)
+    targets = [SpaceTimePoint(r * np.array([math.cos(a), math.sin(a)]), 0.55)
+               for r in (0.5, 0.97, 1.03, 1.5) for a in (0.4, 2.2, 4.0)]
+
+    def layers(mesh, fn):
+        phi = cx.DensityField.from_function(mesh, "sigma3", fn)
+        return np.array([op(mesh, B2, phi, x) for x in targets for op in ops])
+
+    for fn in densities:
+        coarse, fine = (layers(mesh, fn) for mesh in meshes)
+        assert np.max(np.abs(fine - coarse)) <= 1e-13 * np.max(np.abs(coarse))
+
+
 # -- adjoint operators are time reflections ---------------------------------
 
 def test_star_operators_match_time_reflection(ellipse_mesh_B, B2):
@@ -156,6 +188,23 @@ def test_jump_error_shrinks_under_probe_refinement(disk_mesh_I, I2):
                  - rep.predicted_jump)
     assert all(b < a for a, b in zip(raw, raw[1:]))
     assert rep.error < 1e-2 * raw[-1]
+
+
+@pytest.mark.parametrize("kind", ["double", "conormal_single"])
+def test_jump_probe_samples_the_generator_once(disk_mesh_I, I2, kind):
+    # one call samples the graded rule on its points x tnodes, shared by all
+    # 18 offsets, and one gives the density at the node
+    base = smooth_density(disk_mesh_I)
+    calls = []
+
+    def counted(p, t, nu):
+        calls.append(p.shape[0])
+        return base.generator(p, t, nu)
+
+    phi = cx.DensityField("sigma3", base.values, counted)
+    K = disk_mesh_I.tnodes.shape[0]
+    cx.jump_probe(disk_mesh_I, I2, phi, 11 * K + K // 2, kind)
+    assert len(calls) == 2
 
 
 def test_jump_probe_rejects_corner_times(disk_mesh_I, I2):

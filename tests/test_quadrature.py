@@ -70,6 +70,27 @@ def test_composite_gauss_matches_single_panel():
     assert abs(float(np.sum(w * f)) - (math.e - 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("edges", [
+    graded_edges_toward(0.3, math.pi, 20),
+    [0.0, 1.0, 1.0, 0.5, 2.0, 3.5],
+    [1.0, 1.0],
+    [2.0],
+    [],
+])
+@pytest.mark.parametrize("npts", [8, 12])
+def test_composite_gauss_equals_per_panel_rules(edges, npts):
+    # bit for bit the concatenation of gauss_legendre over panels with b > a
+    xs, ws = [np.empty(0)], [np.empty(0)]
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            x, w = gauss_legendre(npts, a, b)
+            xs.append(x)
+            ws.append(w)
+    x, w = composite_gauss(edges, npts)
+    assert np.array_equal(x, np.concatenate(xs))
+    assert np.array_equal(w, np.concatenate(ws))
+
+
 def test_graded_edges_cluster_toward_center():
     edges = graded_edges_toward(0.0, 1.0, 6)
     gaps = np.diff(np.sort(edges))
