@@ -55,6 +55,7 @@ from .potentials import (
     elliptic_gauss_identity,
     jump_probe,
     partition_identity,
+    representation_check,
     single_layer,
     single_layer_star,
     stokes_check,

@@ -34,7 +34,7 @@ from .potentials import (
     elliptic_gauss_identity,
     jump_probe,
     partition_identity,
-    stokes_check,
+    representation_check,
 )
 from .solver import (
     BoundaryData,
@@ -439,10 +439,7 @@ def _task_verify_identities(ctx):
     exts = [(x, ctx.rng.uniform(0.1, 0.9) * ctx.T)
             for x in _radial_points(ctx, n_ext, (1.3, 1.8))]
 
-    def part(job):
-        x, t = job
-        return partition_identity(mesh, A, (x, t))
-
+    part = functools.partial(partition_identity, mesh, A)
     vals_i = ctx.parallel_map(part, ints)
     vals_e = ctx.parallel_map(part, exts)
     worst_pi = max(abs(v - 1.0) for v in vals_i)
@@ -458,9 +455,10 @@ def _task_verify_identities(ctx):
 
     xi = ctx.rng.normal(size=A.n) * 0.5
     for which, sign in (("H", +1), ("H*", -1)):
-        fld = CaloricExponentialField(A, xi, sign=sign)
-        vi = ctx.parallel_map(lambda j: stokes_check(mesh, A, fld, j, which), ints)
-        ve = ctx.parallel_map(lambda j: stokes_check(mesh, A, fld, j, which), exts)
+        check = representation_check(mesh, A, CaloricExponentialField(A, xi, sign=sign), which)
+        vi = ctx.parallel_map(check, ints)
+        ve = ctx.parallel_map(check, exts)
+        del check  # release this parity's densities before the next parity samples its own
         for (x, t), v in zip(ints, vi):
             rows.append([f"representation-{which}", "interior", fmt_x(x), t, v, 0.0, v])
         for (x, t), v in zip(exts, ve):

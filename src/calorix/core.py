@@ -69,9 +69,10 @@ class CoefficientMatrix:
         self.inv.setflags(write=False)
 
     def qform_inv(self, z):
-        """<A^-1 z, z> over the last axis of z."""
+        """<A^-1 z, z> over the last axis of z, as z_i inv_ij z_j summed i-major."""
         z = np.asarray(z, dtype=float)
-        return np.einsum("...i,ij,...j->...", z, self.inv, z)
+        return sum((z[..., i] * self.inv[i, j] * z[..., j]
+                    for i in range(self.n) for j in range(self.n)), 0.0)
 
     @cached_property
     def entries_exact(self):
@@ -154,9 +155,7 @@ def conormal_kernel_target(A, x, y, nu_fixed, tau):
     Equals -<nu_fixed, x - y> / (2 tau) * G(x - y, tau); used for the conormal
     derivative of the single layer taken at a fixed boundary point.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return -conormal_kernel_source(A, x, y, np.asarray(nu_fixed, dtype=float), tau)
+    return -conormal_kernel_source(A, x, y, nu_fixed, tau)
 
 
 def caloric_exponential(A, point, xi, sign=+1):

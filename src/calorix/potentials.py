@@ -14,7 +14,9 @@ of the bottom cap.
 
 Adjoint (star) variants integrate against the time-reversed kernel; they are
 computed directly, and tests compare them with the forward operators on a
-time-reflected cylinder.
+time-reflected cylinder.  ``representation_check`` samples the Cauchy data
+and cap trace of a caloric field once and returns the discrepancy of its
+layer representation as a function of the target.
 
 This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
@@ -432,46 +434,44 @@ def partition_identity(mesh, A, target):
     return double_layer(mesh, A, ones_lateral, target) + cap_potential(mesh, A, ones_cap, target)
 
 
-def stokes_check(mesh, A, u_field, target, which="H"):
-    """Discrepancy of the boundary representation of a caloric field.
+def representation_check(mesh, A, u_field, which="H"):
+    """Discrepancy of the boundary representation of a caloric field, as a
+    function of the target.
 
     which='H': double layer of u minus single layer of du/d(conormal) plus
     the bottom-cap potential of u(., 0), compared against u at interior
     targets and 0 at exterior targets (target time inside (0, T), where the
     absent top-cap term vanishes).  which='H*' mirrors this with the adjoint
-    operators and the top cap.
+    operators and the top cap.  The trace, flux and cap-trace densities are
+    sampled once, here; the returned callable holds them and no other state.
     """
     if which not in ("H", "H*"):
         raise ValueError("which must be 'H' or 'H*'")
-    x, t = _as_xt(target)
     star = which == "H*"
+    double, single, cap = ((double_layer_star, single_layer_star, cap_potential_star) if star
+                           else (double_layer, single_layer, cap_potential))
+    trace = DensityField.from_function(mesh, "sigma3", lambda p, s, nu: u_field.value(p, s))
+    flux = DensityField.from_function(mesh, "sigma3", u_field.conormal)
+    cap_trace = DensityField.from_function(mesh, "sigma1" if star else "sigma2",
+                                           lambda p, s, nu: u_field.value(p, s))
 
-    trace = DensityField.from_function(
-        mesh, "sigma3", lambda p, s, nu: u_field.value(p, s)
-    )
-    flux = DensityField.from_function(
-        mesh, "sigma3", lambda p, s, nu: u_field.conormal(p, s, nu)
-    )
-    cap_region = "sigma1" if star else "sigma2"
-    cap_trace = DensityField.from_function(
-        mesh, cap_region, lambda p, s, nu: u_field.value(p, s)
-    )
+    def check(target):
+        x, t = _as_xt(target)
+        val = (double(mesh, A, trace, (x, t)) - single(mesh, A, flux, (x, t))
+               + cap(mesh, A, cap_trace, (x, t)))
+        loc = mesh.locate((x, t))
+        if loc.kind == "boundary":
+            raise TargetOnBoundary("representation check needs an off-boundary target")
+        if loc.kind == "interior":
+            return abs(val - float(u_field.value(x[None, :], np.array([t]))[0]))
+        return abs(val)
 
-    if star:
-        val = (double_layer_star(mesh, A, trace, (x, t))
-               - single_layer_star(mesh, A, flux, (x, t))
-               + cap_potential_star(mesh, A, cap_trace, (x, t)))
-    else:
-        val = (double_layer(mesh, A, trace, (x, t))
-               - single_layer(mesh, A, flux, (x, t))
-               + cap_potential(mesh, A, cap_trace, (x, t)))
+    return check
 
-    loc = mesh.locate((x, t))
-    if loc.kind == "boundary":
-        raise TargetOnBoundary("representation check needs an off-boundary target")
-    if loc.kind == "interior":
-        return abs(val - float(u_field.value(x[None, :], np.array([t]))[0]))
-    return abs(val)
+
+def stokes_check(mesh, A, u_field, target, which="H"):
+    """``representation_check(mesh, A, u_field, which)`` at one target."""
+    return representation_check(mesh, A, u_field, which)(target)
 
 
 def elliptic_gauss_identity(cs, A, x):

@@ -43,6 +43,31 @@ def test_det_inv_against_numpy(C3):
     assert C3.qform_inv(z)[0] == pytest.approx(direct, rel=1e-13)
 
 
+@pytest.mark.parametrize("mat", ["B2", "C3"])
+def test_qform_inv_matches_three_operand_einsum(mat, request):
+    # on batches the i-major sum reproduces the einsum bit for bit; a single
+    # point may differ in the last bit
+    A = request.getfixturevalue(mat)
+    n = A.n
+    rng = np.random.default_rng(7)
+    shapes = {2: [(64, 2), (7, 5, 2)], 3: [(1152, 3), (18432, 3)]}[n]
+    for shape in shapes:
+        mixed = 10.0 ** rng.uniform(-8, 2, size=shape[:-1] + (1,))
+        for mag in (1e-8, 1e-4, 1.0, 1e2, mixed):
+            z = rng.normal(size=shape) * mag
+            ref = np.einsum("...i,ij,...j->...", z, A.inv, z)
+            got = A.qform_inv(z)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+    for _ in range(200):
+        z = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 2)
+        for point in (z, z[None, :]):
+            ref = np.einsum("...i,ij,...j->...", point, A.inv, point)
+            got = A.qform_inv(point)
+            assert np.shape(got) == np.shape(ref)
+            assert np.all(np.abs(got - ref) <= 4e-16 * np.abs(ref))
+
+
 def test_entries_exact_are_fractions(B2):
     exact = B2.entries_exact
     assert exact[0][1] == Fraction(1)

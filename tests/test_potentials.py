@@ -264,6 +264,64 @@ def test_representation_translated_kernel(disk_mesh_B, B2, which):
                                SpaceTimePoint(x, t), which) < 1e-6
 
 
+def test_representation_check_samples_each_density_once(disk_mesh_B, B2, monkeypatch):
+    sampled = cx.DensityField.from_function.__func__
+    calls = []
+
+    def counted(cls, mesh, region, fn):
+        calls.append(region)
+        return sampled(cls, mesh, region, fn)
+
+    monkeypatch.setattr(cx.DensityField, "from_function", classmethod(counted))
+    fld = cx.CaloricExponentialField(B2, np.array([0.4, -0.3]))
+    with pytest.raises(ValueError):
+        cx.representation_check(disk_mesh_B, B2, fld, "H+")
+    assert calls == []
+    check = cx.representation_check(disk_mesh_B, B2, fld, "H")
+    assert sorted(calls) == ["sigma2", "sigma3", "sigma3"]
+    rng = np.random.default_rng(17)
+    for x in interior_probes(disk_mesh_B.cs, rng, 5) + exterior_probes(disk_mesh_B.cs, rng, 5):
+        check((x, rng.uniform(0.15, 0.85)))
+    assert len(calls) == 3
+
+
+def _representation_cases(mesh, A):
+    """Fields of both parities on ``mesh``: a caloric exponential and a
+    kernel translated to a source outside the cylinder."""
+    n = A.n
+    xi = np.array([0.4, -0.3, 0.2][:n])
+    src = np.array([2.4, 1.0, 0.5][:n]) * mesh.cs.radius_extremes()[1]
+    return [
+        ("H", cx.CaloricExponentialField(A, xi, sign=+1)),
+        ("H*", cx.CaloricExponentialField(A, xi, sign=-1)),
+        ("H", cx.TranslatedKernelField(A, src, -0.3)),
+        ("H*", cx.TranslatedKernelField(A, src, mesh.T + 0.4, adjoint=True)),
+    ]
+
+
+@pytest.mark.parametrize("fix, mat", [("ellipse_mesh_B", "B2"), ("ball_mesh", "I3")])
+def test_representation_check_keeps_no_state_between_targets(fix, mat, request):
+    # radial fractions 0.97 and 1.03 put n = 2 targets on the graded
+    # near-wall rule, which samples the generator per target
+    mesh = request.getfixturevalue(fix)
+    A = request.getfixturevalue(mat)
+    d = np.array([0.6, 0.8, 0.5][:A.n])
+    d /= np.linalg.norm(d)
+    rim = float(mesh.cs.radius(d[None, :])[0]) * d
+    targets = [(frac * rim, t) for frac, t in
+               ((0.5, 0.3), (0.97, 0.45), (1.03, 0.6), (1.5, 0.75))]
+    for which, fld in _representation_cases(mesh, A):
+        check = cx.representation_check(mesh, A, fld, which)
+        forward = [check(target) for target in targets]
+        reverse = [check(target) for target in reversed(targets)][::-1]
+        assert forward == reverse
+        assert forward == [cx.stokes_check(mesh, A, fld, target, which) for target in targets]
+        for on_wall in ((rim, 0.5), (mesh.bpoints[3], 0.5)):
+            with pytest.raises(TargetOnBoundary):
+                check(on_wall)
+        assert check(targets[1]) == forward[1]
+
+
 # -- cap potentials and the initial limit -----------------------------------
 
 def test_initial_limit_recovers_density(ellipse_mesh_B, B2):
