@@ -55,14 +55,18 @@ def tensor_rule(rules):
     return points, weights.reshape(-1)
 
 
+@lru_cache(maxsize=16)
 def sphere_rule(m_angular):
     """Gauss in the polar cosine times trapezoid in azimuth on the unit sphere
-    of R^3: (directions of shape (m, 3), weights)."""
+    of R^3: (directions of shape (m, 3), weights), cached and read-only."""
     nodes, weights = tensor_rule([gauss_legendre(max(2, m_angular // 2), -1.0, 1.0),
                                   periodic_trapezoid(m_angular)])
     ct, psi = nodes[:, 0], nodes[:, 1]
     st = np.sqrt(1.0 - ct**2)
-    return np.stack([st * np.cos(psi), st * np.sin(psi), ct], axis=-1), weights
+    dirs = np.stack([st * np.cos(psi), st * np.sin(psi), ct], axis=-1)
+    dirs.setflags(write=False)
+    weights.setflags(write=False)
+    return dirs, weights
 
 
 def composite_gauss(edges, npts):

@@ -9,7 +9,9 @@ Columns come from the float recurrence ``polynomials.basis_matrix``.  A
 system is factored once per right-hand side: one QR of [matrix | rhs] gives
 R, and the fit at any degree is a truncated SVD of the leading block of R
 (nested least squares, Golub & Van Loan, Matrix Computations, ch. 5), so a
-ladder of degrees shares one factorization.
+ladder of degrees shares one factorization.  R is built by row-block TSQR
+(Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012) in the
+memory of the matrix plus O((ncols + _QR_BLOCK) ncols).
 """
 
 import math
@@ -23,6 +25,7 @@ from .polynomials import basis_matrix, enumerate_basis
 # points per basis block in evaluate_solution: 8192 points x 455 columns
 # (n=3, degree 12) is 30 MB
 _EVAL_BLOCK = 8192
+_QR_BLOCK = 1024  # rows per block in TrefftzSystem.triangular
 
 _PARITY_REGIONS = {"v": ("sigma2", "sigma3"), "w": ("sigma1", "sigma3")}
 
@@ -105,14 +108,24 @@ class TrefftzSystem:
         self._factored = None  # (rhs, R) of the last triangular() call
 
     def triangular(self, rhs):
-        """R of the QR factorization of [matrix | rhs].
+        """R of the QR factorization of [matrix | rhs], by row-block TSQR.
 
-        The result for the last rhs seen (compared by value) is kept, so a
-        degree ladder on one right-hand side factors once.  Q is not formed.
+        Each block of _QR_BLOCK rows is factored under the R of the rows
+        above it: the memory is the matrix plus O((ncols + _QR_BLOCK) ncols),
+        and Q is not formed.  The result for the last rhs seen (compared by
+        value) is kept, so a degree ladder on one right-hand side factors once.
         """
         rhs = np.asarray(rhs, dtype=float)
         if self._factored is None or not np.array_equal(self._factored[0], rhs):
-            r = np.linalg.qr(np.column_stack([self.matrix, rhs]), mode="r")
+            rows, ncols = self.matrix.shape
+            buf = np.empty((ncols + 1 + _QR_BLOCK, ncols + 1), order="F")
+            r = buf[:0]  # the running R, kept at the top of buf
+            for lo in range(0, rows, _QR_BLOCK):
+                k, end = len(r), len(r) + min(rows - lo, _QR_BLOCK)
+                buf[k:end, :-1] = self.matrix[lo:lo + _QR_BLOCK]
+                buf[k:end, -1] = rhs[lo:lo + _QR_BLOCK]
+                r = np.linalg.qr(buf[:end], mode="r")
+                buf[:len(r)] = r
             self._factored = (rhs.copy(), r)
         return self._factored[1]
 
@@ -123,8 +136,7 @@ class TrefftzSystem:
     def columns_for_degree(self, degree):
         # graded-lex enumeration puts all lower degrees first, so a nested
         # subspace is a leading block of columns
-        count = sum(1 for a in self.alphas if a.degree <= degree)
-        return count
+        return sum(1 for a in self.alphas if a.degree <= degree)
 
 
 def _dirichlet_nodes(mesh, parity):
@@ -146,10 +158,11 @@ def assemble_system(mesh, A, parity, degree):
     sq = np.sqrt(wts)
 
     alphas = enumerate_basis(A.n, degree)
-    # scale the contiguous rows of the transpose in place: no second copy
+    # scale in place and take norms 32 rows at a time: no full-size temporary
     cols = basis_matrix(A, alphas, parity, pts, ts).T
     cols *= sq
-    scales = np.maximum(1.0, np.linalg.norm(cols, axis=1))
+    norms = [np.linalg.norm(cols[i:i + 32], axis=1) for i in range(0, len(cols), 32)]
+    scales = np.maximum(1.0, np.concatenate(norms))
     cols /= scales[:, None]
     return TrefftzSystem(cols.T, alphas, scales, wts, parity)
 
@@ -230,13 +243,11 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
     if system is None:
         system = assemble_system(mesh, A, parity, degree)
     ncols = system.columns_for_degree(degree)
-    matrix = system.matrix[:, :ncols]
     rhs = _weighted_rhs(system, data, mesh)
 
-    r = system.triangular(rhs)
-    p = min(ncols, r.shape[0])  # fewer rows than columns: R is wide
-    coeff, rank, cond = _svd_solve(r[:p, :ncols], r[:p, -1], rcond)
-    misfit = float(np.linalg.norm(matrix @ coeff - rhs))
+    r = system.triangular(rhs)  # short when there are fewer rows than columns
+    coeff, rank, cond = _svd_solve(r[:ncols, :ncols], r[:ncols, -1], rcond)
+    misfit = float(np.linalg.norm(system.matrix[:, :ncols] @ coeff - rhs))
     norm = float(np.linalg.norm(rhs))
     residual = misfit / norm if norm > 0.0 else misfit
     return CaloricApproximant(parity, degree, A.n, system.alphas[:ncols],

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import pathlib
 import re
 import shutil
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import calorix as cx
-from calorix import cli
+from calorix import cli, solver
 
 
 def make_config(task, extra=None, *, n=2, matrix=None, geom=None,
@@ -128,7 +129,7 @@ def test_shipped_ball_completeness_run(tmp_path):
 
 def test_cross_validated_study_fits_once(tmp_path, monkeypatch):
     # cross validation re-scores the study's top-degree fit: one assembly and
-    # one QR for the whole run
+    # one blocked QR sweep over its rows for the whole run
     calls = {"assemble": 0, "qr": 0}
 
     def counted(name, fn):
@@ -144,7 +145,8 @@ def test_cross_validated_study_fits_once(tmp_path, monkeypatch):
     assert run_cli("completeness", str(config), "--out", str(tmp_path / "o")) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["cross_validation"]["degree"] == 12
-    assert calls == {"assemble": 1, "qr": 1}
+    rows = summary["study"]["rows"][0]
+    assert calls == {"assemble": 1, "qr": math.ceil(rows / solver._QR_BLOCK)}
 
 
 def test_values_file_relative_to_config_dir(tmp_path):
@@ -386,3 +388,28 @@ def test_traced_pass_runs_the_cli(tmp_path, monkeypatch):
                  "potentials.DensityField.from_function"):
         assert hook in names, hook
     assert tracer_module.layer_metrics(tracer.spans, 1)["trace.wall_s"] > 0.0
+
+
+def test_traced_pass_runs_a_completeness_study(tmp_path, monkeypatch):
+    # the traced pass reads the design shape from TrefftzSystem.matrix and
+    # each fit's rank; no other tier-1 test calls those hooks
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    root = pathlib.Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", root / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["completeness", "--config",
+                         str(root / "configs" / "completeness_ball.json"),
+                         "--out", str(tmp_path / "o")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    names = {span[tracer_module.NAME] for span in tracer.spans}
+    assert "solver.assemble_system" in names
+    metrics = tracer_module.layer_metrics(tracer.spans, 1)
+    assert metrics["solver.design_mb"] > 0.0
+    assert metrics["solver.rank_ratio"] == 1.0

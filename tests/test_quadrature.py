@@ -11,6 +11,7 @@ from calorix.quadrature import (
     gamma_half_integer,
     graded_edges_toward,
     periodic_trapezoid,
+    sphere_rule,
     tensor_rule,
     unit_sphere_area,
 )
@@ -60,6 +61,16 @@ def test_tensor_rule_exact_on_tensor_polynomials(dim):
     exact = math.prod((b ** (p + 1) - a ** (p + 1)) / (p + 1)
                       for (a, b), p in zip(bounds, powers))
     assert abs(quad - exact) < 1e-13 * abs(exact)
+
+
+def test_sphere_rule_is_cached_and_read_only():
+    dirs, weights = sphere_rule(128)
+    again = sphere_rule(128)
+    assert again[0] is dirs and again[1] is weights
+    for arr in (dirs, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_composite_gauss_matches_single_panel():

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import calorix as cx
+from calorix import solver
 from calorix.errors import DegenerateData, RegionMismatch
 
 
@@ -151,6 +153,53 @@ def test_shared_system_never_serves_a_stale_factorization(solver_mesh, I2):
         assert np.array_equal(got.coefficients, fresh.coefficients)
         assert (got.residual, got.rank, got.cond) == \
             (fresh.residual, fresh.rank, fresh.cond)
+
+
+# cross-section, mesh (m_angular, m_time, m_radial), degree and design rows:
+# one and two whole row blocks, a short last block, less than one block, and
+# a wide system (64 rows, 861 columns)
+TSQR_CASES = {
+    "one-block": ("disk", (64, 12, 4), 8, 1024),
+    "two-blocks": ("ball", (16, 12, 4), 6, 2048),
+    "short-last-block": ("disk", (96, 48, 24), 12, 6912),
+    "under-one-block": ("disk", (32, 12, 4), 8, 512),
+    "wide": ("disk", (8, 4, 4), 40, 64),
+}
+
+
+@pytest.mark.parametrize("case", list(TSQR_CASES))
+def test_blocked_triangular_matches_one_qr(I2, I3, case):
+    kind, shape, degree, rows = TSQR_CASES[case]
+    A = I2 if kind == "disk" else I3
+    mesh = cx.build_mesh(getattr(cx.CrossSection, kind)(1.0), A, 0.5, *shape)
+    system = cx.assemble_system(mesh, A, "v", degree)
+    assert system.matrix.shape[0] == rows
+    fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2][:A.n]), sign=+1)
+    data = cx.BoundaryData.from_field(mesh, "v", fld)
+    rhs = system.sqrt_weights * data.concatenated(mesh)
+    full = np.column_stack([system.matrix, rhs])
+    r = system.triangular(rhs)
+    ref = np.linalg.qr(full, mode="r")
+    assert r.shape == ref.shape
+    assert np.array_equal(r, np.triu(r))
+    gram = full.T @ full
+    assert np.linalg.norm(r.T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+    sing = np.linalg.svd(r, compute_uv=False)
+    sing_ref = np.linalg.svd(ref, compute_uv=False)
+    assert np.max(np.abs(sing - sing_ref)) <= 1e-12 * sing_ref[0]
+
+
+def test_triangular_does_not_copy_the_matrix(solver_mesh, I2):
+    system = cx.assemble_system(solver_mesh, I2, "v", 12)
+    assert system.matrix.shape[0] >= 4 * solver._QR_BLOCK
+    rhs = system.sqrt_weights * exp_data(solver_mesh, I2).concatenated(solver_mesh)
+    tracemalloc.start()
+    try:
+        system.triangular(rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * system.matrix.nbytes
 
 
 def test_blocked_evaluation_matches_exact_sum(solver_mesh, I2):
