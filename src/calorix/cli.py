@@ -3,6 +3,12 @@
 Each invocation runs one task against a JSON config, writes CSV/JSON
 artifacts, prints a summary table, and exits 0 only if every assertion of
 the task passed (1 on a failed assertion, 2 on an invalid config or input).
+
+Configs are checked against schemas held as data (the root schema, each
+task's keys, each geometry's params) by a small interpreter of the JSON
+Schema keywords those schemas use.  It words its messages as JSON Schema
+validators do, except that an integer must be written without a fraction
+(3, not 3.0) and every number must be finite.
 """
 
 import argparse
@@ -11,12 +17,12 @@ import datetime
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .core import (
@@ -91,18 +97,95 @@ GEOMETRIES = {
 }
 
 
-def _schema_errors(schema, instance):
-    validator = Draft202012Validator(schema)
-    return sorted(validator.iter_errors(instance), key=lambda e: list(e.path))
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_integer(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+# "integer" is a Python int and "number" a finite int or float (json.load
+# accepts NaN and Infinity); JSON Schema would also take 3.0 as an integer,
+# which the tasks then pass to range()
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": _is_integer,
+    "number": _is_number,
+}
+
+# numeric bound keyword: (violated(value, bound), wording)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+
+def _iter_errors(schema, value, path=()):
+    """Yield (path, message) for each violation of ``schema`` by ``value``,
+    in the schema's keyword order, worded as JSON Schema validators word
+    them.  Only the keywords the config schemas use are understood; any
+    other raises, so no schema rule is silently ignored.  ``enum`` and
+    ``const`` compare with ==, as the schemas list only strings."""
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "const":
+            if value != arg:
+                yield path, f"{arg!r} was expected"
+        elif key in _BOUNDS:
+            violated, wording = _BOUNDS[key]
+            if _is_number(value) and violated(value, arg):
+                yield path, f"{value!r} is {wording} of {arg!r}"
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _iter_errors(arg, item, path + (i,))
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif key == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _iter_errors(sub, value[name], path + (name,))
+        elif key == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                extras = sorted(k for k in value if k not in schema.get("properties", {}))
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, ("Additional properties are not allowed (%s %s unexpected)"
+                                 % (", ".join(map(repr, extras)), verb))
+        else:
+            raise ValueError(f"unsupported config schema keyword {key!r}: {arg!r}")
+
+
+def _first_error(schema, value):
+    """(path, message) of the violation with the least path, ties going to
+    the first in keyword order; None when ``value`` is valid."""
+    return min(_iter_errors(schema, value), key=lambda e: e[0], default=None)
 
 
 def validate_config(config):
     """Raise ConfigInvalid on any schema violation; returns nothing."""
-    errors = _schema_errors(_CONFIG_SCHEMA, config)
-    if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.path) or "<root>"
-        raise ConfigInvalid(f"{where}: {e.message}")
+    error = _first_error(_CONFIG_SCHEMA, config)
+    if error:
+        path, message = error
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigInvalid(f"{where}: {message}")
 
     task = config["task"]
     name = task["name"]
@@ -112,9 +195,9 @@ def validate_config(config):
         "required": ["name"],
         "properties": {"name": {"const": name}, **TASKS[name].schema},
     }
-    errors = _schema_errors(task_schema, task)
-    if errors:
-        raise ConfigInvalid(f"task/{name}: {errors[0].message}")
+    error = _first_error(task_schema, task)
+    if error:
+        raise ConfigInvalid(f"task/{name}: {error[1]}")
 
     geom = config["geometry"]
     spec = GEOMETRIES[geom["kind"]]
@@ -124,9 +207,9 @@ def validate_config(config):
         "required": sorted(spec.params),
         "properties": spec.params,
     }
-    errors = _schema_errors(params_schema, geom["params"])
-    if errors:
-        raise ConfigInvalid(f"geometry/params: {errors[0].message}")
+    error = _first_error(params_schema, geom["params"])
+    if error:
+        raise ConfigInvalid(f"geometry/params: {error[1]}")
 
     n = config["operator"]["n"]
     matrix = config["operator"]["matrix"]

@@ -27,6 +27,7 @@ and every rule (graded, Gauss-Hermite, sphere, tensor) from ``quadrature``.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,16 +254,26 @@ def _near_boundary_rule(mesh, phi, x, depth=None):
     return bp, wgl * jac, inward, np.asarray(samples, dtype=float).reshape(bp.shape[0], K)
 
 
-def _barycentric_matrix(nodes, times):
-    """Rows: evaluation times; columns: interpolation nodes.  Row j holds the
-    barycentric Lagrange weights that map nodal samples to a value at
-    times[j].  Exact node hits degenerate to a unit row."""
-    nodes = np.asarray(nodes, dtype=float)
+@lru_cache(maxsize=16)
+def _barycentric_weights(node_bytes):
+    """Barycentric weights of the float64 nodes packed in ``node_bytes``,
+    from log-products scaled to a largest magnitude of 1; read-only."""
+    nodes = np.frombuffer(node_bytes)
     d = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(d, 1.0)
     logs = np.sum(np.log(np.abs(d)), axis=1)
     signs = np.prod(np.sign(d), axis=1)
     w = signs * np.exp(-(logs - logs.min()))
+    w.setflags(write=False)
+    return w
+
+
+def _barycentric_matrix(nodes, times):
+    """Rows: evaluation times; columns: interpolation nodes.  Row j holds the
+    barycentric Lagrange weights that map nodal samples to a value at
+    times[j].  Exact node hits degenerate to a unit row."""
+    nodes = np.asarray(nodes, dtype=float)
+    w = _barycentric_weights(nodes.tobytes())
     diff = times[:, None] - nodes[None, :]
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
     diff[hit_rows, hit_cols] = 1.0

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import re
 import shutil
@@ -306,6 +307,149 @@ def test_rejects_jumps_in_three_space(tmp_path):
     geom = {"kind": "ball", "params": {"radius": 1.0}, "T": 0.5}
     cfg = make_config("verify-jumps", {"probes": 1}, n=3, geom=geom)
     reject(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("task, extra, mesh, message", [
+    ("verify-identities", {"interior_probes": 1, "exterior_probes": 2.0}, None,
+     "task/verify-identities: 2.0 is not of type 'integer'"),
+    ("verify-kernels", {"probes": 2.0}, None,
+     "task/verify-kernels: 2.0 is not of type 'integer'"),
+    ("poly-table", {"max_degree": 2.0}, None,
+     "task/poly-table: 2.0 is not of type 'integer'"),
+    ("solve", {"degree": 4.0}, None, "task/solve: 4.0 is not of type 'integer'"),
+    ("completeness", {"degrees": [0, 2.0]}, None,
+     "task/completeness: 2.0 is not of type 'integer'"),
+    ("poly-table", {"max_degree": 1}, (16.0, 6, 4),
+     "mesh/m_angular: 16.0 is not of type 'integer'"),
+], ids=["exterior_probes", "probes", "max_degree", "degree", "degrees", "m_angular"])
+def test_integral_float_for_integer_exits_two(tmp_path, capsys, task, extra, mesh, message):
+    # JSON Schema counts 3.0 as an integer; the tasks pass these to range()
+    cfg = make_config(task, extra, mesh=mesh or (16, 6, 4))
+    assert run_cli(task, write_config(tmp_path, cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("geometry", "T"), math.nan, "geometry/T: nan is not of type 'number'"),
+    (("geometry", "T"), math.inf, "geometry/T: inf is not of type 'number'"),
+    (("geometry", "params", "radius"), math.inf, "geometry/params: inf is not of type 'number'"),
+    (("geometry", "params", "radius"), math.nan, "geometry/params: nan is not of type 'number'"),
+    (("task", "tolerance"), math.nan, "task/verify-identities: nan is not of type 'number'"),
+    (("operator", "matrix", 1, 0), -math.inf,
+     "operator/matrix/1/0: -inf is not of type 'number'"),
+], ids=["T-nan", "T-inf", "radius-inf", "radius-nan", "tolerance-nan", "matrix-inf"])
+def test_non_finite_number_exits_two(tmp_path, capsys, where, value, message):
+    # json.load reads NaN and Infinity, and json.dumps writes them
+    cfg = make_config("verify-identities", {"interior_probes": 1, "exterior_probes": 1})
+    node = cfg
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = write_config(tmp_path, cfg)
+    assert run_cli("verify-identities", path, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_cli_import_does_not_load_jsonschema():
+    root = pathlib.Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, calorix.cli; print(' '.join(m for m in sys.modules if "
+            "m.startswith(('jsonschema', 'referencing', 'attr', 'rpds'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == []
+
+
+def test_unsupported_schema_keyword_raises():
+    with pytest.raises(ValueError, match="pattern"):
+        list(cli._iter_errors({"type": "string", "pattern": "^a"}, "b"))
+    with pytest.raises(ValueError, match="additionalProperties"):
+        list(cli._iter_errors({"additionalProperties": {"type": "number"}}, {}))
+    # raised whatever the value, not only where the keyword would apply
+    with pytest.raises(ValueError, match="maximum"):
+        list(cli._iter_errors({"maximum": 1}, "not a number"))
+
+
+# values a mutation may write; none is an integral float or non-finite, the
+# two places where validate_config departs from JSON Schema on purpose
+_MUTANT_VALUES = [-1, 0, 1, 2, 3, 5, 40, 10**30, -0.25, 0.5, 1e-9, 2.5, 1234567.5, "", "v",
+                  "w", "x", "csv", "ball", "disk", "double", "solve", "caloric-poly",
+                  True, False, None, [], [0], [1, 2], [0.5, "a"], [[0.5]], {},
+                  {"kind": "disk"}, {"radius": 0.5}, {"kind": "abs-coordinate"}]
+_MUTANT_KEYS = ["surprise", "probes", "kinds", "degree", "degrees", "data", "kind",
+                "alpha", "xi", "index", "path", "parity", "params", "seed", "m_time",
+                "output", "formats", "tolerance", "rcond", "max_degree"]
+
+
+def _mutant(config, rng):
+    """``config`` after 1-3 random edits: a value replaced, a key or list
+    item dropped, or a key added, anywhere in the tree."""
+    config = json.loads(json.dumps(config))
+    for _ in range(int(rng.integers(1, 4))):
+        slots, dicts = [], [config]
+        stack = [config]
+        while stack:
+            node = stack.pop()
+            for key in (node if isinstance(node, dict) else range(len(node))):
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    stack.append(node[key])
+                    if isinstance(node[key], dict):
+                        dicts.append(node[key])
+        op = rng.integers(3)
+        value = json.loads(json.dumps(_MUTANT_VALUES[rng.integers(len(_MUTANT_VALUES))]))
+        if op == 0 and slots:
+            node, key = slots[rng.integers(len(slots))]
+            node[key] = value
+        elif op == 1 and slots:
+            node, key = slots[rng.integers(len(slots))]
+            del node[key]
+        else:
+            dicts[rng.integers(len(dicts))][_MUTANT_KEYS[rng.integers(len(_MUTANT_KEYS))]] = value
+    return config
+
+
+def _outcome(config):
+    try:
+        cli.validate_config(config)
+    except Exception as exc:  # any exception type and message is compared
+        return type(exc).__name__, str(exc)
+    return "valid", ""
+
+
+def test_validation_matches_jsonschema_on_mutated_configs(monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+
+    def reference_errors(schema, value, path=()):
+        for e in jsonschema.Draft202012Validator(schema).iter_errors(value):
+            yield tuple(e.path), e.message
+
+    root = pathlib.Path(__file__).parent.parent
+    shipped = [json.loads(p.read_text()) for p in sorted((root / "configs").glob("*.json"))]
+    # bounds that random edits seldom reach
+    edges = [make_config("completeness", {"degrees": []}),
+             make_config("solve", {"rcond": 1}), make_config("solve", {"rcond": 0}),
+             make_config("solve", {"degree": -1}),
+             make_config("poly-table", mesh=(3, 6, 4)),
+             make_config("verify-jumps", {"kinds": ["double", "triple"]})]
+    rng = np.random.default_rng(20261018)
+    corpus = shipped + edges + [_mutant(cfg, rng) for cfg in shipped for _ in range(150)]
+    ours = [_outcome(cfg) for cfg in corpus]
+    departures = [make_config("solve", {"degree": 4.0}),
+                  make_config("solve", {"rcond": math.nan})]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_iter_errors", reference_errors)
+        theirs = [_outcome(cfg) for cfg in corpus]
+        assert [_outcome(cfg) for cfg in departures] == [("valid", "")] * 2
+    assert ours == theirs
+    assert [_outcome(cfg)[0] for cfg in departures] == ["ConfigInvalid"] * 2
+    assert ours[:len(shipped)] == [("valid", "")] * len(shipped)
+    assert {kind for kind, _ in ours} == {"valid", "ConfigInvalid"}
+    for wording in ("is not of type", "is not one of", "is a required property",
+                    "Additional properties", "should be non-empty", "less than the minimum",
+                    "less than or equal to the minimum", "greater than or equal to the maximum"):
+        assert any(wording in msg for _, msg in ours), wording
 
 
 # -- console script ---------------------------------------------------------

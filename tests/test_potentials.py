@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import calorix as cx
-from calorix import SpaceTimePoint
+from calorix import SpaceTimePoint, potentials
 from calorix.errors import (
     CornerTooClose,
     DimensionMismatch,
@@ -119,6 +119,37 @@ def test_lateral_layers_converge_under_time_refinement(disk, B2):
     for fn in densities:
         coarse, fine = (layers(mesh, fn) for mesh in meshes)
         assert np.max(np.abs(fine - coarse)) <= 1e-13 * np.max(np.abs(coarse))
+
+
+def test_barycentric_matrix_matches_the_uncached_weights(disk_mesh_I):
+    # the weights of mesh.tnodes are computed once per node set; every
+    # matrix, exact node hits included, must equal the per-call formula bit
+    # for bit
+    nodes = disk_mesh_I.tnodes
+
+    def uncached(times):
+        d = nodes[:, None] - nodes[None, :]
+        np.fill_diagonal(d, 1.0)
+        logs = np.sum(np.log(np.abs(d)), axis=1)
+        w = np.prod(np.sign(d), axis=1) * np.exp(-(logs - logs.min()))
+        diff = times[:, None] - nodes[None, :]
+        hit_rows, hit_cols = np.nonzero(diff == 0.0)
+        diff[hit_rows, hit_cols] = 1.0
+        m = w[None, :] / diff
+        m /= m.sum(axis=1, keepdims=True)
+        m[hit_rows, :] = 0.0
+        m[hit_rows, hit_cols] = 1.0
+        return m
+
+    rng = np.random.default_rng(8)
+    times = np.concatenate([rng.uniform(0.0, disk_mesh_I.T, 40), nodes[[0, 17, -1]]])
+    for _ in range(2):  # the second call reads the cached weights
+        got = potentials._barycentric_matrix(nodes, times)
+        assert np.array_equal(got, uncached(times))
+    assert np.array_equal(got[-3:][:, [0, 17, nodes.size - 1]], np.eye(3))
+    weights = potentials._barycentric_weights(nodes.tobytes())
+    assert weights is potentials._barycentric_weights(nodes.copy().tobytes())
+    assert not weights.flags.writeable
 
 
 # -- adjoint operators are time reflections ---------------------------------
