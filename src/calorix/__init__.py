@@ -44,6 +44,7 @@ from .polynomials import (
 )
 from .potentials import (
     CaloricExponentialField,
+    ConstantField,
     DensityField,
     JumpProbeReport,
     TranslatedKernelField,
@@ -55,7 +56,9 @@ from .potentials import (
     elliptic_gauss_identity,
     jump_probe,
     partition_identity,
+    representation_at,
     representation_check,
+    representation_values,
     single_layer,
     single_layer_star,
     stokes_check,

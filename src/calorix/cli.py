@@ -36,11 +36,11 @@ from .geometry import CrossSection, build_mesh
 from .polynomials import caloric_poly, enumerate_basis, moment_identity_check
 from .potentials import (
     CaloricExponentialField,
+    ConstantField,
     DensityField,
     elliptic_gauss_identity,
     jump_probe,
-    partition_identity,
-    representation_check,
+    representation_values,
 )
 from .solver import (
     BoundaryData,
@@ -173,19 +173,19 @@ def _iter_errors(schema, value, path=()):
             raise ValueError(f"unsupported config schema keyword {key!r}: {arg!r}")
 
 
-def _first_error(schema, value):
-    """(path, message) of the violation with the least path, ties going to
-    the first in keyword order; None when ``value`` is valid."""
-    return min(_iter_errors(schema, value), key=lambda e: e[0], default=None)
+def _raise_first_error(schema, value, prefix=()):
+    """Raise ConfigInvalid for the violation with the least path, ties going
+    to the first in keyword order, located by ``prefix`` plus its path."""
+    error = min(_iter_errors(schema, value), key=lambda e: e[0], default=None)
+    if error:
+        path, message = error
+        where = "/".join(str(p) for p in prefix + path) or "<root>"
+        raise ConfigInvalid(f"{where}: {message}")
 
 
 def validate_config(config):
     """Raise ConfigInvalid on any schema violation; returns nothing."""
-    error = _first_error(_CONFIG_SCHEMA, config)
-    if error:
-        path, message = error
-        where = "/".join(str(p) for p in path) or "<root>"
-        raise ConfigInvalid(f"{where}: {message}")
+    _raise_first_error(_CONFIG_SCHEMA, config)
 
     task = config["task"]
     name = task["name"]
@@ -195,9 +195,7 @@ def validate_config(config):
         "required": ["name"],
         "properties": {"name": {"const": name}, **TASKS[name].schema},
     }
-    error = _first_error(task_schema, task)
-    if error:
-        raise ConfigInvalid(f"task/{name}: {error[1]}")
+    _raise_first_error(task_schema, task, ("task", name))
 
     geom = config["geometry"]
     spec = GEOMETRIES[geom["kind"]]
@@ -207,9 +205,7 @@ def validate_config(config):
         "required": sorted(spec.params),
         "properties": spec.params,
     }
-    error = _first_error(params_schema, geom["params"])
-    if error:
-        raise ConfigInvalid(f"geometry/params: {error[1]}")
+    _raise_first_error(params_schema, geom["params"], ("geometry", "params"))
 
     n = config["operator"]["n"]
     matrix = config["operator"]["matrix"]
@@ -522,9 +518,22 @@ def _task_verify_identities(ctx):
     exts = [(x, ctx.rng.uniform(0.1, 0.9) * ctx.T)
             for x in _radial_points(ctx, n_ext, (1.3, 1.8))]
 
-    part = functools.partial(partition_identity, mesh, A)
-    vals_i = ctx.parallel_map(part, ints)
-    vals_e = ctx.parallel_map(part, exts)
+    xi = ctx.rng.normal(size=A.n) * 0.5
+    fields = {"partition": ConstantField(),
+              "H": CaloricExponentialField(A, xi, sign=+1),
+              "H*": CaloricExponentialField(A, xi, sign=-1)}
+    values = {}
+    # u = 1 (the partition identity) and u_H share the forward kernel at
+    # each target, u_H* takes the adjoint one
+    for which, names in (("H", ("partition", "H")), ("H*", ("H*",))):
+        represent = representation_values(mesh, A, [fields[k] for k in names], which)
+        out_i = ctx.parallel_map(represent, ints)
+        out_e = ctx.parallel_map(represent, exts)
+        del represent  # release this direction's densities before the next samples its own
+        for k, name in enumerate(names):
+            values[name] = ([v[k] for v in out_i], [v[k] for v in out_e])
+
+    vals_i, vals_e = values["partition"]
     worst_pi = max(abs(v - 1.0) for v in vals_i)
     worst_pe = max(abs(v) for v in vals_e)
     for (x, t), v in zip(ints, vals_i):
@@ -536,12 +545,12 @@ def _task_verify_identities(ctx):
     rep.check("partition-exterior", worst_pe < tol,
               f"max |value| = {worst_pe:.3e} (tol {tol:g})")
 
-    xi = ctx.rng.normal(size=A.n) * 0.5
-    for which, sign in (("H", +1), ("H*", -1)):
-        check = representation_check(mesh, A, CaloricExponentialField(A, xi, sign=sign), which)
-        vi = ctx.parallel_map(check, ints)
-        ve = ctx.parallel_map(check, exts)
-        del check  # release this parity's densities before the next parity samples its own
+    for which in ("H", "H*"):
+        u = fields[which]
+        out_i, out_e = values[which]
+        vi = [abs(v - float(u.value(x[None, :], np.array([t]))[0]))
+              for (x, t), v in zip(ints, out_i)]
+        ve = [abs(v) for v in out_e]
         for (x, t), v in zip(ints, vi):
             rows.append([f"representation-{which}", "interior", fmt_x(x), t, v, 0.0, v])
         for (x, t), v in zip(exts, ve):

@@ -69,10 +69,19 @@ class CoefficientMatrix:
         self.inv.setflags(write=False)
 
     def qform_inv(self, z):
-        """<A^-1 z, z> over the last axis of z, as z_i inv_ij z_j summed i-major."""
+        """<A^-1 z, z> over the last axis of z, as (z_i inv_ij) z_j summed
+        i-major in place into one buffer, over contiguous copies of the
+        components."""
         z = np.asarray(z, dtype=float)
-        return sum((z[..., i] * self.inv[i, j] * z[..., j]
-                    for i in range(self.n) for j in range(self.n)), 0.0)
+        comps = [z[..., i].copy() for i in range(self.n)]
+        out = np.zeros(z.shape[:-1])
+        term = np.empty_like(out)
+        for i, zi in enumerate(comps):
+            for j, zj in enumerate(comps):
+                np.multiply(zi, self.inv[i, j], out=term)
+                term *= zj
+                out += term
+        return out[()]
 
     @cached_property
     def entries_exact(self):

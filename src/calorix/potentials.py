@@ -14,9 +14,17 @@ of the bottom cap.
 
 Adjoint (star) variants integrate against the time-reversed kernel; they are
 computed directly, and tests compare them with the forward operators on a
-time-reflected cylinder.  ``representation_check`` samples the Cauchy data
-and cap trace of a caloric field once and returns the discrepancy of its
-layer representation as a function of the target.
+time-reflected cylinder.
+
+Each potential has a per-target half and a per-density half.  At one target
+the lateral kernel (causality window, substituted time grid, barycentric
+matrix, one profile per kernel exponent) and the cap kernel (Gauss-Hermite
+points, or G at the cap points) are built once, and every density at that
+target is applied to them.  ``representation_values`` samples the trace,
+flux and cap trace of several caloric fields once per run and evaluates all
+their layer representations at a target on that one kernel.  The partition
+identity is the representation of u = 1, whose zero flux adds no single
+layer, and ``representation_check`` is the discrepancy for one field.
 
 This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
@@ -25,9 +33,9 @@ kernel) come from ``core``, targets moved off a lateral node from
 and every rule (graded, Gauss-Hermite, sphere, tensor) from ``quadrature``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -208,10 +216,16 @@ def _graded_depth(cs, dist):
     return int(min(48, max(8, math.ceil(math.log2(math.pi / max(scale, 1e-12))) + 1)))
 
 
-def _near_boundary_rule(mesh, phi, x, depth=None):
+def _near_wall(mesh, x):
+    """Whether the lateral potentials at x take the graded rule: n = 2
+    targets within a few angular spacings of the wall."""
+    return mesh.cs.n == 2 and mesh.distance_to_wall(x) < _NEAR_FACTOR * mesh.boundary_spacing
+
+
+def _near_boundary_rule(mesh, x, depth=None):
     """Graded composite Gauss rule in the boundary parameter, refined toward
-    the boundary point nearest to x (planar sections only), with the density
-    generator sampled once on its points x ``mesh.tnodes``."""
+    the boundary point nearest to x (planar sections only), as (points,
+    weights, inward normals)."""
     cs = mesh.cs
     coarse = max(512, 4 * mesh.m_angular)
     phis, _ = periodic_trapezoid(coarse)
@@ -248,13 +262,25 @@ def _near_boundary_rule(mesh, phi, x, depth=None):
     npts = max(8, mesh.m_angular // 12)
     nodes, wgl = composite_gauss(edges, npts)
     bp, jac, inward = cs.boundary_frame(nodes)
+    return bp, wgl * jac, inward
+
+
+def _samples(mesh, phi, graded):
+    """phi at the lateral rule's points x ``mesh.tnodes``: the nodal values
+    on the mesh rule (graded None), else its generator sampled on the
+    graded rule."""
+    if phi.region != "sigma3":
+        raise DimensionMismatch("lateral potentials need a density on sigma3")
     K = mesh.tnodes.shape[0]
+    if graded is None:
+        return phi.values.reshape(mesh.n_boundary, K)
+    bp, _, inward = graded
     samples = phi.generator(np.repeat(bp, K, axis=0), np.tile(mesh.tnodes, bp.shape[0]),
                             np.repeat(inward, K, axis=0))
-    return bp, wgl * jac, inward, np.asarray(samples, dtype=float).reshape(bp.shape[0], K)
+    return np.asarray(samples, dtype=float).reshape(bp.shape[0], K)
 
 
-@lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16)
 def _barycentric_weights(node_bytes):
     """Barycentric weights of the float64 nodes packed in ``node_bytes``,
     from log-products scaled to a largest magnitude of 1; read-only."""
@@ -275,74 +301,90 @@ def _barycentric_matrix(nodes, times):
     nodes = np.asarray(nodes, dtype=float)
     w = _barycentric_weights(nodes.tobytes())
     diff = times[:, None] - nodes[None, :]
-    hit_rows, hit_cols = np.nonzero(diff == 0.0)
-    diff[hit_rows, hit_cols] = 1.0
+    hit = diff == 0.0
+    any_hit = hit.any()  # rare, and cheaper to test than to locate
+    if any_hit:
+        hit_rows, hit_cols = np.nonzero(hit)
+        diff[hit_rows, hit_cols] = 1.0
     m = w[None, :] / diff
     m /= m.sum(axis=1, keepdims=True)
-    if hit_rows.size:
+    if any_hit:
         m[hit_rows, :] = 0.0
         m[hit_rows, hit_cols] = 1.0
     return m
 
 
-def _lateral_sum(mesh, A, x, t, kind, nu_fixed, star, rule):
-    """Weighted boundary sum with the substituted time integral.
+class _LateralKernel:
+    """The density-free half of the lateral potentials at one target.
 
-    rule = (points, weights, normals, samples), where samples[i, k] is the
-    density at points[i] and time mesh.tnodes[k]; the density at the
-    substituted times is interpolated from these samples.
+    On the mesh rule (graded None) or the graded rule it holds the
+    causality window, the substituted time grid and its barycentric matrix,
+    and the kernel profile of the last exponent applied.  ``apply`` weights
+    one density's samples (see ``_samples``) with them, so the densities of
+    one target share all of this work; applying them grouped by kernel kind
+    builds each profile once and holds one at a time.
     """
-    n = A.n
-    T = mesh.T
-    tau_hi = (T - t) if star else t
-    if tau_hi <= 0.0:
-        return 0.0
-    tau_lo = max(-t, 0.0) if star else max(t - T, 0.0)
-    pts, wts, normals, samples = rule
 
-    q = A.qform_inv(x[None, :] - pts)
-    qmin = float(q.min())
-    scale = max(mesh.diameter, 1.0)
-    if qmin <= (1e-12 * scale) ** 2:
-        raise TargetOnBoundary("lateral potential evaluated on the boundary itself")
-    u0 = q / (4.0 * tau_hi)
-    u0min = float(u0.min())
-    if u0min >= _U_CAP:
-        return 0.0  # kernel dead at this separation
-    v_max = math.log(_U_CAP / u0min)
-    if tau_lo > 0.0:
-        v_max = min(v_max, math.log(tau_hi / tau_lo))
-    if v_max <= 0.0:
-        return 0.0
+    def __init__(self, mesh, A, x, t, star, graded=None):
+        self.x = x
+        self.n = A.n
+        self.points, self.weights, self.normals = (
+            graded or (mesh.bpoints, mesh.bweights, mesh.bnormals))
+        self.dead = True
+        T = mesh.T
+        self.tau_hi = (T - t) if star else t
+        if self.tau_hi <= 0.0:
+            return
+        tau_lo = max(-t, 0.0) if star else max(t - T, 0.0)
 
-    panels = max(4, int(math.ceil(v_max)))
-    vnodes, vw = composite_gauss(np.linspace(0.0, v_max, panels + 1), 10)
-    tau_v = tau_hi * np.exp(-vnodes)
-    times = (t + tau_v) if star else (t - tau_v)
+        q = A.qform_inv(x[None, :] - self.points)
+        qmin = float(q.min())
+        scale = max(mesh.diameter, 1.0)
+        if qmin <= (1e-12 * scale) ** 2:
+            raise TargetOnBoundary("lateral potential evaluated on the boundary itself")
+        self.u0 = q / (4.0 * self.tau_hi)
+        u0min = float(self.u0.min())
+        if u0min >= _U_CAP:
+            return  # kernel dead at this separation
+        v_max = math.log(_U_CAP / u0min)
+        if tau_lo > 0.0:
+            v_max = min(v_max, math.log(self.tau_hi / tau_lo))
+        if v_max <= 0.0:
+            return
 
-    p = _kernel_exponent(kind, n)
-    with np.errstate(under="ignore"):
-        profile = np.exp((p - 1.0) * vnodes[None, :] - u0[:, None] * np.exp(vnodes)[None, :])
-    dens = samples @ _barycentric_matrix(mesh.tnodes, times).T
+        panels = max(4, int(math.ceil(v_max)))
+        self.vnodes, self.vw = composite_gauss(np.linspace(0.0, v_max, panels + 1), 10)
+        tau_v = self.tau_hi * np.exp(-self.vnodes)
+        times = (t + tau_v) if star else (t - tau_v)
+        self.interp = _barycentric_matrix(mesh.tnodes, times).T
+        self.pref = (4.0 * math.pi) ** (-self.n / 2.0) / math.sqrt(A.det)
+        self.p = self.profile = None
+        self.dead = False
 
-    inner = tau_hi ** (1.0 - p) * (profile * dens) @ vw
-    geom = _geometry_factor(kind, x, pts, normals, nu_fixed)
-    pref = (4.0 * math.pi) ** (-n / 2.0) / math.sqrt(A.det)
-    return float(pref * np.sum(wts * geom * inner))
+    def apply(self, kind, samples, nu_fixed=None):
+        """Potential of ``kind`` with the density at the times of the rule's
+        samples; 0 when the kernel is dead at this target."""
+        if self.dead:
+            return 0.0
+        p = _kernel_exponent(kind, self.n)
+        if p != self.p:
+            self.profile = None  # free the old profile before building the next
+            with np.errstate(under="ignore"):
+                self.profile = np.exp((p - 1.0) * self.vnodes[None, :]
+                                      - self.u0[:, None] * np.exp(self.vnodes)[None, :])
+            self.p = p
+        dens = samples @ self.interp
+        inner = self.tau_hi ** (1.0 - p) * (self.profile * dens) @ self.vw
+        geom = _geometry_factor(kind, self.x, self.points, self.normals, nu_fixed)
+        return float(self.pref * np.sum(self.weights * geom * inner))
 
 
-def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False, rule=None):
-    if phi.region != "sigma3":
-        raise DimensionMismatch("lateral potentials need a density on sigma3")
+def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False):
     x, t = _as_xt(target)
-    if rule is None:
-        if (phi.generator is not None and mesh.cs.n == 2
-                and mesh.distance_to_wall(x) < _NEAR_FACTOR * mesh.boundary_spacing):
-            rule = _near_boundary_rule(mesh, phi, x)
-        else:
-            rule = (mesh.bpoints, mesh.bweights, mesh.bnormals,
-                    phi.values.reshape(mesh.n_boundary, mesh.tnodes.shape[0]))
-    return _lateral_sum(mesh, A, x, t, kind, nu_fixed, star, rule)
+    graded = (_near_boundary_rule(mesh, x)
+              if phi.generator is not None and _near_wall(mesh, x) else None)
+    samples = _samples(mesh, phi, graded)
+    return _LateralKernel(mesh, A, x, t, star, graded).apply(kind, samples, nu_fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -388,27 +430,34 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h):
 # cap potentials
 
 
-def _cap_value(mesh, A, phi, target, star):
-    x, t = _as_xt(target)
+def _cap_values(mesh, A, phis, x, t, star):
+    """Cap potentials at (x, t) of the densities ``phis``, on one cap.
+
+    Densities with a generator take the tensor Gauss-Hermite rule when the
+    Gaussian fits inside the cross-section; the rest share one evaluation of
+    the fundamental solution at the cap points.
+    """
     T = mesh.T
     w = (T - t) if star else t
     if w <= 0.0:
-        return 0.0
-    sample_t = T if star else 0.0
-
-    if phi.generator is not None and mesh.cs.radial_gap(x) < 0.0:
-        clearance = mesh.distance_to_wall(x)
-        if 12.0 * math.sqrt(w * A.eig_max) <= clearance:
-            # Gaussian fits inside the cross-section: tensor Gauss-Hermite
-            uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
-            pts = x[None, :] + 2.0 * math.sqrt(w) * (uu @ A.chol.T)
-            vals = np.asarray(
-                phi.generator(pts, np.full(pts.shape[0], sample_t), None), dtype=float
-            )
-            return float(np.sum(wwt * vals) / math.pi ** (A.n / 2.0))
-
-    g = fundamental_solution(A, x[None, :] - mesh.cap_points, w)
-    return float(np.sum(mesh.cap_weights * phi.values * g))
+        return [0.0] * len(phis)
+    hermite = (mesh.cs.radial_gap(x) < 0.0
+               and 12.0 * math.sqrt(w * A.eig_max) <= mesh.distance_to_wall(x))
+    if hermite:
+        uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
+        pts = x[None, :] + 2.0 * math.sqrt(w) * (uu @ A.chol.T)
+        sample_t = np.full(pts.shape[0], T if star else 0.0)
+    g = None
+    out = []
+    for phi in phis:
+        if hermite and phi.generator is not None:
+            vals = np.asarray(phi.generator(pts, sample_t, None), dtype=float)
+            out.append(float(np.sum(wwt * vals) / math.pi ** (A.n / 2.0)))
+            continue
+        if g is None:
+            g = fundamental_solution(A, x[None, :] - mesh.cap_points, w)
+        out.append(float(np.sum(mesh.cap_weights * phi.values * g)))
+    return out
 
 
 def cap_potential(mesh, A, phi, target):
@@ -416,7 +465,7 @@ def cap_potential(mesh, A, phi, target):
     phi(y) G(x - y, t).  Converges to phi(x) as t -> 0+ for smooth phi."""
     if phi.region != "sigma2":
         raise DimensionMismatch("cap_potential needs a density on sigma2")
-    return _cap_value(mesh, A, phi, target, star=False)
+    return _cap_values(mesh, A, [phi], *_as_xt(target), star=False)[0]
 
 
 def cap_potential_star(mesh, A, phi, target):
@@ -424,56 +473,107 @@ def cap_potential_star(mesh, A, phi, target):
     phi(y) G(y - x, T - s); converges to phi(x) as s -> T-."""
     if phi.region != "sigma1":
         raise DimensionMismatch("cap_potential_star needs a density on sigma1")
-    return _cap_value(mesh, A, phi, target, star=True)
+    return _cap_values(mesh, A, [phi], *_as_xt(target), star=True)[0]
 
 
 # ---------------------------------------------------------------------------
 # identities
 
 
-def partition_identity(mesh, A, target):
-    """Double layer of 1 plus cap potential of 1.
+class ConstantField:
+    """u = c, caloric for H and H*.  Its conormal derivative vanishes, so
+    ``conormal`` is None and its layer representation has no single layer."""
 
-    Equals 1 at interior points of the cylinder and 0 outside its closure;
-    the target must stay off the boundary.
+    conormal = None
+
+    def __init__(self, c=1.0):
+        self.c = float(c)
+
+    def value(self, points, times):
+        return np.full(np.atleast_2d(points).shape[0], self.c)
+
+
+def representation_at(mesh, A, densities, target, star=False):
+    """Layer representation D[u] - S[f] + C[u] at one target, for each
+    (trace, flux, cap) density triple in ``densities``; flux None stands for
+    zero flux and adds no single layer.
+
+    The lateral densities are on sigma3 and the cap densities on sigma2
+    (forward operators) or sigma1 (adjoint operators, star=True).  All of
+    them share one lateral kernel, on the graded rule when the target is
+    near the wall and every lateral density has a generator, and one cap
+    kernel.  Raises TargetOnBoundary for a target on the boundary.
     """
-    loc = mesh.locate(target)
-    if loc.kind == "boundary":
-        raise TargetOnBoundary("partition identity is not classical on the boundary")
-    ones_lateral = DensityField.constant(mesh, "sigma3", 1.0)
-    ones_cap = DensityField.constant(mesh, "sigma2", 1.0)
-    return double_layer(mesh, A, ones_lateral, target) + cap_potential(mesh, A, ones_cap, target)
+    cap_region = "sigma1" if star else "sigma2"
+    if any(cap.region != cap_region for _, _, cap in densities):
+        raise DimensionMismatch(f"cap densities must be on {cap_region}")
+    x, t = _as_xt(target)
+    if mesh.locate((x, t)).kind == "boundary":
+        raise TargetOnBoundary("the layer representation needs an off-boundary target")
+    lateral = [d for trace, flux, _ in densities for d in (trace, flux) if d is not None]
+    graded = (_near_boundary_rule(mesh, x)
+              if all(d.generator is not None for d in lateral) and _near_wall(mesh, x)
+              else None)
+    kernel = _LateralKernel(mesh, A, x, t, star, graded)
+    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star)
+    doubles = [kernel.apply("double", _samples(mesh, trace, graded))
+               for trace, _, _ in densities]
+    # a zero single layer leaves D - S = D bit for bit
+    singles = [0.0 if flux is None else kernel.apply("single", _samples(mesh, flux, graded))
+               for _, flux, _ in densities]
+    return [d - s + c for d, s, c in zip(doubles, singles, caps)]
 
 
-def representation_check(mesh, A, u_field, which="H"):
-    """Discrepancy of the boundary representation of a caloric field, as a
-    function of the target.
+def representation_values(mesh, A, fields, which="H"):
+    """Layer representation of each caloric field in ``fields``, as a
+    function of the target that returns one value per field.
 
     which='H': double layer of u minus single layer of du/d(conormal) plus
-    the bottom-cap potential of u(., 0), compared against u at interior
-    targets and 0 at exterior targets (target time inside (0, T), where the
-    absent top-cap term vanishes).  which='H*' mirrors this with the adjoint
-    operators and the top cap.  The trace, flux and cap-trace densities are
-    sampled once, here; the returned callable holds them and no other state.
+    the bottom-cap potential of u(., 0); this equals u at interior targets
+    and 0 at exterior targets (target time inside (0, T), where the absent
+    top-cap term vanishes).  which='H*' mirrors this with the adjoint
+    operators and the top cap.  A field has ``value(points, times)`` and
+    ``conormal(points, times, normals)``, or ``conormal = None`` for zero
+    flux (``ConstantField``).  The trace, flux and cap-trace densities are
+    sampled once, here; the returned callable holds them and no other state,
+    and evaluates them all at a target through ``representation_at``.
     """
     if which not in ("H", "H*"):
         raise ValueError("which must be 'H' or 'H*'")
     star = which == "H*"
-    double, single, cap = ((double_layer_star, single_layer_star, cap_potential_star) if star
-                           else (double_layer, single_layer, cap_potential))
-    trace = DensityField.from_function(mesh, "sigma3", lambda p, s, nu: u_field.value(p, s))
-    flux = DensityField.from_function(mesh, "sigma3", u_field.conormal)
-    cap_trace = DensityField.from_function(mesh, "sigma1" if star else "sigma2",
-                                           lambda p, s, nu: u_field.value(p, s))
+    densities = []
+    for u in fields:
+        def value(p, s, nu, u=u):
+            return u.value(p, s)
+        trace = DensityField.from_function(mesh, "sigma3", value)
+        flux = (None if u.conormal is None
+                else DensityField.from_function(mesh, "sigma3", u.conormal))
+        cap = DensityField.from_function(mesh, "sigma1" if star else "sigma2", value)
+        densities.append((trace, flux, cap))
+    return functools.partial(representation_at, mesh, A, densities, star=star)
+
+
+def partition_identity(mesh, A, target):
+    """Double layer of 1 plus cap potential of 1: the layer representation
+    of u = 1, whose zero flux adds no single layer.
+
+    Equals 1 at interior points of the cylinder and 0 outside its closure;
+    the target must stay off the boundary.
+    """
+    return representation_values(mesh, A, [ConstantField()])(target)[0]
+
+
+def representation_check(mesh, A, u_field, which="H"):
+    """Discrepancy of the boundary representation of a caloric field, as a
+    function of the target: |value - u| at interior targets and |value| at
+    exterior ones, with the value from ``representation_values``.  The
+    densities are sampled once, here."""
+    values = representation_values(mesh, A, [u_field], which)
 
     def check(target):
         x, t = _as_xt(target)
-        val = (double(mesh, A, trace, (x, t)) - single(mesh, A, flux, (x, t))
-               + cap(mesh, A, cap_trace, (x, t)))
-        loc = mesh.locate((x, t))
-        if loc.kind == "boundary":
-            raise TargetOnBoundary("representation check needs an off-boundary target")
-        if loc.kind == "interior":
+        (val,) = values((x, t))
+        if mesh.locate((x, t)).kind == "interior":
             return abs(val - float(u_field.value(x[None, :], np.array([t]))[0]))
         return abs(val)
 
@@ -546,18 +646,19 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     h0 = _JUMP_H0_FACTOR * mesh.diameter
     offsets = h0 * 0.5 ** np.arange(_JUMP_LEVELS)
 
-    rule = None
+    graded = None
     if mesh.cs.n == 2:
         # one graded rule deep enough for the smallest offset, reused at every
         # level so the h-expansion seen by the extrapolation stays smooth
         probe = mesh.offset_point(node_index, offsets[-1]).x
         depth = _graded_depth(mesh.cs, offsets[-1])
-        rule = _near_boundary_rule(mesh, phi, probe, depth=depth)
+        graded = _near_boundary_rule(mesh, probe, depth=depth)
+    samples = _samples(mesh, phi, graded)
     lateral_kind = "double" if kind == "double" else "conormal_fixed"
 
     def value_at(h):
-        return _lateral_potential(mesh, A, phi, mesh.offset_point(node_index, h),
-                                  lateral_kind, nu_fixed=nu, rule=rule)
+        x, t = _as_xt(mesh.offset_point(node_index, h))
+        return _LateralKernel(mesh, A, x, t, False, graded).apply(lateral_kind, samples, nu)
 
     vin = np.array([value_at(+h) for h in offsets])
     vex = np.array([value_at(-h) for h in offsets])

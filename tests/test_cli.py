@@ -150,6 +150,38 @@ def test_cross_validated_study_fits_once(tmp_path, monkeypatch):
     assert calls == {"assemble": 1, "qr": math.ceil(rows / solver._QR_BLOCK)}
 
 
+def test_identities_share_one_kernel_per_target(tmp_path, monkeypatch):
+    # each target takes one barycentric matrix and one cap kernel per time
+    # direction (u = 1 and u_H forward, u_H* adjoint), and the densities are
+    # sampled once per run, however many targets there are
+    calls = {"barycentric": 0, "cap kernel": 0, "density": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    potentials = sys.modules["calorix.potentials"]
+    monkeypatch.setattr(potentials, "_barycentric_matrix",
+                        counted("barycentric", potentials._barycentric_matrix))
+    monkeypatch.setattr(potentials, "fundamental_solution",
+                        counted("cap kernel", potentials.fundamental_solution))
+    monkeypatch.setattr(cx.DensityField, "from_function", classmethod(
+        counted("density", vars(cx.DensityField)["from_function"].__func__)))
+    shipped = pathlib.Path(__file__).parent.parent / "configs" / "verify_identities.json"
+    cfg = json.loads(shipped.read_text())
+    assert (cfg["task"]["interior_probes"], cfg["task"]["exterior_probes"]) == (20, 20)
+    assert run_cli("verify-identities", str(shipped), "--out", str(tmp_path / "o")) == 0
+    assert calls == {"barycentric": 80, "cap kernel": 80, "density": 8}
+
+    cfg["task"].update(interior_probes=3, exterior_probes=2)
+    calls.update(density=0)
+    assert run_cli("verify-identities", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "small")) == 0
+    assert calls["density"] == 8
+
+
 def test_values_file_relative_to_config_dir(tmp_path):
     cfg = make_config("solve", {"degree": 2,
                                 "data": {"kind": "values-file",
@@ -311,14 +343,14 @@ def test_rejects_jumps_in_three_space(tmp_path):
 
 @pytest.mark.parametrize("task, extra, mesh, message", [
     ("verify-identities", {"interior_probes": 1, "exterior_probes": 2.0}, None,
-     "task/verify-identities: 2.0 is not of type 'integer'"),
+     "task/verify-identities/exterior_probes: 2.0 is not of type 'integer'"),
     ("verify-kernels", {"probes": 2.0}, None,
-     "task/verify-kernels: 2.0 is not of type 'integer'"),
+     "task/verify-kernels/probes: 2.0 is not of type 'integer'"),
     ("poly-table", {"max_degree": 2.0}, None,
-     "task/poly-table: 2.0 is not of type 'integer'"),
-    ("solve", {"degree": 4.0}, None, "task/solve: 4.0 is not of type 'integer'"),
+     "task/poly-table/max_degree: 2.0 is not of type 'integer'"),
+    ("solve", {"degree": 4.0}, None, "task/solve/degree: 4.0 is not of type 'integer'"),
     ("completeness", {"degrees": [0, 2.0]}, None,
-     "task/completeness: 2.0 is not of type 'integer'"),
+     "task/completeness/degrees/1: 2.0 is not of type 'integer'"),
     ("poly-table", {"max_degree": 1}, (16.0, 6, 4),
      "mesh/m_angular: 16.0 is not of type 'integer'"),
 ], ids=["exterior_probes", "probes", "max_degree", "degree", "degrees", "m_angular"])
@@ -332,9 +364,12 @@ def test_integral_float_for_integer_exits_two(tmp_path, capsys, task, extra, mes
 @pytest.mark.parametrize("where, value, message", [
     (("geometry", "T"), math.nan, "geometry/T: nan is not of type 'number'"),
     (("geometry", "T"), math.inf, "geometry/T: inf is not of type 'number'"),
-    (("geometry", "params", "radius"), math.inf, "geometry/params: inf is not of type 'number'"),
-    (("geometry", "params", "radius"), math.nan, "geometry/params: nan is not of type 'number'"),
-    (("task", "tolerance"), math.nan, "task/verify-identities: nan is not of type 'number'"),
+    (("geometry", "params", "radius"), math.inf,
+     "geometry/params/radius: inf is not of type 'number'"),
+    (("geometry", "params", "radius"), math.nan,
+     "geometry/params/radius: nan is not of type 'number'"),
+    (("task", "tolerance"), math.nan,
+     "task/verify-identities/tolerance: nan is not of type 'number'"),
     (("operator", "matrix", 1, 0), -math.inf,
      "operator/matrix/1/0: -inf is not of type 'number'"),
 ], ids=["T-nan", "T-inf", "radius-inf", "radius-nan", "tolerance-nan", "matrix-inf"])

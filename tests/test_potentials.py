@@ -353,6 +353,53 @@ def test_representation_check_keeps_no_state_between_targets(fix, mat, request):
         assert check(targets[1]) == forward[1]
 
 
+@pytest.mark.parametrize("fix, mat", [("ellipse_mesh_B", "B2"), ("ball_mesh", "I3")])
+@pytest.mark.parametrize("which", ["H", "H*"])
+def test_representation_values_match_the_per_layer_operators(fix, mat, which, request):
+    # the densities at one target share one lateral and one cap kernel, and
+    # that sharing must not move a bit; radial fractions 0.97 and 1.03 put
+    # n = 2 targets on the graded near-wall rule
+    mesh = request.getfixturevalue(fix)
+    A = request.getfixturevalue(mat)
+    star = which == "H*"
+    double, single, cap = ((cx.double_layer_star, cx.single_layer_star, cx.cap_potential_star)
+                           if star else (cx.double_layer, cx.single_layer, cx.cap_potential))
+    cap_region = "sigma1" if star else "sigma2"
+    d = np.array([0.6, 0.8, 0.5][:A.n])
+    d /= np.linalg.norm(d)
+    rim = float(mesh.cs.radius(d[None, :])[0]) * d
+    targets = [(frac * rim, t) for frac, t in
+               ((0.5, 0.3), (0.97, 0.45), (1.03, 0.6), (1.5, 0.75))]
+    fields = [cx.ConstantField()] + [fld for w, fld in _representation_cases(mesh, A)
+                                     if w == which]
+    values = cx.representation_values(mesh, A, fields, which)
+
+    def sampled(region, fn):
+        return cx.DensityField.from_function(mesh, region, fn)
+
+    layers = [(sampled("sigma3", lambda p, s, nu, u=u: u.value(p, s)),
+               None if u.conormal is None else sampled("sigma3", u.conormal),
+               sampled(cap_region, lambda p, s, nu, u=u: u.value(p, s))) for u in fields]
+    ones = (cx.DensityField.constant(mesh, "sigma3"), cx.DensityField.constant(mesh, cap_region))
+    for target in targets:
+        got = values(target)
+        assert len(got) == len(fields)
+        for value, (trace, flux, top_or_bottom) in zip(got, layers):
+            expect = double(mesh, A, trace, target)
+            if flux is not None:
+                expect = expect - single(mesh, A, flux, target)
+            assert value == expect + cap(mesh, A, top_or_bottom, target)
+        assert got[0] == double(mesh, A, ones[0], target) + cap(mesh, A, ones[1], target)
+        if not star:
+            assert got[0] == cx.partition_identity(mesh, A, target)
+    for on_wall in ((rim, 0.5), (mesh.bpoints[3], 0.5), (0.5 * rim, 0.0), (0.5 * rim, mesh.T)):
+        with pytest.raises(TargetOnBoundary):
+            values(on_wall)
+    wrong_cap = cx.DensityField.constant(mesh, "sigma2" if star else "sigma1")
+    with pytest.raises(DimensionMismatch):
+        cx.representation_at(mesh, A, [(ones[0], None, wrong_cap)], targets[0], star=star)
+
+
 # -- cap potentials and the initial limit -----------------------------------
 
 def test_initial_limit_recovers_density(ellipse_mesh_B, B2):
