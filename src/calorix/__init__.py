@@ -56,8 +56,8 @@ from .potentials import (
     elliptic_gauss_identity,
     jump_probe,
     partition_identity,
-    representation_at,
     representation_check,
+    representation_discrepancy,
     representation_values,
     single_layer,
     single_layer_star,

@@ -40,6 +40,7 @@ from .potentials import (
     DensityField,
     elliptic_gauss_identity,
     jump_probe,
+    representation_discrepancy,
     representation_values,
 )
 from .solver import (
@@ -548,9 +549,8 @@ def _task_verify_identities(ctx):
     for which in ("H", "H*"):
         u = fields[which]
         out_i, out_e = values[which]
-        vi = [abs(v - float(u.value(x[None, :], np.array([t]))[0]))
-              for (x, t), v in zip(ints, out_i)]
-        ve = [abs(v) for v in out_e]
+        vi = [representation_discrepancy(mesh, u, tgt, v) for tgt, v in zip(ints, out_i)]
+        ve = [representation_discrepancy(mesh, u, tgt, v) for tgt, v in zip(exts, out_e)]
         for (x, t), v in zip(ints, vi):
             rows.append([f"representation-{which}", "interior", fmt_x(x), t, v, 0.0, v])
         for (x, t), v in zip(exts, ve):

@@ -274,6 +274,8 @@ def _samples(mesh, phi, graded):
     K = mesh.tnodes.shape[0]
     if graded is None:
         return phi.values.reshape(mesh.n_boundary, K)
+    if phi.generator is None:
+        raise ValueError("the graded near-wall rule needs a density with a generator")
     bp, _, inward = graded
     samples = phi.generator(np.repeat(bp, K, axis=0), np.tile(mesh.tnodes, bp.shape[0]),
                             np.repeat(inward, K, axis=0))
@@ -441,7 +443,8 @@ def _cap_values(mesh, A, phis, x, t, star):
     w = (T - t) if star else t
     if w <= 0.0:
         return [0.0] * len(phis)
-    hermite = (mesh.cs.radial_gap(x) < 0.0
+    hermite = (any(phi.generator is not None for phi in phis)
+               and mesh.cs.radial_gap(x) < 0.0
                and 12.0 * math.sqrt(w * A.eig_max) <= mesh.distance_to_wall(x))
     if hermite:
         uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
@@ -481,39 +484,30 @@ def cap_potential_star(mesh, A, phi, target):
 
 
 class ConstantField:
-    """u = c, caloric for H and H*.  Its conormal derivative vanishes, so
+    """u = 1, caloric for H and H*.  Its conormal derivative vanishes, so
     ``conormal`` is None and its layer representation has no single layer."""
 
     conormal = None
 
-    def __init__(self, c=1.0):
-        self.c = float(c)
-
     def value(self, points, times):
-        return np.full(np.atleast_2d(points).shape[0], self.c)
+        return np.ones(np.atleast_2d(points).shape[0])
 
 
 def representation_at(mesh, A, densities, target, star=False):
     """Layer representation D[u] - S[f] + C[u] at one target, for each
-    (trace, flux, cap) density triple in ``densities``; flux None stands for
-    zero flux and adds no single layer.
+    (trace, flux, cap) density triple from ``representation_values``; flux
+    None stands for zero flux and adds no single layer.
 
-    The lateral densities are on sigma3 and the cap densities on sigma2
-    (forward operators) or sigma1 (adjoint operators, star=True).  All of
-    them share one lateral kernel, on the graded rule when the target is
-    near the wall and every lateral density has a generator, and one cap
-    kernel.  Raises TargetOnBoundary for a target on the boundary.
+    All lateral densities share one lateral kernel, on the graded rule when
+    the target is near the wall (each density then needs a generator), and
+    all cap densities one cap kernel.  Raises TargetOnBoundary for a target
+    on the boundary.  Public so that a traced run attributes the per-target
+    work to this layer; the package does not export it.
     """
-    cap_region = "sigma1" if star else "sigma2"
-    if any(cap.region != cap_region for _, _, cap in densities):
-        raise DimensionMismatch(f"cap densities must be on {cap_region}")
     x, t = _as_xt(target)
     if mesh.locate((x, t)).kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
-    lateral = [d for trace, flux, _ in densities for d in (trace, flux) if d is not None]
-    graded = (_near_boundary_rule(mesh, x)
-              if all(d.generator is not None for d in lateral) and _near_wall(mesh, x)
-              else None)
+    graded = _near_boundary_rule(mesh, x) if _near_wall(mesh, x) else None
     kernel = _LateralKernel(mesh, A, x, t, star, graded)
     caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star)
     doubles = [kernel.apply("double", _samples(mesh, trace, graded))
@@ -563,19 +557,25 @@ def partition_identity(mesh, A, target):
     return representation_values(mesh, A, [ConstantField()])(target)[0]
 
 
+def representation_discrepancy(mesh, u_field, target, value):
+    """How far a layer representation ``value`` at ``target`` is from what
+    it represents: |value - u| at interior targets, |value| at exterior
+    ones."""
+    x, t = _as_xt(target)
+    if mesh.locate((x, t)).kind == "interior":
+        return abs(value - float(u_field.value(x[None, :], np.array([t]))[0]))
+    return abs(value)
+
+
 def representation_check(mesh, A, u_field, which="H"):
-    """Discrepancy of the boundary representation of a caloric field, as a
-    function of the target: |value - u| at interior targets and |value| at
-    exterior ones, with the value from ``representation_values``.  The
-    densities are sampled once, here."""
+    """``representation_discrepancy`` of ``representation_values`` for one
+    caloric field, as a function of the target.  The densities are sampled
+    once, here."""
     values = representation_values(mesh, A, [u_field], which)
 
     def check(target):
-        x, t = _as_xt(target)
-        (val,) = values((x, t))
-        if mesh.locate((x, t)).kind == "interior":
-            return abs(val - float(u_field.value(x[None, :], np.array([t]))[0]))
-        return abs(val)
+        (val,) = values(target)
+        return representation_discrepancy(mesh, u_field, target, val)
 
     return check
 

@@ -395,9 +395,13 @@ def test_representation_values_match_the_per_layer_operators(fix, mat, which, re
     for on_wall in ((rim, 0.5), (mesh.bpoints[3], 0.5), (0.5 * rim, 0.0), (0.5 * rim, mesh.T)):
         with pytest.raises(TargetOnBoundary):
             values(on_wall)
-    wrong_cap = cx.DensityField.constant(mesh, "sigma2" if star else "sigma1")
-    with pytest.raises(DimensionMismatch):
-        cx.representation_at(mesh, A, [(ones[0], None, wrong_cap)], targets[0], star=star)
+    if mesh.cs.n == 2:
+        # a density without a generator cannot take the graded rule, and
+        # must not fall back to the mesh rule silently
+        bare = cx.DensityField.from_values(mesh, "sigma3", layers[0][0].values)
+        with pytest.raises(ValueError, match="generator"):
+            potentials.representation_at(mesh, A, [(bare, None, layers[0][2])], targets[1],
+                                         star=star)
 
 
 # -- cap potentials and the initial limit -----------------------------------
