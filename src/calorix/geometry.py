@@ -25,6 +25,7 @@ from .core import SpaceTimePoint, _as_xt
 from .quadrature import gauss_legendre, periodic_trapezoid, sphere_rule
 
 _BOUNDARY_TOL = 1e-12
+_POLISH_STEPS, _POLISH_DELTA = 3, 1e-5  # nearest_parameter: steps, stencil half-width
 
 
 class CrossSection:
@@ -160,6 +161,28 @@ class CrossSection:
         outward = (rho[..., None] * u - drho[..., None] * that) / jac[..., None]
         return points, jac, -outward
 
+    def nearest_parameter(self, x, coarse):
+        """(phi, distance) of the boundary point nearest to x (n = 2): Halley
+        steps on g(phi) = <P(phi) - x, P'(phi)> from the nearest of ``coarse``
+        equispaced parameters, staying within one spacing of it; each step is
+        one ``boundary_frame`` call on a 3-point stencil.  The distance, taken
+        at the last stencil centre, is off by the square of the last step."""
+        phis, _ = periodic_trapezoid(coarse)
+        pts, _, _ = self.boundary_frame(phis)
+        i0 = int(np.argmin(np.sum((pts - x[None, :]) ** 2, axis=1)))
+        lo, hi = phis[i0] - 2.0 * math.pi / coarse, phis[i0] + 2.0 * math.pi / coarse
+        phi, h = phis[i0], _POLISH_DELTA
+        for _ in range(_POLISH_STEPS):
+            p, jac, inward = self.boundary_frame(phi + np.array([-h, 0.0, h]))
+            gap = p - x[None, :]
+            g = jac * (gap[:, 0] * inward[:, 1] - gap[:, 1] * inward[:, 0])
+            g1, g2 = (g[2] - g[0]) / (2.0 * h), (g[2] - 2.0 * g[1] + g[0]) / h**2
+            step = -g[1] * g1 / (g1 * g1 - 0.5 * g[1] * g2)
+            phi = min(max(phi + step, lo), hi)
+            if abs(step) <= 1e-13:
+                break
+        return phi, float(np.linalg.norm(gap[1]))
+
     def sphere_frame(self, dirs):
         """(points, area jacobian wrt the unit-sphere measure, inward normals)
         for unit directions dirs of shape (..., 3)."""
@@ -190,6 +213,16 @@ class Location:
 
     kind: str  # 'interior' | 'exterior' | 'boundary'
     region: str | None = None  # 'sigma1' | 'sigma2' | 'sigma3' for boundary points
+
+
+@dataclass
+class WallFrame:
+    """A point's location, the radial gap of x and the distance from x to the
+    nearest lateral mesh node (``CylinderMesh.wall_frame``), measured once."""
+
+    location: Location
+    gap: float
+    distance: float
 
 
 @dataclass
@@ -293,12 +326,20 @@ class CylinderMesh:
         d = np.linalg.norm(self.bpoints - np.asarray(x, dtype=float)[None, :], axis=1)
         return float(d.min())
 
+    def wall_frame(self, point):
+        x, t = _as_xt(point)
+        gap = self.cs.radial_gap(x)
+        return WallFrame(self._classify(gap, t), gap, self.distance_to_wall(x))
+
     def locate(self, point):
         x, t = _as_xt(point)
+        return self._classify(self.cs.radial_gap(x), t)
+
+    def _classify(self, gap, t):
+        """Location of a point with radial gap ``gap`` at time t."""
         tol = _BOUNDARY_TOL
         if t < -tol or t > self.T + tol:
             return Location("exterior")
-        gap = self.cs.radial_gap(x)
         if gap > tol:
             return Location("exterior")
         if abs(gap) <= tol:

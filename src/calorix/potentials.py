@@ -18,19 +18,22 @@ time-reflected cylinder.
 
 Each potential has a per-target half and a per-density half.  At one target
 the lateral kernel (causality window, substituted time grid, barycentric
-matrix, one profile per kernel exponent) and the cap kernel (Gauss-Hermite
-points, or G at the cap points) are built once, and every density at that
-target is applied to them.  ``representation_values`` samples the trace,
-flux and cap trace of several caloric fields once per run and evaluates all
-their layer representations at a target on that one kernel.  The partition
-identity is the representation of u = 1, whose zero flux adds no single
-layer, and ``representation_check`` is the discrepancy for one field.
+matrix, one decay profile shared by every kernel kind) and the cap kernel
+(Gauss-Hermite points, or G at the cap points) are built once, and every
+density at that target is applied to them.  ``representation_values``
+samples the trace, flux and cap trace of several caloric fields once per run
+and evaluates all their layer representations at a target on that kernel.
+The partition identity is the representation of u = 1, whose zero flux adds
+no single layer, and ``representation_check`` is the discrepancy for one
+field.
 
 This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
 kernel) come from ``core``, targets moved off a lateral node from
-``CylinderMesh.offset_point``, radial gaps from ``CrossSection.radial_gap``,
-and every rule (graded, Gauss-Hermite, sphere, tensor) from ``quadrature``.
+``CylinderMesh.offset_point``, a target's location, radial gap and wall
+distance from ``CylinderMesh.wall_frame``, the nearest wall parameter (a
+Halley polish) from ``CrossSection.nearest_parameter``, and every rule
+(graded, Gauss-Hermite, sphere, tensor) from ``quadrature``.
 """
 
 import functools
@@ -216,52 +219,21 @@ def _graded_depth(cs, dist):
     return int(min(48, max(8, math.ceil(math.log2(math.pi / max(scale, 1e-12))) + 1)))
 
 
-def _near_wall(mesh, x):
-    """Whether the lateral potentials at x take the graded rule: n = 2
-    targets within a few angular spacings of the wall."""
-    return mesh.cs.n == 2 and mesh.distance_to_wall(x) < _NEAR_FACTOR * mesh.boundary_spacing
+def _near_wall(mesh, distance):
+    """Whether a target ``distance`` from the nearest lateral mesh node takes
+    the graded rule: n = 2 targets within a few angular spacings of it."""
+    return mesh.cs.n == 2 and distance < _NEAR_FACTOR * mesh.boundary_spacing
 
 
 def _near_boundary_rule(mesh, x, depth=None):
     """Graded composite Gauss rule in the boundary parameter, refined toward
     the boundary point nearest to x (planar sections only), as (points,
     weights, inward normals)."""
-    cs = mesh.cs
-    coarse = max(512, 4 * mesh.m_angular)
-    phis, _ = periodic_trapezoid(coarse)
-    pts, _, _ = cs.boundary_frame(phis)
-    d2 = np.sum((pts - x[None, :]) ** 2, axis=1)
-    i0 = int(np.argmin(d2))
-    lo = phis[i0] - 2.0 * math.pi / coarse
-    hi = phis[i0] + 2.0 * math.pi / coarse
-
-    def dist2(angle):
-        p, _, _ = cs.boundary_frame(np.array([angle]))
-        return float(np.sum((p[0] - x) ** 2))
-
-    # golden-section polish of the nearest parameter
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = dist2(c), dist2(d)
-    for _ in range(48):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = dist2(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = dist2(d)
-    phi_star = 0.5 * (a + b)
-    dist = math.sqrt(min(fc, fd))
-
-    if depth is None:
-        depth = _graded_depth(cs, dist)
-    edges = graded_edges_toward(phi_star, math.pi, depth)
-    npts = max(8, mesh.m_angular // 12)
-    nodes, wgl = composite_gauss(edges, npts)
-    bp, jac, inward = cs.boundary_frame(nodes)
+    phi_star, dist = mesh.cs.nearest_parameter(x, max(512, 4 * mesh.m_angular))
+    depth = _graded_depth(mesh.cs, dist) if depth is None else depth
+    nodes, wgl = composite_gauss(graded_edges_toward(phi_star, math.pi, depth),
+                                 max(8, mesh.m_angular // 12))
+    bp, jac, inward = mesh.cs.boundary_frame(nodes)
     return bp, wgl * jac, inward
 
 
@@ -320,11 +292,10 @@ class _LateralKernel:
     """The density-free half of the lateral potentials at one target.
 
     On the mesh rule (graded None) or the graded rule it holds the
-    causality window, the substituted time grid and its barycentric matrix,
-    and the kernel profile of the last exponent applied.  ``apply`` weights
-    one density's samples (see ``_samples``) with them, so the densities of
-    one target share all of this work; applying them grouped by kernel kind
-    builds each profile once and holds one at a time.
+    causality window, the substituted time grid, its barycentric matrix and
+    the decay profile exp(-u0 e^v) of every kernel kind.  ``apply`` folds the
+    kind's factor e^((p-1) v), far from overflow as u0 e^v <= ``_U_CAP``,
+    into the v-weights and weights one density's samples (see ``_samples``).
     """
 
     def __init__(self, mesh, A, x, t, star, graded=None):
@@ -360,7 +331,9 @@ class _LateralKernel:
         times = (t + tau_v) if star else (t - tau_v)
         self.interp = _barycentric_matrix(mesh.tnodes, times).T
         self.pref = (4.0 * math.pi) ** (-self.n / 2.0) / math.sqrt(A.det)
-        self.p = self.profile = None
+        self.decay = np.multiply.outer(-self.u0, np.exp(self.vnodes))
+        with np.errstate(under="ignore"):
+            np.exp(self.decay, out=self.decay)
         self.dead = False
 
     def apply(self, kind, samples, nu_fixed=None):
@@ -369,22 +342,16 @@ class _LateralKernel:
         if self.dead:
             return 0.0
         p = _kernel_exponent(kind, self.n)
-        if p != self.p:
-            self.profile = None  # free the old profile before building the next
-            with np.errstate(under="ignore"):
-                self.profile = np.exp((p - 1.0) * self.vnodes[None, :]
-                                      - self.u0[:, None] * np.exp(self.vnodes)[None, :])
-            self.p = p
-        dens = samples @ self.interp
-        inner = self.tau_hi ** (1.0 - p) * (self.profile * dens) @ self.vw
+        vw = self.vw * np.exp((p - 1.0) * self.vnodes)
+        inner = self.tau_hi ** (1.0 - p) * (self.decay * (samples @ self.interp)) @ vw
         geom = _geometry_factor(kind, self.x, self.points, self.normals, nu_fixed)
         return float(self.pref * np.sum(self.weights * geom * inner))
 
 
 def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False):
     x, t = _as_xt(target)
-    graded = (_near_boundary_rule(mesh, x)
-              if phi.generator is not None and _near_wall(mesh, x) else None)
+    graded = (_near_boundary_rule(mesh, x) if phi.generator is not None
+              and _near_wall(mesh, mesh.distance_to_wall(x)) else None)
     samples = _samples(mesh, phi, graded)
     return _LateralKernel(mesh, A, x, t, star, graded).apply(kind, samples, nu_fixed)
 
@@ -432,20 +399,21 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h):
 # cap potentials
 
 
-def _cap_values(mesh, A, phis, x, t, star):
+def _cap_values(mesh, A, phis, x, t, star, frame=None):
     """Cap potentials at (x, t) of the densities ``phis``, on one cap.
 
     Densities with a generator take the tensor Gauss-Hermite rule when the
-    Gaussian fits inside the cross-section; the rest share one evaluation of
-    the fundamental solution at the cap points.
+    Gaussian fits inside the cross-section (by the target's ``WallFrame``,
+    measured here if not given); the rest share one G at the cap points.
     """
     T = mesh.T
     w = (T - t) if star else t
     if w <= 0.0:
         return [0.0] * len(phis)
-    hermite = (any(phi.generator is not None for phi in phis)
-               and mesh.cs.radial_gap(x) < 0.0
-               and 12.0 * math.sqrt(w * A.eig_max) <= mesh.distance_to_wall(x))
+    hermite = any(phi.generator is not None for phi in phis)
+    if hermite:
+        frame = frame or mesh.wall_frame((x, t))
+        hermite = frame.gap < 0.0 and 12.0 * math.sqrt(w * A.eig_max) <= frame.distance
     if hermite:
         uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
         pts = x[None, :] + 2.0 * math.sqrt(w) * (uu @ A.chol.T)
@@ -505,11 +473,12 @@ def representation_at(mesh, A, densities, target, star=False):
     work to this layer; the package does not export it.
     """
     x, t = _as_xt(target)
-    if mesh.locate((x, t)).kind == "boundary":
+    frame = mesh.wall_frame((x, t))
+    if frame.location.kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
-    graded = _near_boundary_rule(mesh, x) if _near_wall(mesh, x) else None
+    graded = _near_boundary_rule(mesh, x) if _near_wall(mesh, frame.distance) else None
     kernel = _LateralKernel(mesh, A, x, t, star, graded)
-    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star)
+    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, frame)
     doubles = [kernel.apply("double", _samples(mesh, trace, graded))
                for trace, _, _ in densities]
     # a zero single layer leaves D - S = D bit for bit
@@ -630,10 +599,13 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     Richardson.  The two-sided difference of the Richardson limits
     estimates the density jump: +phi for the double layer, -phi for the
     conormal derivative of the single layer.  Nodes with times within 10% of
-    the corners are rejected.
+    the corners are rejected, and so is n != 2: there is no graded rule
+    toward a 3-D wall yet, and the mesh rule misses these limits.
     """
     if kind not in ("double", "conormal_single"):
         raise ValueError("kind must be 'double' or 'conormal_single'")
+    if mesh.cs.n != 2:
+        raise DimensionMismatch("jump probes need a planar cross-section (n = 2)")
     if phi.generator is None:
         raise ValueError("jump probes need a density with a closed-form generator")
     b, k = mesh.lateral_index(int(node_index))
@@ -643,16 +615,12 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     x0 = mesh.bpoints[b]
     nu = mesh.bnormals[b]
 
-    h0 = _JUMP_H0_FACTOR * mesh.diameter
-    offsets = h0 * 0.5 ** np.arange(_JUMP_LEVELS)
+    offsets = _JUMP_H0_FACTOR * mesh.diameter * 0.5 ** np.arange(_JUMP_LEVELS)
 
-    graded = None
-    if mesh.cs.n == 2:
-        # one graded rule deep enough for the smallest offset, reused at every
-        # level so the h-expansion seen by the extrapolation stays smooth
-        probe = mesh.offset_point(node_index, offsets[-1]).x
-        depth = _graded_depth(mesh.cs, offsets[-1])
-        graded = _near_boundary_rule(mesh, probe, depth=depth)
+    # one graded rule deep enough for the smallest offset, reused at every
+    # level so the h-expansion seen by the extrapolation stays smooth
+    probe = mesh.offset_point(node_index, offsets[-1]).x
+    graded = _near_boundary_rule(mesh, probe, depth=_graded_depth(mesh.cs, offsets[-1]))
     samples = _samples(mesh, phi, graded)
     lateral_kind = "double" if kind == "double" else "conormal_fixed"
 
@@ -667,16 +635,7 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
 
     phi0 = float(np.asarray(phi.generator(x0[None, :], np.array([t0]), nu[None, :]))[0])
     predicted = phi0 if kind == "double" else -phi0
-    return JumpProbeReport(
-        kind=kind,
-        node_index=int(node_index),
-        x0=x0.copy(),
-        t0=t0,
-        offsets=offsets,
-        interior_values=vin,
-        exterior_values=vex,
-        interior_limit=li,
-        exterior_limit=le,
-        jump_estimate=li - le,
-        predicted_jump=predicted,
-    )
+    return JumpProbeReport(kind=kind, node_index=int(node_index), x0=x0.copy(), t0=t0,
+                           offsets=offsets, interior_values=vin, exterior_values=vex,
+                           interior_limit=li, exterior_limit=le, jump_estimate=li - le,
+                           predicted_jump=predicted)

@@ -152,6 +152,69 @@ def test_barycentric_matrix_matches_the_uncached_weights(disk_mesh_I):
     assert not weights.flags.writeable
 
 
+def _unsplit_apply(kernel, kind, samples, nu_fixed):
+    """The lateral sum with the kernel profile exp((p-1) v - u0 e^v) built
+    in one piece, as before the decay profile was shared."""
+    p = potentials._kernel_exponent(kind, kernel.n)
+    profile = np.exp((p - 1.0) * kernel.vnodes[None, :]
+                     - kernel.u0[:, None] * np.exp(kernel.vnodes)[None, :])
+    inner = kernel.tau_hi ** (1.0 - p) * (profile * (samples @ kernel.interp)) @ kernel.vw
+    geom = potentials._geometry_factor(kind, kernel.x, kernel.points, kernel.normals, nu_fixed)
+    return float(kernel.pref * np.sum(kernel.weights * geom * inner))
+
+
+@pytest.mark.parametrize("fix, mat", [("disk_mesh_B", "B2"), ("ellipse_mesh_B", "B2"),
+                                      ("ball_mesh", "I3")])
+@pytest.mark.parametrize("star", [False, True])
+def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
+    # one decay profile per target, with each kind's factor e^((p-1) v)
+    # folded into the v-weights: radial fractions 0.5 and 1.5 take the mesh
+    # rule, 0.97 and 1.03 the graded rule on n = 2 meshes
+    mesh = request.getfixturevalue(fix)
+    A = request.getfixturevalue(mat)
+    n = A.n
+    phi = cx.DensityField.from_function(
+        mesh, "sigma3", lambda p, t, nu: (1.0 + 0.5 * p[:, 0] - 0.3 * p[:, 1] ** 2) * (1.0 + t))
+    d = np.array([0.6, 0.8, 0.5][:n])
+    d /= np.linalg.norm(d)
+    rim = float(mesh.cs.radius(d[None, :])[0]) * d
+    nu_fixed = mesh.bnormals[3]
+    graded_seen = 0
+    for frac, t in ((0.5, 0.3), (0.97, 0.45), (1.03, 0.6), (1.5, 0.75)):
+        x = frac * rim
+        graded = (potentials._near_boundary_rule(mesh, x)
+                  if potentials._near_wall(mesh, mesh.distance_to_wall(x)) else None)
+        graded_seen += graded is not None
+        samples = potentials._samples(mesh, phi, graded)
+        kernel = potentials._LateralKernel(mesh, A, x, t, star, graded)
+        assert not kernel.dead
+        for kind in ("double", "single", "conormal_fixed"):
+            got = kernel.apply(kind, samples, nu_fixed)
+            want = _unsplit_apply(kernel, kind, samples, nu_fixed)
+            assert abs(got - want) <= 1e-13 * abs(want)
+    assert graded_seen == (2 if n == 2 else 0)
+
+
+def test_graded_rule_build_polishes_in_few_frames(disk_mesh_I, ellipse_mesh_B, monkeypatch):
+    # the nearest boundary parameter takes one coarse search, at most three
+    # polish steps of one boundary_frame call each, and the rule's own frame
+    calls = []
+    frame = cx.CrossSection.boundary_frame
+
+    def counted(self, phi):
+        calls.append(np.size(phi))
+        return frame(self, phi)
+
+    monkeypatch.setattr(cx.CrossSection, "boundary_frame", counted)
+    for mesh in (disk_mesh_I, ellipse_mesh_B):
+        for x in (np.array([0.97, 0.1]), np.array([-0.3, 1.02])):
+            x = x * mesh.cs.radius_extremes()[1]
+            calls.clear()
+            potentials._near_boundary_rule(mesh, x)
+            assert len(calls) <= 5
+            assert all(size <= 3 for size in calls[1:-1])
+
+
 # -- adjoint operators are time reflections ---------------------------------
 
 def test_star_operators_match_time_reflection(ellipse_mesh_B, B2):
@@ -261,6 +324,23 @@ def test_jump_probe_needs_generator(disk_mesh_I, I2):
     K = disk_mesh_I.tnodes.shape[0]
     with pytest.raises(ValueError):
         cx.jump_probe(disk_mesh_I, I2, sampled, K // 2, "double")
+
+
+def test_jump_probe_refuses_three_space(ball_mesh, I3):
+    # there is no graded rule toward a 3-D wall, and the mesh rule misses the
+    # limits by orders of magnitude, so the probe refuses before sampling
+    calls = []
+
+    def gen(p, t, nu):
+        calls.append(p.shape[0])
+        return 1.0 + 0.3 * p[:, 0] + 0.2 * t * t
+
+    phi = cx.DensityField("sigma3", np.ones(ball_mesh.n_lateral), gen)
+    K = ball_mesh.tnodes.shape[0]
+    for kind in ("double", "conormal_single"):
+        with pytest.raises(DimensionMismatch):
+            cx.jump_probe(ball_mesh, I3, phi, 5 * K + K // 2, kind)
+    assert calls == []
 
 
 # -- boundary representation of caloric fields ------------------------------
@@ -402,6 +482,40 @@ def test_representation_values_match_the_per_layer_operators(fix, mat, which, re
         with pytest.raises(ValueError, match="generator"):
             potentials.representation_at(mesh, A, [(bare, None, layers[0][2])], targets[1],
                                          star=star)
+
+
+@pytest.mark.parametrize("fix, mat", [("ellipse_mesh_B", "B2"), ("ball_mesh", "I3")])
+@pytest.mark.parametrize("which", ["H", "H*"])
+def test_representation_measures_the_wall_once_per_target(fix, mat, which, request,
+                                                          monkeypatch):
+    # one wall frame per target: its location, the lateral rule switch and
+    # the Gauss-Hermite clearance of the cap all read one radial gap and
+    # one wall distance
+    mesh = request.getfixturevalue(fix)
+    A = request.getfixturevalue(mat)
+    fields = [cx.ConstantField()] + [fld for w, fld in _representation_cases(mesh, A)
+                                     if w == which]
+    values = cx.representation_values(mesh, A, fields, which)
+    calls = {"distance": 0, "gap": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(type(mesh), "distance_to_wall",
+                        counted("distance", type(mesh).distance_to_wall))
+    monkeypatch.setattr(cx.CrossSection, "radial_gap",
+                        counted("gap", cx.CrossSection.radial_gap))
+    d = np.array([0.6, 0.8, 0.5][:A.n])
+    d /= np.linalg.norm(d)
+    rim = float(mesh.cs.radius(d[None, :])[0]) * d
+    targets = [(frac * rim, t) for frac, t in
+               ((0.3, 0.5), (0.5, 0.3), (0.97, 0.45), (1.03, 0.6), (1.5, 0.75))]
+    for target in targets:
+        values(target)
+    assert calls == {"distance": len(targets), "gap": len(targets)}
 
 
 # -- cap potentials and the initial limit -----------------------------------
