@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
     InvalidResolution,
-    NonRationalCoefficients,
     NotCaloric,
     NotPositiveDefinite,
     NotSymmetric,

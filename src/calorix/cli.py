@@ -383,10 +383,9 @@ def _parabolic_residual(A, f, z, tau, sign):
 # ---------------------------------------------------------------------------
 # tasks
 
-def _task_verify_kernels(ctx):
+def _task_verify_kernels(ctx, rep):
     """Finite-difference checks that the kernel and its companions satisfy
     the defining differential identities, plus the unit-mass property."""
-    rep = Reporter(ctx, "verify-kernels")
     cfg = ctx.task_cfg
     probes = cfg.get("probes", 10)
     tol = cfg.get("tolerance", 1e-5)
@@ -442,11 +441,9 @@ def _task_verify_kernels(ctx):
         worst = max(es)
         rep.check(name, worst < tol, f"max relative residual {worst:.3e} (tol {tol:g})")
     rep.check("vanishes-nonpositive-time", dead == 0.0, f"max |G| at tau<=0 is {dead:g}")
-    rep.finish()
 
 
-def _task_verify_jumps(ctx):
-    rep = Reporter(ctx, "verify-jumps")
+def _task_verify_jumps(ctx, rep):
     cfg = ctx.task_cfg
     if ctx.A.n != 2:
         raise ConfigInvalid("verify-jumps runs on planar cross-sections (n=2)")
@@ -498,11 +495,9 @@ def _task_verify_jumps(ctx):
     for kind in kinds:
         rep.check(f"jump-{kind}", worst[kind] <= tol,
                   f"max relative error {worst[kind]:.3e} over {len(jobs)} probes (tol {tol:g})")
-    rep.finish()
 
 
-def _task_verify_identities(ctx):
-    rep = Reporter(ctx, "verify-identities")
+def _task_verify_identities(ctx, rep):
     cfg = ctx.task_cfg
     n_int = cfg.get("interior_probes", 20)
     n_ext = cfg.get("exterior_probes", 20)
@@ -514,56 +509,49 @@ def _task_verify_identities(ctx):
     def fmt_x(x):
         return " ".join("%.17g" % c for c in x)
 
-    ints = [(x, ctx.rng.uniform(0.1, 0.9) * ctx.T)
-            for x in _radial_points(ctx, n_int, (0.15, 0.8))]
-    exts = [(x, ctx.rng.uniform(0.1, 0.9) * ctx.T)
-            for x in _radial_points(ctx, n_ext, (1.3, 1.8))]
+    # interior targets, then exterior ones
+    targets = [(x, ctx.rng.uniform(0.1, 0.9) * ctx.T)
+               for count, fracs in ((n_int, (0.15, 0.8)), (n_ext, (1.3, 1.8)))
+               for x in _radial_points(ctx, count, fracs)]
+    classes = ["interior"] * n_int + ["exterior"] * n_ext
 
     xi = ctx.rng.normal(size=A.n) * 0.5
     fields = {"partition": ConstantField(),
               "H": CaloricExponentialField(A, xi, sign=+1),
               "H*": CaloricExponentialField(A, xi, sign=-1)}
-    values = {}
+    values, errors = {}, {}
     # u = 1 (the partition identity) and u_H share the forward kernel at
     # each target, u_H* takes the adjoint one
     for which, names in (("H", ("partition", "H")), ("H*", ("H*",))):
         represent = representation_values(mesh, A, [fields[k] for k in names], which)
-        out_i = ctx.parallel_map(represent, ints)
-        out_e = ctx.parallel_map(represent, exts)
+        out = ctx.parallel_map(represent, targets)
         del represent  # release this direction's densities before the next samples its own
         for k, name in enumerate(names):
-            values[name] = ([v[k] for v in out_i], [v[k] for v in out_e])
+            values[name] = [v[k] for v in out]
+            errors[name] = [representation_discrepancy(mesh, fields[name], tgt, v)
+                            for tgt, v in zip(targets, values[name])]
 
-    vals_i, vals_e = values["partition"]
-    worst_pi = max(abs(v - 1.0) for v in vals_i)
-    worst_pe = max(abs(v) for v in vals_e)
-    for (x, t), v in zip(ints, vals_i):
-        rows.append(["partition", "interior", fmt_x(x), t, v, 1.0, abs(v - 1.0)])
-    for (x, t), v in zip(exts, vals_e):
-        rows.append(["partition", "exterior", fmt_x(x), t, v, 0.0, abs(v)])
+    errs = errors["partition"]
+    for (x, t), cls, v, e in zip(targets, classes, values["partition"], errs):
+        rows.append(["partition", cls, fmt_x(x), t, v, 1.0 if cls == "interior" else 0.0, e])
+    worst_pi, worst_pe = max(errs[:n_int]), max(errs[n_int:])
     rep.check("partition-interior", worst_pi < tol,
               f"max |value-1| = {worst_pi:.3e} (tol {tol:g})")
     rep.check("partition-exterior", worst_pe < tol,
               f"max |value| = {worst_pe:.3e} (tol {tol:g})")
 
     for which in ("H", "H*"):
-        u = fields[which]
-        out_i, out_e = values[which]
-        vi = [representation_discrepancy(mesh, u, tgt, v) for tgt, v in zip(ints, out_i)]
-        ve = [representation_discrepancy(mesh, u, tgt, v) for tgt, v in zip(exts, out_e)]
-        for (x, t), v in zip(ints, vi):
-            rows.append([f"representation-{which}", "interior", fmt_x(x), t, v, 0.0, v])
-        for (x, t), v in zip(exts, ve):
-            rows.append([f"representation-{which}", "exterior", fmt_x(x), t, v, 0.0, v])
-        worst = max(max(vi), max(ve))
+        for (x, t), cls, e in zip(targets, classes, errors[which]):
+            rows.append([f"representation-{which}", cls, fmt_x(x), t, e, 0.0, e])
+        worst = max(errors[which])
         rep.check(f"representation-{which}", worst < tol,
                   f"max discrepancy {worst:.3e} (tol {tol:g})")
 
     if A.n >= 3:
         wi = we = ws = 0.0
-        for x, _ in ints:
+        for x, _ in targets[:n_int]:
             wi = max(wi, abs(elliptic_gauss_identity(cs, A, x) - 1.0))
-        for x, _ in exts:
+        for x, _ in targets[n_int:]:
             we = max(we, abs(elliptic_gauss_identity(cs, A, x)))
         for _ in range(n_int):
             d = ctx.rng.normal(size=A.n); d /= np.linalg.norm(d)
@@ -578,11 +566,9 @@ def _task_verify_identities(ctx):
                   f"max |value-1/2| = {ws:.3e} (tol {surf_tol:g})")
 
     rep.add_table("identities", rows)
-    rep.finish()
 
 
-def _task_poly_table(ctx):
-    rep = Reporter(ctx, "poly-table")
+def _task_poly_table(ctx, rep):
     cfg = ctx.task_cfg
     max_degree = cfg.get("max_degree", 4)
     parity = ctx.parity
@@ -600,7 +586,6 @@ def _task_poly_table(ctx):
     expected = math.comb(A.n + max_degree, A.n)
     rep.check("basis-count", count == expected,
               f"{count} polynomials (expected {expected})")
-    rep.finish()
 
 
 def _load_boundary_data(ctx, spec):
@@ -643,8 +628,7 @@ def _load_boundary_data(ctx, spec):
         raise ConfigInvalid(f"values file {full}: {exc}") from exc
 
 
-def _task_solve(ctx):
-    rep = Reporter(ctx, "solve")
+def _task_solve(ctx, rep):
     cfg = ctx.task_cfg
     degree = cfg.get("degree", 6)
     rcond = cfg.get("rcond", 1e-12)
@@ -669,11 +653,9 @@ def _task_solve(ctx):
     if "max_residual" in cfg:
         rep.check("max-residual", approx.residual <= cfg["max_residual"],
                   f"residual {approx.residual:.6e} (tol {cfg['max_residual']:g})")
-    rep.finish()
 
 
-def _task_completeness(ctx):
-    rep = Reporter(ctx, "completeness")
+def _task_completeness(ctx, rep):
     cfg = ctx.task_cfg
     degrees = cfg.get("degrees", list(range(0, 13, 2)))
     rcond = cfg.get("rcond", 1e-12)
@@ -715,15 +697,15 @@ def _task_completeness(ctx):
         rep.extra_json["cross_validation"] = cv.to_json_dict()
         rep.check("cross-consistent", not cv.flagged,
                   f"fine/coarse residual ratio {cv.ratio:.3f}")
-    rep.finish()
 
 
 # ---------------------------------------------------------------------------
 # task registry
 
 class TaskSpec(NamedTuple):
-    """One CLI task: what runs, its catalog text, and the schema of the keys
-    its config block accepts besides ``name``."""
+    """One CLI task: what runs (``run(ctx, rep)`` fills the run's
+    ``Reporter``, which ``main`` writes out), its catalog text, and the
+    schema of the keys its config block accepts besides ``name``."""
 
     run: Callable
     summary: str
@@ -859,7 +841,7 @@ def main(argv=None):
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--out", help="output directory (default: the "
                                       "config's output block, else 'out')")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: runs are serial")
     args = parser.parse_args(argv)
 
@@ -893,18 +875,11 @@ def main(argv=None):
         else:
             rel = config.get("output", {}).get("directory", "out")
             out_dir = os.path.join(config_dir, rel)
-        if args.threads is not None:
-            threads = args.threads
-        else:
-            raw = os.environ.get("CALORIX_THREADS", "1")
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise ConfigInvalid(
-                    f"CALORIX_THREADS must be an integer, got {raw!r}") from None
 
-        ctx = RunContext(config, config_dir, out_dir, threads)
-        TASKS[args.task].run(ctx)
+        ctx = RunContext(config, config_dir, out_dir, args.threads)
+        rep = Reporter(ctx, args.task)
+        TASKS[args.task].run(ctx, rep)
+        rep.finish()
     except TaskFailed as exc:
         print(f"task failed: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionTooSmall, NonRationalCoefficients, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionTooSmall, NotPositiveDefinite, NotSymmetric
 from .quadrature import unit_sphere_area
 
 # exponents below this underflow to an exact zero instead of raising
@@ -87,15 +87,7 @@ class CoefficientMatrix:
     def entries_exact(self):
         """Entries snapped to exact rationals (floats are dyadic, so exact);
         built on first access and kept, since the matrix is immutable."""
-        rows = []
-        for row in self.a:
-            out = []
-            for v in row:
-                if not np.isfinite(v):
-                    raise NonRationalCoefficients("matrix entry is not finite")
-                out.append(Fraction(float(v)))
-            rows.append(tuple(out))
-        return tuple(rows)
+        return tuple(tuple(Fraction(float(v)) for v in row) for row in self.a)
 
     def __repr__(self):
         return f"CoefficientMatrix(n={self.n}, a={self.a.tolist()})"

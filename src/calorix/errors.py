@@ -17,10 +17,6 @@ class DimensionTooSmall(CalorixError):
     """Operation requires a higher space dimension (elliptic kernels need n >= 3)."""
 
 
-class NonRationalCoefficients(CalorixError):
-    """Matrix entries cannot be represented as exact rationals."""
-
-
 class NotCaloric(CalorixError):
     """Polynomial is not in the span of the requested caloric family."""
 

@@ -390,32 +390,22 @@ def build_mesh(cs, A, T, m_angular, m_time, m_radial):
     mesh = CylinderMesh(cs=cs, A=A, T=float(T), m_angular=int(m_angular),
                         m_time=int(m_time), m_radial=int(m_radial))
 
+    # the angular rule and its boundary frame are all that depends on n
     if cs.n == 2:
-        phi, wphi = periodic_trapezoid(m_angular)
-        points, jac, inward = cs.boundary_frame(phi)
-        mesh.bpoints = points
-        mesh.bnormals = inward
-        mesh.bweights = wphi * jac
-        s, ws = gauss_legendre(m_radial, 0.0, 1.0)
-        # cap rule: radial Gauss x angular trapezoid, jacobian s * rho(phi)^2
-        rho_phi = cs.radius(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
-        cap_pts = (s[:, None, None] * (rho_phi[None, :, None] *
-                                       np.stack([np.cos(phi), np.sin(phi)], axis=-1)[None, :, :]))
-        cap_w = (ws[:, None] * s[:, None] * (rho_phi**2)[None, :] * wphi[None, :])
-        mesh.cap_points = cap_pts.reshape(-1, 2)
-        mesh.cap_weights = cap_w.reshape(-1)
+        phi, wdirs = periodic_trapezoid(m_angular)
+        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        mesh.bpoints, jac, mesh.bnormals = cs.boundary_frame(phi)
     else:
         dirs, wdirs = sphere_rule(m_angular)
-        points, jac, inward = cs.sphere_frame(dirs)
-        mesh.bpoints = points
-        mesh.bnormals = inward
-        mesh.bweights = wdirs * jac
-        s, ws = gauss_legendre(m_radial, 0.0, 1.0)
-        rho = cs.radius(dirs)
-        cap_pts = s[:, None, None] * (rho[None, :, None] * dirs[None, :, :])
-        cap_w = ws[:, None] * s[:, None] ** 2 * (rho**3)[None, :] * wdirs[None, :]
-        mesh.cap_points = cap_pts.reshape(-1, 3)
-        mesh.cap_weights = cap_w.reshape(-1)
+        mesh.bpoints, jac, mesh.bnormals = cs.sphere_frame(dirs)
+    mesh.bweights = wdirs * jac
+    # cap rule: radial Gauss x angular rule, jacobian s^(n-1) rho^n
+    s, ws = gauss_legendre(m_radial, 0.0, 1.0)
+    rho = cs.radius(dirs)
+    cap_pts = s[:, None, None] * (rho[None, :, None] * dirs[None, :, :])
+    cap_w = ws[:, None] * s[:, None] ** (cs.n - 1) * (rho**cs.n)[None, :] * wdirs[None, :]
+    mesh.cap_points = cap_pts.reshape(-1, cs.n)
+    mesh.cap_weights = cap_w.reshape(-1)
 
     mesh.bconormals = mesh.bnormals @ A.a.T
     mesh.tnodes, mesh.tweights = gauss_legendre(m_time, 0.0, T)

@@ -8,9 +8,11 @@ integrand on a log grid.  There is one time path: a lateral density is held
 as samples at its rule's points x ``mesh.tnodes`` and interpolated in time
 (barycentric Lagrange), so it must be smooth in t on [0, T].  The mesh rule
 takes the nodal samples.  A closed-form generator serves only angular
-resampling, onto the graded rule that n = 2 targets within a few angular
-spacings of the wall get (sampled once per rule), and the Gauss-Hermite rule
-of the bottom cap.
+resampling, onto the graded rule (sampled once per rule), and the
+Gauss-Hermite rule of the caps.  Every lateral operator reaches a target by
+one path: the target's ``WallFrame`` picks the rule, and n = 2 targets within
+a few angular spacings of the wall take the graded one, so there a density
+without a generator raises ValueError instead of taking the mesh rule.
 
 Adjoint (star) variants integrate against the time-reversed kernel; they are
 computed directly, and tests compare them with the forward operators on a
@@ -348,12 +350,17 @@ class _LateralKernel:
         return float(self.pref * np.sum(self.weights * geom * inner))
 
 
+def _target_kernel(mesh, A, x, t, star, frame):
+    """The lateral rule of target (x, t) and its kernel: the graded rule when
+    the target's ``WallFrame`` puts it near the wall, else the mesh rule."""
+    graded = _near_boundary_rule(mesh, x) if _near_wall(mesh, frame.distance) else None
+    return graded, _LateralKernel(mesh, A, x, t, star, graded)
+
+
 def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False):
     x, t = _as_xt(target)
-    graded = (_near_boundary_rule(mesh, x) if phi.generator is not None
-              and _near_wall(mesh, mesh.distance_to_wall(x)) else None)
-    samples = _samples(mesh, phi, graded)
-    return _LateralKernel(mesh, A, x, t, star, graded).apply(kind, samples, nu_fixed)
+    graded, kernel = _target_kernel(mesh, A, x, t, star, mesh.wall_frame((x, t)))
+    return kernel.apply(kind, _samples(mesh, phi, graded), nu_fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +406,19 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h):
 # cap potentials
 
 
-def _cap_values(mesh, A, phis, x, t, star, frame=None):
+def _cap_values(mesh, A, phis, x, t, star, frame):
     """Cap potentials at (x, t) of the densities ``phis``, on one cap.
 
     Densities with a generator take the tensor Gauss-Hermite rule when the
-    Gaussian fits inside the cross-section (by the target's ``WallFrame``,
-    measured here if not given); the rest share one G at the cap points.
+    Gaussian fits inside the cross-section, by the target's ``WallFrame``;
+    the rest share one G at the cap points.
     """
     T = mesh.T
     w = (T - t) if star else t
     if w <= 0.0:
         return [0.0] * len(phis)
-    hermite = any(phi.generator is not None for phi in phis)
-    if hermite:
-        frame = frame or mesh.wall_frame((x, t))
-        hermite = frame.gap < 0.0 and 12.0 * math.sqrt(w * A.eig_max) <= frame.distance
+    hermite = (any(phi.generator is not None for phi in phis) and frame.gap < 0.0
+               and 12.0 * math.sqrt(w * A.eig_max) <= frame.distance)
     if hermite:
         uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
         pts = x[None, :] + 2.0 * math.sqrt(w) * (uu @ A.chol.T)
@@ -436,7 +441,8 @@ def cap_potential(mesh, A, phi, target):
     phi(y) G(x - y, t).  Converges to phi(x) as t -> 0+ for smooth phi."""
     if phi.region != "sigma2":
         raise DimensionMismatch("cap_potential needs a density on sigma2")
-    return _cap_values(mesh, A, [phi], *_as_xt(target), star=False)[0]
+    x, t = _as_xt(target)
+    return _cap_values(mesh, A, [phi], x, t, False, mesh.wall_frame((x, t)))[0]
 
 
 def cap_potential_star(mesh, A, phi, target):
@@ -444,7 +450,8 @@ def cap_potential_star(mesh, A, phi, target):
     phi(y) G(y - x, T - s); converges to phi(x) as s -> T-."""
     if phi.region != "sigma1":
         raise DimensionMismatch("cap_potential_star needs a density on sigma1")
-    return _cap_values(mesh, A, [phi], *_as_xt(target), star=True)[0]
+    x, t = _as_xt(target)
+    return _cap_values(mesh, A, [phi], x, t, True, mesh.wall_frame((x, t)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +483,7 @@ def representation_at(mesh, A, densities, target, star=False):
     frame = mesh.wall_frame((x, t))
     if frame.location.kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
-    graded = _near_boundary_rule(mesh, x) if _near_wall(mesh, frame.distance) else None
-    kernel = _LateralKernel(mesh, A, x, t, star, graded)
+    graded, kernel = _target_kernel(mesh, A, x, t, star, frame)
     caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, frame)
     doubles = [kernel.apply("double", _samples(mesh, trace, graded))
                for trace, _, _ in densities]

@@ -518,16 +518,6 @@ def test_verify_kernels_run(tmp_path):
 
 # -- input errors exit 2 with one line ----------------------------------------
 
-def test_non_integer_thread_env_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CALORIX_THREADS", "abc")
-    cfg = make_config("poly-table", {"max_degree": 1})
-    assert run_cli("poly-table", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path / "o")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "CALORIX_THREADS" in err
-    assert err.count("\n") == 1
-
-
 def test_degenerate_data_exits_two(tmp_path, capsys):
     # exp(<x, xi> + t <xi, xi>) overflows on the boundary nodes
     cfg = make_config("solve", {"degree": 2,

@@ -10,6 +10,7 @@ from calorix.errors import (
     InvalidResolution,
     OffsetTooLarge,
 )
+from calorix.quadrature import gauss_legendre, periodic_trapezoid, sphere_rule
 
 # perimeter of the (2, 1) ellipse, frozen from the arithmetic-geometric
 # series and confirmed by direct arc-length quadrature
@@ -188,6 +189,50 @@ def test_build_mesh_guards(disk, C3, I2):
         cx.build_mesh(disk, I2, 1.0, 1, 8, 8)
     with pytest.raises(InvalidResolution):
         cx.build_mesh(disk, I2, -1.0, 16, 8, 8)
+
+
+def _per_dimension_mesh_arrays(cs, A, T, m_angular, m_time, m_radial):
+    """The eight mesh arrays from the lateral and cap rules written out once
+    per dimension, as the reference that build_mesh must reproduce."""
+    s, ws = gauss_legendre(m_radial, 0.0, 1.0)
+    if cs.n == 2:
+        phi, wphi = periodic_trapezoid(m_angular)
+        points, jac, inward = cs.boundary_frame(phi)
+        bweights = wphi * jac
+        rho_phi = cs.radius(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+        cap_pts = (s[:, None, None] * (rho_phi[None, :, None] *
+                                       np.stack([np.cos(phi), np.sin(phi)], axis=-1)[None, :, :]))
+        cap_w = (ws[:, None] * s[:, None] * (rho_phi**2)[None, :] * wphi[None, :])
+    else:
+        dirs, wdirs = sphere_rule(m_angular)
+        points, jac, inward = cs.sphere_frame(dirs)
+        bweights = wdirs * jac
+        rho = cs.radius(dirs)
+        cap_pts = s[:, None, None] * (rho[None, :, None] * dirs[None, :, :])
+        cap_w = ws[:, None] * s[:, None] ** 2 * (rho**3)[None, :] * wdirs[None, :]
+    tnodes, tweights = gauss_legendre(m_time, 0.0, T)
+    return {"bpoints": points, "bnormals": inward, "bconormals": inward @ A.a.T,
+            "bweights": bweights, "tnodes": tnodes, "tweights": tweights,
+            "cap_points": cap_pts.reshape(-1, cs.n), "cap_weights": cap_w.reshape(-1)}
+
+
+@pytest.mark.parametrize("cs, resolutions", [
+    (cx.CrossSection.disk(1.0), [(16, 4, 3), (96, 48, 24), (128, 48, 24)]),
+    (cx.CrossSection.ellipse(2.0, 1.0), [(16, 4, 3), (96, 48, 24), (160, 48, 24)]),
+    (cx.CrossSection.star(1.0, (0.1, 0.05), (0.0, 0.08)), [(16, 4, 3), (64, 16, 8), (96, 48, 24)]),
+    (cx.CrossSection.ball(1.0), [(8, 4, 3), (32, 16, 8), (48, 32, 16)]),
+    (cx.CrossSection.ellipsoid(1.5, 1.0, 0.75), [(8, 4, 3), (24, 8, 6), (32, 16, 8)]),
+], ids=["disk", "ellipse", "star", "ball", "ellipsoid"])
+def test_build_mesh_matches_per_dimension_rules(cs, resolutions):
+    # one assembly for n = 2 and n = 3: only the angular rule and its frame
+    # depend on n, and every array stays bit for bit what the separate
+    # per-dimension rules give
+    A = cx.make_coefficients(cs.n, np.eye(cs.n) + 0.25 * (1.0 - np.eye(cs.n)))
+    for m in resolutions:
+        mesh = cx.build_mesh(cs, A, 0.7, *m)
+        for name, want in _per_dimension_mesh_arrays(cs, A, 0.7, *m).items():
+            got = getattr(mesh, name)
+            assert got.shape == want.shape and np.array_equal(got, want), (m, name)
 
 
 def test_fingerprint_tracks_inputs(disk, I2):

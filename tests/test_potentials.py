@@ -89,6 +89,34 @@ def test_sampled_matches_generator(ellipse_mesh_B, B2):
             assert b == pytest.approx(a, rel=1e-11, abs=1e-13)
 
 
+def test_sampled_density_near_the_wall_raises(disk_mesh_B, B2):
+    # every lateral operator reaches a target by one path: near the wall it
+    # takes the graded rule, which a density without a generator cannot
+    # feed, so it raises instead of falling back to the mesh rule
+    mesh = disk_mesh_B
+
+    def gen(p, t, nu):
+        return (1.0 + 0.3 * p[:, 0]) * (1.0 + 0.2 * t * t)
+
+    phi = cx.DensityField.from_function(mesh, "sigma3", gen)
+    sampled = cx.DensityField.from_values(mesh, "sigma3", phi.values)
+    d = np.array([math.cos(0.3), math.sin(0.3)])
+    for op in (cx.double_layer, cx.single_layer, cx.double_layer_star,
+               cx.single_layer_star):
+        for r in (0.99, 1.005):
+            with pytest.raises(ValueError, match="generator"):
+                op(mesh, B2, sampled, SpaceTimePoint(r * d, 0.5))
+            assert math.isfinite(op(mesh, B2, phi, SpaceTimePoint(r * d, 0.5)))
+    K = mesh.tnodes.shape[0]
+    node = 5 * K + K // 2
+    for h in (0.02, -0.02):
+        with pytest.raises(ValueError, match="generator"):
+            cx.conormal_derivative_single_layer(mesh, B2, sampled, node, h)
+    # far from the wall both take the mesh rule on the same nodal samples
+    assert (cx.conormal_derivative_single_layer(mesh, B2, sampled, node, 0.5)
+            == cx.conormal_derivative_single_layer(mesh, B2, phi, node, 0.5))
+
+
 def test_lateral_layers_converge_under_time_refinement(disk, B2):
     # every lateral density is interpolated in time from its samples at
     # mesh.tnodes; doubling m_time must leave all four layers unchanged to
