@@ -131,7 +131,9 @@ def _iter_errors(schema, value, path=()):
     in the schema's keyword order, worded as JSON Schema validators word
     them.  Only the keywords the config schemas use are understood; any
     other raises, so no schema rule is silently ignored.  ``enum`` and
-    ``const`` compare with ==, as the schemas list only strings."""
+    ``const`` compare with ==, as the schemas list only strings;
+    ``uniqueItems`` does too, so unlike JSON Schema it counts true and 1 as
+    equal items."""
     for key, arg in schema.items():
         if key == "type":
             if not _TYPES[arg](value):
@@ -153,6 +155,10 @@ def _iter_errors(schema, value, path=()):
         elif key == "minItems":
             if isinstance(value, list) and len(value) < arg:
                 yield path, f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif key == "uniqueItems":
+            if arg and isinstance(value, list) and any(
+                    a == b for i, a in enumerate(value) for b in value[:i]):
+                yield path, f"{value!r} has non-unique elements"
         elif key == "required":
             if isinstance(value, dict):
                 for name in arg:
@@ -479,17 +485,15 @@ def _task_verify_jumps(ctx, rep):
         jobs.append((phi, node))
     rows = [["probe", "kind", "jump", "predicted", "relative_error"]]
 
-    def run(job_kind):
-        (phi, node), kind = job_kind
-        return jump_probe(mesh, A, phi, node, kind)
+    def run(job):
+        phi, node = job
+        return jump_probe(mesh, A, phi, node, tuple(kinds))
 
     worst = {k: 0.0 for k in kinds}
-    results = ctx.parallel_map(run, [(j, k) for j in jobs for k in kinds])
-    for i, r in enumerate(results):
-        kind = kinds[i % len(kinds)]
-        rows.append([i // len(kinds), kind, r.jump_estimate, r.predicted_jump,
-                     r.relative_error])
-        worst[kind] = max(worst[kind], r.relative_error)
+    for i, reports in enumerate(ctx.parallel_map(run, jobs)):
+        for kind, r in zip(kinds, reports):
+            rows.append([i, kind, r.jump_estimate, r.predicted_jump, r.relative_error])
+            worst[kind] = max(worst[kind], r.relative_error)
 
     rep.add_table("jumps", rows)
     for kind in kinds:
@@ -725,10 +729,10 @@ TASKS = {
         _task_verify_jumps,
         "two-sided boundary limits of the double layer and of the conormal "
         "derivative of the single layer against the predicted density jumps",
-        "probes (int), kinds (subset of double, conormal_single), "
+        "probes (int), kinds (non-empty subset of double, conormal_single), "
         "tolerance (float); planar sections only",
         {"probes": _COUNT,
-         "kinds": {"type": "array",
+         "kinds": {"type": "array", "minItems": 1, "uniqueItems": True,
                    "items": {"enum": ["double", "conormal_single"]}},
          "tolerance": _POSITIVE}),
     "verify-identities": TaskSpec(

@@ -35,6 +35,7 @@ class CrossSection:
         self.kind = kind
         self.n = n
         self.params = dict(params)
+        self._star_extremes = None
 
     # -- factories ---------------------------------------------------------
 
@@ -119,9 +120,10 @@ class CrossSection:
         if self.kind in ("ellipse", "ellipsoid"):
             axes = self._axes()
             return float(axes.min()), float(axes.max())
-        phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        rho = self._star_rho(phi)
-        return float(rho.min()), float(rho.max())
+        if self._star_extremes is None:  # 4096 angles, sampled once
+            rho = self._star_rho(np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+            self._star_extremes = float(rho.min()), float(rho.max())
+        return self._star_extremes
 
     def radial_gap(self, x):
         """|x| - rho(x/|x|); negative inside the cross-section."""

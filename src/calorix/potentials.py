@@ -18,16 +18,13 @@ Adjoint (star) variants integrate against the time-reversed kernel; they are
 computed directly, and tests compare them with the forward operators on a
 time-reflected cylinder.
 
-Each potential has a per-target half and a per-density half.  At one target
-the lateral kernel (causality window, substituted time grid, barycentric
-matrix, one decay profile shared by every kernel kind) and the cap kernel
-(Gauss-Hermite points, or G at the cap points) are built once, and every
-density at that target is applied to them.  ``representation_values``
-samples the trace, flux and cap trace of several caloric fields once per run
-and evaluates all their layer representations at a target on that kernel.
-The partition identity is the representation of u = 1, whose zero flux adds
-no single layer, and ``representation_check`` is the discrepancy for one
-field.
+Each potential has a per-target half and a per-density half.  The time half
+of the lateral kernel (``_TimeGrid``: substituted time grid, barycentric
+matrix) serves the targets at one time on one rule, its space half
+(``_LateralKernel``: u0, one decay profile for every kernel kind) one target.
+A target builds both, and its cap kernel, once, and applies every density
+to them; a jump ladder shares one time grid, and the density on it, among
+its offsets and kinds.  The partition identity is the representation of u = 1.
 
 This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
@@ -73,6 +70,7 @@ _SURFACE_AZIMUTH = 128
 _JUMP_LEVELS = 9
 _JUMP_H0_FACTOR = 0.05
 _JUMP_RICHARDSON = 4
+_JUMP_KINDS = {"double": "double", "conormal_single": "conormal_fixed"}  # -> lateral kind
 
 
 @dataclass
@@ -290,77 +288,90 @@ def _barycentric_matrix(nodes, times):
     return m
 
 
-class _LateralKernel:
-    """The density-free half of the lateral potentials at one target.
+class _TimeGrid:
+    """Time half of the lateral kernel at time t, for the targets at t on one
+    rule: the grid v in [0, v_max], with u0min e^v_max = ``_U_CAP`` for their
+    smallest u0 (within the causality window), its weights and the
+    barycentric matrix ``interp`` from ``mesh.tnodes`` to its times."""
 
-    On the mesh rule (graded None) or the graded rule it holds the
-    causality window, the substituted time grid, its barycentric matrix and
-    the decay profile exp(-u0 e^v) of every kernel kind.  ``apply`` folds the
-    kind's factor e^((p-1) v), far from overflow as u0 e^v <= ``_U_CAP``,
-    into the v-weights and weights one density's samples (see ``_samples``).
-    """
-
-    def __init__(self, mesh, A, x, t, star, graded=None):
-        self.x = x
-        self.n = A.n
-        self.points, self.weights, self.normals = (
-            graded or (mesh.bpoints, mesh.bweights, mesh.bnormals))
+    def __init__(self, mesh, A, t, star, u0min):
         self.dead = True
-        T = mesh.T
-        self.tau_hi = (T - t) if star else t
-        if self.tau_hi <= 0.0:
-            return
-        tau_lo = max(-t, 0.0) if star else max(t - T, 0.0)
-
-        q = A.qform_inv(x[None, :] - self.points)
-        qmin = float(q.min())
-        scale = max(mesh.diameter, 1.0)
-        if qmin <= (1e-12 * scale) ** 2:
-            raise TargetOnBoundary("lateral potential evaluated on the boundary itself")
-        self.u0 = q / (4.0 * self.tau_hi)
-        u0min = float(self.u0.min())
+        self.interp = np.zeros((mesh.tnodes.size, 0))  # a dead grid has no times
         if u0min >= _U_CAP:
-            return  # kernel dead at this separation
+            return  # empty window, or kernel dead at this separation
+        tau_hi, tau_lo = (mesh.T - t, max(-t, 0.0)) if star else (t, max(t - mesh.T, 0.0))
         v_max = math.log(_U_CAP / u0min)
         if tau_lo > 0.0:
-            v_max = min(v_max, math.log(self.tau_hi / tau_lo))
+            v_max = min(v_max, math.log(tau_hi / tau_lo))
         if v_max <= 0.0:
             return
 
         panels = max(4, int(math.ceil(v_max)))
         self.vnodes, self.vw = composite_gauss(np.linspace(0.0, v_max, panels + 1), 10)
-        tau_v = self.tau_hi * np.exp(-self.vnodes)
+        tau_v = tau_hi * np.exp(-self.vnodes)
         times = (t + tau_v) if star else (t - tau_v)
         self.interp = _barycentric_matrix(mesh.tnodes, times).T
-        self.pref = (4.0 * math.pi) ** (-self.n / 2.0) / math.sqrt(A.det)
-        self.decay = np.multiply.outer(-self.u0, np.exp(self.vnodes))
-        with np.errstate(under="ignore"):
-            np.exp(self.decay, out=self.decay)
+        self.pref = (4.0 * math.pi) ** (-A.n / 2.0) / math.sqrt(A.det)
         self.dead = False
 
-    def apply(self, kind, samples, nu_fixed=None):
-        """Potential of ``kind`` with the density at the times of the rule's
-        samples; 0 when the kernel is dead at this target."""
+
+class _LateralKernel:
+    """Space half of the lateral kernel at one target, on the mesh rule
+    (graded None) or the graded one: u0 = <A^-1(x-y), x-y> / (4 tau_hi) at the
+    rule's points (u0min is inf for an empty window) and, on the grid that
+    ``on`` gives it, one decay profile exp(-u0 e^v) for every kernel kind,
+    whose factor e^((p-1) v) ``apply`` folds into the v-weights."""
+
+    def __init__(self, mesh, A, x, t, star, graded=None):
+        self.x = x
+        self.points, self.weights, self.normals = (
+            graded or (mesh.bpoints, mesh.bweights, mesh.bnormals))
+        self.tau_hi = (mesh.T - t) if star else t  # as in the grid's window
+        self.u0min = math.inf
+        if self.tau_hi <= 0.0:
+            return
+        q = A.qform_inv(x[None, :] - self.points)
+        scale = max(mesh.diameter, 1.0)
+        if float(q.min()) <= (1e-12 * scale) ** 2:
+            raise TargetOnBoundary("lateral potential evaluated on the boundary itself")
+        self.u0 = q / (4.0 * self.tau_hi)
+        self.u0min = float(self.u0.min())
+
+    def on(self, grid):
+        self.grid = grid
+        self.dead = grid.dead or self.u0min >= _U_CAP
+        if not self.dead:
+            self.decay = np.multiply.outer(-self.u0, np.exp(grid.vnodes))
+            with np.errstate(under="ignore"):
+                np.exp(self.decay, out=self.decay)
+        return self
+
+    def apply(self, kind, on_grid, nu_fixed=None):
+        """Potential of ``kind``, 0 when dead; scales ``on_grid`` in place."""
         if self.dead:
             return 0.0
-        p = _kernel_exponent(kind, self.n)
-        vw = self.vw * np.exp((p - 1.0) * self.vnodes)
-        inner = self.tau_hi ** (1.0 - p) * (self.decay * (samples @ self.interp)) @ vw
+        p = _kernel_exponent(kind, self.x.size)
+        vw = self.grid.vw * np.exp((p - 1.0) * self.grid.vnodes)
+        on_grid *= self.decay
+        on_grid *= self.tau_hi ** (1.0 - p)
+        inner = on_grid @ vw
         geom = _geometry_factor(kind, self.x, self.points, self.normals, nu_fixed)
-        return float(self.pref * np.sum(self.weights * geom * inner))
+        return float(self.grid.pref * np.sum(self.weights * geom * inner))
 
 
 def _target_kernel(mesh, A, x, t, star, frame):
-    """The lateral rule of target (x, t) and its kernel: the graded rule when
-    the target's ``WallFrame`` puts it near the wall, else the mesh rule."""
+    """The kernel of (x, t) on its own time grid, and the map of a density onto
+    that grid; on the graded rule if the ``WallFrame`` puts x near the wall."""
     graded = _near_boundary_rule(mesh, x) if _near_wall(mesh, frame.distance) else None
-    return graded, _LateralKernel(mesh, A, x, t, star, graded)
+    kernel = _LateralKernel(mesh, A, x, t, star, graded)
+    grid = _TimeGrid(mesh, A, t, star, kernel.u0min)
+    return kernel.on(grid), lambda phi: _samples(mesh, phi, graded) @ grid.interp
 
 
 def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False):
     x, t = _as_xt(target)
-    graded, kernel = _target_kernel(mesh, A, x, t, star, mesh.wall_frame((x, t)))
-    return kernel.apply(kind, _samples(mesh, phi, graded), nu_fixed)
+    kernel, on_grid = _target_kernel(mesh, A, x, t, star, mesh.wall_frame((x, t)))
+    return kernel.apply(kind, on_grid(phi), nu_fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +494,11 @@ def representation_at(mesh, A, densities, target, star=False):
     frame = mesh.wall_frame((x, t))
     if frame.location.kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
-    graded, kernel = _target_kernel(mesh, A, x, t, star, frame)
+    kernel, on_grid = _target_kernel(mesh, A, x, t, star, frame)
     caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, frame)
-    doubles = [kernel.apply("double", _samples(mesh, trace, graded))
-               for trace, _, _ in densities]
+    doubles = [kernel.apply("double", on_grid(trace)) for trace, _, _ in densities]
     # a zero single layer leaves D - S = D bit for bit
-    singles = [0.0 if flux is None else kernel.apply("single", _samples(mesh, flux, graded))
+    singles = [0.0 if flux is None else kernel.apply("single", on_grid(flux))
                for _, flux, _ in densities]
     return [d - s + c for d, s, c in zip(doubles, singles, caps)]
 
@@ -607,9 +617,13 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     conormal derivative of the single layer.  Nodes with times within 10% of
     the corners are rejected, and so is n != 2: there is no graded rule
     toward a 3-D wall yet, and the mesh rule misses these limits.
+
+    A tuple of kinds gives a tuple of reports from one ladder, whose offsets
+    share one time grid and the density on it.  Refusals precede sampling.
     """
-    if kind not in ("double", "conormal_single"):
-        raise ValueError("kind must be 'double' or 'conormal_single'")
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    if not kinds or any(name not in _JUMP_KINDS for name in kinds):
+        raise ValueError("kind must be 'double', 'conormal_single' or a non-empty tuple of them")
     if mesh.cs.n != 2:
         raise DimensionMismatch("jump probes need a planar cross-section (n = 2)")
     if phi.generator is None:
@@ -627,21 +641,20 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     # level so the h-expansion seen by the extrapolation stays smooth
     probe = mesh.offset_point(node_index, offsets[-1]).x
     graded = _near_boundary_rule(mesh, probe, depth=_graded_depth(mesh.cs, offsets[-1]))
-    samples = _samples(mesh, phi, graded)
-    lateral_kind = "double" if kind == "double" else "conormal_fixed"
-
-    def value_at(h):
-        x, t = _as_xt(mesh.offset_point(node_index, h))
-        return _LateralKernel(mesh, A, x, t, False, graded).apply(lateral_kind, samples, nu)
-
-    vin = np.array([value_at(+h) for h in offsets])
-    vex = np.array([value_at(-h) for h in offsets])
-    li = richardson(vin[-_JUMP_RICHARDSON:])
-    le = richardson(vex[-_JUMP_RICHARDSON:])
+    kernels = [_LateralKernel(mesh, A, mesh.offset_point(node_index, h).x, t0, False, graded)
+               for h in np.concatenate([offsets, -offsets])]
+    grid = _TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
+    on_grid = _samples(mesh, phi, graded) @ grid.interp
+    values = []
+    while kernels:  # one decay profile per offset, dropped with its kernel
+        kernel = kernels.pop(0).on(grid)
+        values.append([kernel.apply(_JUMP_KINDS[name], on_grid.copy(), nu) for name in kinds])
 
     phi0 = float(np.asarray(phi.generator(x0[None, :], np.array([t0]), nu[None, :]))[0])
-    predicted = phi0 if kind == "double" else -phi0
-    return JumpProbeReport(kind=kind, node_index=int(node_index), x0=x0.copy(), t0=t0,
-                           offsets=offsets, interior_values=vin, exterior_values=vex,
-                           interior_limit=li, exterior_limit=le, jump_estimate=li - le,
-                           predicted_jump=predicted)
+    reports = []
+    for name, column in zip(kinds, np.array(values).T):
+        vin, vex = column[:_JUMP_LEVELS], column[_JUMP_LEVELS:]
+        li, le = richardson(vin[-_JUMP_RICHARDSON:]), richardson(vex[-_JUMP_RICHARDSON:])
+        reports.append(JumpProbeReport(name, int(node_index), x0.copy(), t0, offsets, vin, vex,
+                                       li, le, li - le, phi0 if name == "double" else -phi0))
+    return reports[0] if isinstance(kind, str) else tuple(reports)

@@ -335,6 +335,19 @@ def test_rejects_missing_config_flag(capsys):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kinds, message", [
+    ([], "task/verify-jumps/kinds: [] should be non-empty"),
+    (["double", "double"], "task/verify-jumps/kinds: ['double', 'double'] has non-unique elements"),
+], ids=["empty", "repeated"])
+def test_jump_kinds_exit_two_when_empty_or_repeated(tmp_path, capsys, kinds, message):
+    # no kinds would pass with zero checks, and a repeated kind would write
+    # every row and check twice
+    cfg = make_config("verify-jumps", {"probes": 1, "kinds": kinds})
+    assert run_cli("verify-jumps", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_rejects_jumps_in_three_space(tmp_path):
     geom = {"kind": "ball", "params": {"radius": 1.0}, "T": 0.5}
     cfg = make_config("verify-jumps", {"probes": 1}, n=3, geom=geom)
@@ -467,7 +480,9 @@ def test_validation_matches_jsonschema_on_mutated_configs(monkeypatch):
              make_config("solve", {"rcond": 1}), make_config("solve", {"rcond": 0}),
              make_config("solve", {"degree": -1}),
              make_config("poly-table", mesh=(3, 6, 4)),
-             make_config("verify-jumps", {"kinds": ["double", "triple"]})]
+             make_config("verify-jumps", {"kinds": ["double", "triple"]}),
+             make_config("verify-jumps", {"kinds": []}),
+             make_config("verify-jumps", {"kinds": ["double", "double"]})]
     rng = np.random.default_rng(20261018)
     corpus = shipped + edges + [_mutant(cfg, rng) for cfg in shipped for _ in range(150)]
     ours = [_outcome(cfg) for cfg in corpus]
@@ -483,7 +498,8 @@ def test_validation_matches_jsonschema_on_mutated_configs(monkeypatch):
     assert {kind for kind, _ in ours} == {"valid", "ConfigInvalid"}
     for wording in ("is not of type", "is not one of", "is a required property",
                     "Additional properties", "should be non-empty", "less than the minimum",
-                    "less than or equal to the minimum", "greater than or equal to the maximum"):
+                    "less than or equal to the minimum", "greater than or equal to the maximum",
+                    "has non-unique elements"):
         assert any(wording in msg for _, msg in ours), wording
 
 

@@ -44,6 +44,26 @@ def test_star_with_zero_wobble_is_disk(disk, I2):
     assert np.allclose(m1.bweights, m2.bweights)
 
 
+def test_star_radius_extremes_sampled_once(I2, monkeypatch):
+    # CylinderMesh.diameter and the graded depth ask for the extremes per
+    # target; the star samples its radius on 4096 angles for the first call
+    # only, and every call returns the same floats
+    star = cx.CrossSection.star(1.0, (0.0, 0.0, 0.25))
+    rho = star._star_rho(np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+    calls = []
+    star_rho = cx.CrossSection._star_rho
+    monkeypatch.setattr(cx.CrossSection, "_star_rho",
+                        lambda self, phi: calls.append(np.size(phi)) or star_rho(self, phi))
+    assert star.radius_extremes() == (float(rho.min()), float(rho.max()))
+    assert calls == [4096]
+    mesh = cx.build_mesh(star, I2, 1.0, 32, 8, 8)
+    calls.clear()
+    for _ in range(3):
+        assert star.radius_extremes() == (float(rho.min()), float(rho.max()))
+        assert mesh.diameter == 2.0 * float(rho.max())
+    assert calls == []
+
+
 # -- boundary measures ------------------------------------------------------
 
 def test_disk_boundary_measures(disk_mesh_I):

@@ -183,12 +183,13 @@ def test_barycentric_matrix_matches_the_uncached_weights(disk_mesh_I):
 def _unsplit_apply(kernel, kind, samples, nu_fixed):
     """The lateral sum with the kernel profile exp((p-1) v - u0 e^v) built
     in one piece, as before the decay profile was shared."""
-    p = potentials._kernel_exponent(kind, kernel.n)
-    profile = np.exp((p - 1.0) * kernel.vnodes[None, :]
-                     - kernel.u0[:, None] * np.exp(kernel.vnodes)[None, :])
-    inner = kernel.tau_hi ** (1.0 - p) * (profile * (samples @ kernel.interp)) @ kernel.vw
+    grid = kernel.grid
+    p = potentials._kernel_exponent(kind, kernel.x.size)
+    profile = np.exp((p - 1.0) * grid.vnodes[None, :]
+                     - kernel.u0[:, None] * np.exp(grid.vnodes)[None, :])
+    inner = kernel.tau_hi ** (1.0 - p) * (profile * (samples @ grid.interp)) @ grid.vw
     geom = potentials._geometry_factor(kind, kernel.x, kernel.points, kernel.normals, nu_fixed)
-    return float(kernel.pref * np.sum(kernel.weights * geom * inner))
+    return float(grid.pref * np.sum(kernel.weights * geom * inner))
 
 
 @pytest.mark.parametrize("fix, mat", [("disk_mesh_B", "B2"), ("ellipse_mesh_B", "B2"),
@@ -215,9 +216,10 @@ def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
         graded_seen += graded is not None
         samples = potentials._samples(mesh, phi, graded)
         kernel = potentials._LateralKernel(mesh, A, x, t, star, graded)
+        kernel.on(potentials._TimeGrid(mesh, A, t, star, kernel.u0min))
         assert not kernel.dead
         for kind in ("double", "single", "conormal_fixed"):
-            got = kernel.apply(kind, samples, nu_fixed)
+            got = kernel.apply(kind, samples @ kernel.grid.interp, nu_fixed)
             want = _unsplit_apply(kernel, kind, samples, nu_fixed)
             assert abs(got - want) <= 1e-13 * abs(want)
     assert graded_seen == (2 if n == 2 else 0)
@@ -312,10 +314,11 @@ def test_jump_error_shrinks_under_probe_refinement(disk_mesh_I, I2):
     assert rep.error < 1e-2 * raw[-1]
 
 
-@pytest.mark.parametrize("kind", ["double", "conormal_single"])
+@pytest.mark.parametrize("kind", ["double", "conormal_single", ("double", "conormal_single")],
+                         ids=["double", "conormal_single", "both"])
 def test_jump_probe_samples_the_generator_once(disk_mesh_I, I2, kind):
     # one call samples the graded rule on its points x tnodes, shared by all
-    # 18 offsets, and one gives the density at the node
+    # 18 offsets and every kind, and one gives the density at the node
     base = smooth_density(disk_mesh_I)
     calls = []
 
@@ -327,6 +330,112 @@ def test_jump_probe_samples_the_generator_once(disk_mesh_I, I2, kind):
     K = disk_mesh_I.tnodes.shape[0]
     cx.jump_probe(disk_mesh_I, I2, phi, 11 * K + K // 2, kind)
     assert len(calls) == 2
+
+
+def _star_mesh(A):
+    return cx.build_mesh(cx.CrossSection.star(1.0, (0.0, 0.0, 0.25)), A, 1.0, 96, 48, 24)
+
+
+@pytest.mark.parametrize("fix, mat", [("disk_mesh_I", "I2"), ("disk_mesh_B", "B2"),
+                                      ("ellipse_mesh_B", "B2"), ("star", "B2")])
+def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
+    # the ladder lays one time grid out for the smallest u0 of its 18
+    # offsets; each value must agree with a kernel built for that offset
+    # alone, on its own grid and the same graded rule
+    A = request.getfixturevalue(mat)
+    mesh = _star_mesh(A) if fix == "star" else request.getfixturevalue(fix)
+    phi = smooth_density(mesh)
+    K = mesh.tnodes.shape[0]
+    b, k = mesh.n_boundary // 5, K // 2
+    node, t0, nu = b * K + k, float(mesh.tnodes[k]), mesh.bnormals[b]
+    kinds = ("double", "conormal_single")
+    reports = cx.jump_probe(mesh, A, phi, node, kinds)
+    assert [r.kind for r in reports] == list(kinds)
+    offsets = reports[0].offsets
+    probe = mesh.offset_point(node, offsets[-1]).x
+    graded = potentials._near_boundary_rule(
+        mesh, probe, depth=potentials._graded_depth(mesh.cs, offsets[-1]))
+    samples = potentials._samples(mesh, phi, graded)
+    worst = 0.0
+    for sign, side in ((1.0, "interior_values"), (-1.0, "exterior_values")):
+        for i, h in enumerate(offsets):
+            x = mesh.offset_point(node, sign * h).x
+            kernel = potentials._LateralKernel(mesh, A, x, t0, False, graded)
+            grid = potentials._TimeGrid(mesh, A, t0, False, kernel.u0min)
+            kernel.on(grid)
+            for rep, lateral in zip(reports, ("double", "conormal_fixed")):
+                want = kernel.apply(lateral, samples @ grid.interp, nu)
+                worst = max(worst, abs(getattr(rep, side)[i] - want) / abs(want))
+    assert worst <= 1e-13
+    # one kind at a time takes the same ladder, so the same floats
+    for rep, kind in zip(reports, kinds):
+        single = cx.jump_probe(mesh, A, phi, node, kind)
+        assert np.array_equal(single.interior_values, rep.interior_values)
+        assert np.array_equal(single.exterior_values, rep.exterior_values)
+        assert single.jump_estimate == rep.jump_estimate
+
+
+def test_jump_ladder_builds_one_rule_and_one_grid(disk_mesh_B, B2, monkeypatch):
+    # both kinds at one node: one graded rule, one barycentric matrix, one
+    # decay profile per offset and two generator calls
+    calls = {"rule": 0, "barycentric": 0, "profile": 0, "generator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def profiled(kernel, grid):
+        out = on(kernel, grid)
+        calls["profile"] += not out.dead
+        return out
+
+    on = potentials._LateralKernel.on
+    monkeypatch.setattr(potentials, "_near_boundary_rule",
+                        counted("rule", potentials._near_boundary_rule))
+    monkeypatch.setattr(potentials, "_barycentric_matrix",
+                        counted("barycentric", potentials._barycentric_matrix))
+    monkeypatch.setattr(potentials._LateralKernel, "on", profiled)
+    base = smooth_density(disk_mesh_B)
+    phi = cx.DensityField("sigma3", base.values, counted("generator", base.generator))
+    K = disk_mesh_B.tnodes.shape[0]
+    reports = cx.jump_probe(disk_mesh_B, B2, phi, 23 * K + K // 2, ("double", "conormal_single"))
+    assert len(reports) == 2
+    assert calls == {"rule": 1, "barycentric": 1, "profile": 18, "generator": 2}
+
+
+def test_jump_probe_refuses_before_sampling(disk_mesh_I, ball_mesh, I2, I3, monkeypatch):
+    # every refusal comes before the graded rule is built or sampled
+    built = []
+    monkeypatch.setattr(potentials, "_near_boundary_rule",
+                        lambda *args, **kwargs: built.append(args))
+    calls = []
+
+    def gen(p, t, nu):
+        calls.append(p.shape[0])
+        return 1.0 + 0.3 * p[:, 0] + 0.2 * t * t
+
+    K = disk_mesh_I.tnodes.shape[0]
+    node = 7 * K + K // 2
+    phi = cx.DensityField("sigma3", np.ones(disk_mesh_I.n_lateral), gen)
+    sampled = cx.DensityField.from_values(disk_mesh_I, "sigma3", np.ones(disk_mesh_I.n_lateral))
+    ball_phi = cx.DensityField("sigma3", np.ones(ball_mesh.n_lateral), gen)
+    refusals = [
+        (ValueError, disk_mesh_I, I2, phi, node, ("double", "triple")),
+        (ValueError, disk_mesh_I, I2, phi, node, ("triple", "double")),
+        (ValueError, disk_mesh_I, I2, phi, node, ()),
+        (ValueError, disk_mesh_I, I2, phi, node, "triple"),
+        (DimensionMismatch, ball_mesh, I3, ball_phi, 5 * ball_mesh.tnodes.shape[0] + 3,
+         ("double", "conormal_single")),
+        (ValueError, disk_mesh_I, I2, sampled, node, ("double", "conormal_single")),
+        (CornerTooClose, disk_mesh_I, I2, phi, 7 * K, ("double", "conormal_single")),
+        (CornerTooClose, disk_mesh_I, I2, phi, 7 * K + K - 1, "conormal_single"),
+    ]
+    for error, mesh, A, density, index, kind in refusals:
+        with pytest.raises(error):
+            cx.jump_probe(mesh, A, density, index, kind)
+    assert built == [] and calls == []
 
 
 def test_jump_probe_rejects_corner_times(disk_mesh_I, I2):
