@@ -23,8 +23,9 @@ of the lateral kernel (``_TimeGrid``: substituted time grid, barycentric
 matrix) serves the targets at one time on one rule, its space half
 (``_LateralKernel``: u0, one decay profile for every kernel kind) one target.
 A target builds both, and its cap kernel, once, and applies every density
-to them; a jump ladder shares one time grid, and the density on it, among
-its offsets and kinds.  The partition identity is the representation of u = 1.
+to them.  A jump ladder shares one time grid, the density on it and one
+profile buffer among its offsets; each offset sums only its live columns,
+and its kinds share that sum.  The partition identity is the representation of u = 1.
 
 This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
@@ -202,10 +203,9 @@ def _kernel_exponent(kind, n):
     return 1.0 + n / 2.0  # double layer and conormal-of-single
 
 
-def _geometry_factor(kind, x, pts, normals, nu_fixed):
+def _geometry_factor(kind, diff, normals, nu_fixed):
     if kind == "single":
-        return np.ones(pts.shape[0])
-    diff = x[None, :] - pts
+        return np.ones(normals.shape[0])
     if kind == "double":
         return 0.5 * np.einsum("ij,ij->i", normals, diff)
     if kind == "conormal_fixed":
@@ -318,9 +318,10 @@ class _TimeGrid:
 class _LateralKernel:
     """Space half of the lateral kernel at one target, on the mesh rule
     (graded None) or the graded one: u0 = <A^-1(x-y), x-y> / (4 tau_hi) at the
-    rule's points (u0min is inf for an empty window) and, on the grid that
-    ``on`` gives it, one decay profile exp(-u0 e^v) for every kernel kind,
-    whose factor e^((p-1) v) ``apply`` folds into the v-weights."""
+    rule's points y (u0min is inf for an empty window) and, on the grid that
+    ``on`` gives it, one decay profile exp(-u0 e^v) over the live columns,
+    where u0min e^v <= ``_U_CAP``: all of its own grid, a prefix of one laid
+    out for a smaller u0min.  Kinds of one exponent p share one time sum."""
 
     def __init__(self, mesh, A, x, t, star, graded=None):
         self.x = x
@@ -337,26 +338,38 @@ class _LateralKernel:
         self.u0 = q / (4.0 * self.tau_hi)
         self.u0min = float(self.u0.min())
 
-    def on(self, grid):
+    def on(self, grid, buffer=None):
+        """Lay the profile out on ``grid``, in the flat ``buffer`` if given."""
         self.grid = grid
         self.dead = grid.dead or self.u0min >= _U_CAP
         if not self.dead:
-            self.decay = np.multiply.outer(-self.u0, np.exp(grid.vnodes))
+            ev = np.exp(grid.vnodes)
+            live = np.count_nonzero(self.u0min * ev <= _U_CAP)
+            out = None if buffer is None else np.ndarray((self.u0.size, live), buffer=buffer)
+            self.decay = np.multiply.outer(-self.u0, ev[:live], out=out)
             with np.errstate(under="ignore"):
                 np.exp(self.decay, out=self.decay)
         return self
 
-    def apply(self, kind, on_grid, nu_fixed=None):
-        """Potential of ``kind``, 0 when dead; scales ``on_grid`` in place."""
-        if self.dead:
-            return 0.0
-        p = _kernel_exponent(kind, self.x.size)
-        vw = self.grid.vw * np.exp((p - 1.0) * self.grid.vnodes)
-        on_grid *= self.decay
-        on_grid *= self.tau_hi ** (1.0 - p)
-        inner = on_grid @ vw
-        geom = _geometry_factor(kind, self.x, self.points, self.normals, nu_fixed)
-        return float(self.grid.pref * np.sum(self.weights * geom * inner))
+    def apply(self, kinds, on_grid, nu_fixed=None, into_profile=False):
+        """Potential of a kind, or a list for a tuple of kinds of one exponent p,
+        from one time sum of decay x ``on_grid`` x tau_hi^(1-p) e^((p-1) v), 0 when
+        dead; the product overwrites the live columns of ``on_grid`` or, with
+        ``into_profile``, the profile, which then serves no other sum."""
+        names = (kinds,) if isinstance(kinds, str) else kinds
+        values = [0.0] * len(names)
+        if not self.dead:
+            p = _kernel_exponent(names[0], self.x.size)
+            live = self.decay.shape[1]
+            prod = self.decay if into_profile else on_grid[:, :live]
+            np.multiply(on_grid[:, :live], self.decay, out=prod)
+            prod *= self.tau_hi ** (1.0 - p)
+            inner = prod @ (self.grid.vw * np.exp((p - 1.0) * self.grid.vnodes))[:live]
+            diff = None if names[0] == "single" else self.x[None, :] - self.points
+            values = [float(self.grid.pref * np.sum(
+                self.weights * _geometry_factor(kind, diff, self.normals, nu_fixed) * inner))
+                for kind in names]
+        return values[0] if isinstance(kinds, str) else values
 
 
 def _target_kernel(mesh, A, x, t, star, frame):
@@ -618,8 +631,10 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     the corners are rejected, and so is n != 2: there is no graded rule
     toward a 3-D wall yet, and the mesh rule misses these limits.
 
-    A tuple of kinds gives a tuple of reports from one ladder, whose offsets
-    share one time grid and the density on it.  Refusals precede sampling.
+    A tuple of kinds gives a tuple of reports from one ladder.  Its offsets
+    share one time grid and the density on it, each sums only the grid
+    columns where its own decay is above exp(-45), and the kinds, of one
+    exponent, share that sum.  Refusals precede sampling.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if not kinds or any(name not in _JUMP_KINDS for name in kinds):
@@ -645,10 +660,10 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
                for h in np.concatenate([offsets, -offsets])]
     grid = _TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
     on_grid = _samples(mesh, phi, graded) @ grid.interp
-    values = []
-    while kernels:  # one decay profile per offset, dropped with its kernel
-        kernel = kernels.pop(0).on(grid)
-        values.append([kernel.apply(_JUMP_KINDS[name], on_grid.copy(), nu) for name in kinds])
+    values, buffer = [], np.empty(on_grid.size)  # holds each offset's profile in turn
+    lateral = tuple(_JUMP_KINDS[name] for name in kinds)  # one exponent, so one time sum
+    for kernel in kernels:
+        values.append(kernel.on(grid, buffer).apply(lateral, on_grid, nu, into_profile=True))
 
     phi0 = float(np.asarray(phi.generator(x0[None, :], np.array([t0]), nu[None, :]))[0])
     reports = []

@@ -546,6 +546,19 @@ def test_degenerate_data_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_jump_offset_leaving_a_thin_section_exits_two(tmp_path, capsys):
+    # the outermost jump offset is 0.05 of the diameter 2.4, so 0.12, and
+    # crosses an ellipse 0.08 thick
+    geom = {"kind": "ellipse", "params": {"a": 1.2, "b": 0.04}, "T": 0.5}
+    cfg = make_config("verify-jumps", {"probes": 1}, geom=geom)
+    assert run_cli("verify-jumps", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "OffsetTooLarge" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_traced_pass_runs_the_cli(tmp_path, monkeypatch):
     # the benchmark's traced pass (perfbench/tracer.py) patches library hooks
     # by name; renaming or removing one breaks only that pass, so run it here

@@ -188,7 +188,8 @@ def _unsplit_apply(kernel, kind, samples, nu_fixed):
     profile = np.exp((p - 1.0) * grid.vnodes[None, :]
                      - kernel.u0[:, None] * np.exp(grid.vnodes)[None, :])
     inner = kernel.tau_hi ** (1.0 - p) * (profile * (samples @ grid.interp)) @ grid.vw
-    geom = potentials._geometry_factor(kind, kernel.x, kernel.points, kernel.normals, nu_fixed)
+    geom = potentials._geometry_factor(kind, kernel.x[None, :] - kernel.points, kernel.normals,
+                                       nu_fixed)
     return float(grid.pref * np.sum(kernel.weights * geom * inner))
 
 
@@ -386,8 +387,8 @@ def test_jump_ladder_builds_one_rule_and_one_grid(disk_mesh_B, B2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def profiled(kernel, grid):
-        out = on(kernel, grid)
+    def profiled(kernel, grid, buffer=None):
+        out = on(kernel, grid, buffer)
         calls["profile"] += not out.dead
         return out
 
@@ -403,6 +404,92 @@ def test_jump_ladder_builds_one_rule_and_one_grid(disk_mesh_B, B2, monkeypatch):
     reports = cx.jump_probe(disk_mesh_B, B2, phi, 23 * K + K // 2, ("double", "conormal_single"))
     assert len(reports) == 2
     assert calls == {"rule": 1, "barycentric": 1, "profile": 18, "generator": 2}
+
+
+@pytest.mark.parametrize("fix, mat", [("disk_mesh_I", "I2"), ("disk_mesh_B", "B2"),
+                                      ("ellipse_mesh_B", "B2"), ("star", "B2")])
+def test_trimmed_ladder_matches_the_full_grid_sums(fix, mat, request):
+    # the full shared grid and one product per kind, as before the ladder
+    # trimmed each offset to its live columns and shared one time sum
+    A = request.getfixturevalue(mat)
+    mesh = _star_mesh(A) if fix == "star" else request.getfixturevalue(fix)
+    phi = smooth_density(mesh)
+    K = mesh.tnodes.shape[0]
+    b, k = mesh.n_boundary // 5, K // 2
+    node, t0, nu = b * K + k, float(mesh.tnodes[k]), mesh.bnormals[b]
+    reports = cx.jump_probe(mesh, A, phi, node, ("double", "conormal_single"))
+    offsets = reports[0].offsets
+    graded = potentials._near_boundary_rule(
+        mesh, mesh.offset_point(node, offsets[-1]).x,
+        depth=potentials._graded_depth(mesh.cs, offsets[-1]))
+    kernels = [potentials._LateralKernel(mesh, A, mesh.offset_point(node, h).x, t0, False, graded)
+               for h in np.concatenate([offsets, -offsets])]
+    grid = potentials._TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
+    on_grid = potentials._samples(mesh, phi, graded) @ grid.interp
+    p = 1.0 + A.n / 2.0
+    vw = grid.vw * np.exp((p - 1.0) * grid.vnodes)
+    got = [np.concatenate([r.interior_values, r.exterior_values]) for r in reports]
+    worst = 0.0
+    for i, kernel in enumerate(kernels):
+        with np.errstate(under="ignore"):
+            decay = np.exp(np.multiply.outer(-kernel.u0, np.exp(grid.vnodes)))
+        live = kernel.on(grid).decay.shape[1]
+        assert np.all(decay[:, live:] <= math.exp(-potentials._U_CAP))
+        diff = kernel.x[None, :] - kernel.points
+        geoms = (0.5 * np.einsum("ij,ij->i", kernel.normals, diff), -0.5 * diff @ nu)
+        for j, geom in enumerate(geoms):
+            inner = (on_grid.copy() * decay * kernel.tau_hi ** (1.0 - p)) @ vw
+            want = grid.pref * np.sum(kernel.weights * geom * inner)
+            worst = max(worst, abs(got[j][i] - want) / abs(want))
+    assert worst <= 1e-13
+
+
+def test_jump_ladder_trims_columns_and_shares_one_time_sum(disk_mesh_B, B2, monkeypatch):
+    # each offset's profile spans its live columns only, both kinds share
+    # one decay x density product per offset, and the shared density on the
+    # grid is neither copied nor scaled
+    profiles, sums = [], []
+    on, apply = potentials._LateralKernel.on, potentials._LateralKernel.apply
+
+    def profiled(kernel, grid, buffer=None):
+        out = on(kernel, grid, buffer)
+        live = np.count_nonzero(kernel.u0min * np.exp(grid.vnodes) <= potentials._U_CAP)
+        profiles.append((kernel.u0min, out.decay.shape[1], live, grid.vnodes.size))
+        return out
+
+    def summed(kernel, kinds, on_grid, nu_fixed=None, into_profile=False):
+        sums.append((kinds, on_grid, on_grid.copy() if not sums else None, into_profile))
+        return apply(kernel, kinds, on_grid, nu_fixed, into_profile)
+
+    monkeypatch.setattr(potentials._LateralKernel, "on", profiled)
+    monkeypatch.setattr(potentials._LateralKernel, "apply", summed)
+    K = disk_mesh_B.tnodes.shape[0]
+    cx.jump_probe(disk_mesh_B, B2, smooth_density(disk_mesh_B), 23 * K + K // 2,
+                  ("double", "conormal_single"))
+    assert len(profiles) == 18 and all(cols == live for _, cols, live, _ in profiles)
+    innermost, outermost = min(profiles), max(profiles)
+    assert innermost[1] == innermost[3]
+    assert outermost[1] < 0.6 * outermost[3]
+    assert len(sums) == 18
+    shared, before = sums[0][1:3]
+    assert all(kinds == ("double", "conormal_fixed") and on_grid is shared and into_profile
+               for kinds, on_grid, _, into_profile in sums)
+    assert np.array_equal(shared, before)
+
+
+def test_offset_without_live_columns_adds_nothing(disk_mesh_B, B2):
+    # an offset whose u0min sits just below the cap can have no column with
+    # u0min e^v <= cap on a grid laid out for a smaller u0min
+    x, t = np.array([0.5, 0.1]), 0.5
+    kernel = potentials._LateralKernel(disk_mesh_B, B2, x, t, False)
+    grid = potentials._TimeGrid(disk_mesh_B, B2, t, False, kernel.u0min)
+    kernel.u0 = kernel.u0 * (0.999 * potentials._U_CAP / kernel.u0min)
+    kernel.u0min = 0.999 * potentials._U_CAP
+    buffer = np.empty(kernel.u0.size * grid.vnodes.size)
+    assert kernel.on(grid, buffer).decay.shape == (kernel.u0.size, 0)
+    on_grid = np.ones((kernel.u0.size, grid.vnodes.size))
+    nu = disk_mesh_B.bnormals[0]
+    assert kernel.apply(("double", "conormal_fixed"), on_grid, nu) == [0.0, 0.0]
 
 
 def test_jump_probe_refuses_before_sampling(disk_mesh_I, ball_mesh, I2, I3, monkeypatch):
