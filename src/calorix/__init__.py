@@ -33,7 +33,6 @@ from .errors import (
 from .geometry import CrossSection, CylinderMesh, build_mesh, mesh_to_csv
 from .polynomials import (
     CaloricPolynomial,
-    MultiIndex,
     apply_parabolic_operator,
     basis_matrix,
     caloric_poly,

@@ -581,7 +581,7 @@ def _task_poly_table(ctx, rep):
     entries = []
     for alpha in enumerate_basis(A.n, max_degree):
         p = caloric_poly(A, alpha, parity)
-        rows.append([" ".join(str(a) for a in alpha.alpha), alpha.degree,
+        rows.append([" ".join(str(a) for a in alpha), sum(alpha),
                      len(p.terms), str(p)])
         entries.append(p.to_json_dict())
     rep.add_table("polynomials", rows)
@@ -650,8 +650,7 @@ def _task_solve(ctx, rep):
     rep.check("residual-finite", math.isfinite(approx.residual),
               f"residual {approx.residual:.6e}")
     if spec["kind"] == "caloric-poly":
-        alpha = tuple(spec.get("alpha", [0] * ctx.A.n))
-        if degree >= sum(alpha):
+        if degree >= sum(data.exact.alpha):
             rep.check("reproduction", approx.residual < 1e-9,
                       f"residual {approx.residual:.3e} for in-space data (tol 1e-09)")
     if "max_residual" in cfg:
@@ -868,9 +867,12 @@ def main(argv=None):
             raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigInvalid("config must be a JSON object")
-        if config.get("task", {}).get("name") != args.task:
+        # checked before the task name and output directory are read;
+        # RunContext checks again, for callers that build it directly
+        validate_config(config)
+        if config["task"]["name"] != args.task:
             raise ConfigInvalid(
-                f"config task {config.get('task', {}).get('name')!r} does not "
+                f"config task {config['task']['name']!r} does not "
                 f"match requested task {args.task!r}")
 
         config_dir = os.path.dirname(os.path.abspath(args.config))

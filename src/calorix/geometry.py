@@ -246,7 +246,6 @@ class CylinderMesh:
 
     bpoints: np.ndarray = field(repr=False, default=None)
     bnormals: np.ndarray = field(repr=False, default=None)
-    bconormals: np.ndarray = field(repr=False, default=None)
     bweights: np.ndarray = field(repr=False, default=None)
     tnodes: np.ndarray = field(repr=False, default=None)
     tweights: np.ndarray = field(repr=False, default=None)
@@ -409,7 +408,6 @@ def build_mesh(cs, A, T, m_angular, m_time, m_radial):
     mesh.cap_points = cap_pts.reshape(-1, cs.n)
     mesh.cap_weights = cap_w.reshape(-1)
 
-    mesh.bconormals = mesh.bnormals @ A.a.T
     mesh.tnodes, mesh.tweights = gauss_legendre(m_time, 0.0, T)
     return mesh
 

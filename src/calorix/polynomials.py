@@ -6,8 +6,9 @@ heat-polynomial recurrence (Rosenbloom & Widder, Trans. AMS 92, 1959)
 
     v_alpha = x_j v_(alpha - e_j) + 2 t sum_k a_jk (alpha - e_j)_k v_(alpha - e_j - e_k)
 
-with j the first nonzero index of alpha (and -2t for the w family).  The
-recurrence is run two ways:
+with j the first nonzero index of alpha (and -2t for the w family).  A
+multi-index alpha is a plain tuple of n non-negative ints.  The recurrence
+is run two ways:
 
 * exactly, in Fraction arithmetic (``caloric_poly``), so the annihilation
   identities hold with zero tolerance.  ``apply_parabolic_operator``,
@@ -21,7 +22,7 @@ recurrence is run two ways:
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,64 +31,19 @@ from .errors import NotCaloric
 from .quadrature import gauss_legendre, tensor_rule
 
 
-@total_ordering
-class MultiIndex:
-    """Immutable space multi-index with graded lexicographic order."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in alpha))
-        if any(a < 0 for a in self.alpha):
-            raise ValueError("multi-index components must be non-negative")
-
-    def __setattr__(self, *_):
-        raise AttributeError("MultiIndex is immutable")
-
-    @property
-    def n(self):
-        return len(self.alpha)
-
-    @property
-    def degree(self):
-        return sum(self.alpha)
-
-    def factorial(self):
-        out = 1
-        for a in self.alpha:
-            for k in range(2, a + 1):
-                out *= k
-        return out
-
-    def bump(self, j, by=1):
-        parts = list(self.alpha)
-        parts[j] += by
-        return MultiIndex(parts)
-
-    def _key(self):
-        return (self.degree, self.alpha)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiIndex) and self.alpha == other.alpha
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __hash__(self):
-        return hash(self.alpha)
-
-    def __iter__(self):
-        return iter(self.alpha)
-
-    def __getitem__(self, j):
-        return self.alpha[j]
-
-    def __repr__(self):
-        return f"MultiIndex{self.alpha}"
+def _multi_index(alpha, n):
+    """alpha as a tuple of n non-negative ints; ValueError otherwise."""
+    alpha = tuple(int(a) for a in alpha)
+    if any(a < 0 for a in alpha):
+        raise ValueError("multi-index components must be non-negative")
+    if len(alpha) != n:
+        raise ValueError(f"multi-index length {len(alpha)} does not match dimension {n}")
+    return alpha
 
 
 def enumerate_basis(n, max_degree):
-    """All multi-indices with |alpha| <= max_degree in graded-lex order.
+    """All multi-indices with |alpha| <= max_degree in graded-lex order, as
+    tuples of n non-negative ints.
 
     The count is the binomial C(n + max_degree, n).
     """
@@ -106,8 +62,7 @@ def enumerate_basis(n, max_degree):
 
     out = []
     for deg in range(max_degree + 1):
-        block = sorted(compositions(deg, n))
-        out.extend(MultiIndex(a) for a in block)
+        out.extend(sorted(compositions(deg, n)))
     return out
 
 
@@ -123,7 +78,7 @@ class CaloricPolynomial:
     n: int
     terms: dict
     parity: str | None = None
-    alpha: MultiIndex | None = None
+    alpha: tuple | None = None
     _compiled: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -278,7 +233,7 @@ class CaloricPolynomial:
                 n = len(next(iter(terms))[0])
             else:
                 raise ValueError("cannot infer dimension of an empty polynomial")
-        alpha = MultiIndex(data["alpha"]) if data.get("alpha") is not None else None
+        alpha = _multi_index(data["alpha"], n) if data.get("alpha") is not None else None
         return cls(n, terms, parity=data.get("parity"), alpha=alpha)
 
     def __str__(self):
@@ -350,14 +305,13 @@ def _family_sign(parity):
 def caloric_poly(A, alpha, parity="v"):
     """The family member v_alpha (parity 'v') or w_alpha (parity 'w') for A.
 
-    Matrix entries are snapped to exact rationals; float entries are dyadic
-    so the snap is lossless.
+    alpha is any sequence of A.n non-negative ints (ValueError otherwise);
+    the result's ``alpha`` is it as a tuple.  Matrix entries are snapped to
+    exact rationals; float entries are dyadic so the snap is lossless.
     """
     sign = _family_sign(parity)
-    alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    if alpha.n != A.n:
-        raise ValueError(f"multi-index length {alpha.n} does not match dimension {A.n}")
-    terms = dict(_family_terms(A.entries_exact, A.n, alpha.alpha, sign))
+    alpha = _multi_index(alpha, A.n)
+    terms = dict(_family_terms(A.entries_exact, A.n, alpha, sign))
     return CaloricPolynomial(A.n, terms, parity=parity, alpha=alpha)
 
 
@@ -375,11 +329,9 @@ def basis_matrix(A, alphas, parity, points, times):
     ``enumerate_basis`` is; ValueError otherwise.
     """
     sign = _family_sign(parity)
+    keys = [_multi_index(a, A.n) for a in alphas]
     x = np.atleast_2d(np.asarray(points, dtype=float))
     st = (2.0 * sign) * np.asarray(times, dtype=float).reshape(-1)
-    keys = [a.alpha if isinstance(a, MultiIndex) else MultiIndex(a).alpha for a in alphas]
-    if any(len(a) != A.n for a in keys):
-        raise ValueError(f"multi-index lengths must match dimension {A.n}")
     row = {a: i for i, a in enumerate(keys)}
     for alpha in keys:
         for k in range(A.n):
@@ -425,10 +377,11 @@ def apply_parabolic_operator(p, A, which="H"):
 def decompose(p, A, parity="v"):
     """Write p as sum c_alpha * (family member), reading c_alpha off p(x, 0).
 
-    Raises NotCaloric, reporting the lowest-grade leftover term, when p is
-    not in the span of the requested family.
+    Returns {alpha: c_alpha} keyed by multi-index tuples.  Raises
+    NotCaloric, reporting the lowest-grade leftover term, when p is not in
+    the span of the requested family.
     """
-    coeffs = {MultiIndex(beta): c for beta, c in p.trace_t0().items()}
+    coeffs = p.trace_t0()
     residual = p
     for alpha, c in coeffs.items():
         residual = residual - caloric_poly(A, alpha, parity).scaled(c)
@@ -448,8 +401,8 @@ def moment_identity_check(A, alpha, point, resolution=80):
     The integral is taken over a box where the Gaussian tail is below 1e-16
     with a tensor Gauss-Legendre rule of ``resolution`` nodes per axis.
     """
+    alpha = _multi_index(alpha, A.n)
     x, t = _as_xt(point)
-    alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
     if t <= 0:
         raise ValueError("moment identity needs t > 0")
     # exp(-q/(4t)) <= exp(-|z|^2/(4 t eig_max)); tail below 1e-16 needs

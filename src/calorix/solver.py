@@ -136,7 +136,7 @@ class TrefftzSystem:
     def columns_for_degree(self, degree):
         # graded-lex enumeration puts all lower degrees first, so a nested
         # subspace is a leading block of columns
-        return sum(1 for a in self.alphas if a.degree <= degree)
+        return sum(1 for a in self.alphas if sum(a) <= degree)
 
 
 def _dirichlet_nodes(mesh, parity):
@@ -193,7 +193,7 @@ class CaloricApproximant:
             "parity": self.parity,
             "degree": self.degree,
             "n": self.n,
-            "alphas": [list(a.alpha) for a in self.alphas],
+            "alphas": [list(a) for a in self.alphas],
             "coefficients": self.coefficients.tolist(),
             "column_scales": self.column_scales.tolist(),
             "residual": self.residual,

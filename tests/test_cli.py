@@ -76,6 +76,9 @@ def test_poly_table_output(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "o" / "polynomials.csv").read_text()
     assert "x1^2 + 2*t" in text
+    rows = [ln.split(",")[:2] for ln in text.splitlines() if not ln.startswith("#")]
+    assert rows == [["alpha", "degree"], ["0 0", "0"], ["0 1", "1"], ["1 0", "1"],
+                    ["0 2", "2"], ["1 1", "2"], ["2 0", "2"]]
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert all(a["passed"] for a in summary["assertions"])
     assert len(summary["polynomials"]) == 6
@@ -93,6 +96,8 @@ def test_solve_reproduction_run(tmp_path):
     names = [a["name"] for a in summary["assertions"]]
     assert "reproduction" in names
     assert summary["approximant"]["residual"] < 1e-9
+    assert summary["approximant"]["alphas"] == [list(a) for a in cx.enumerate_basis(2, 3)]
+    assert all(type(a) is int for alpha in summary["approximant"]["alphas"] for a in alpha)
 
 
 def test_star_geometry_run(tmp_path):
@@ -307,6 +312,20 @@ def test_rejects_alpha_length_mismatch(tmp_path):
                                 "data": {"kind": "caloric-poly",
                                          "alpha": [1, 1, 1]}})
     reject(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("block, value, message", [
+    ("task", [], "task: [] is not of type 'object'"),
+    ("task", "solve", "task: 'solve' is not of type 'object'"),
+    ("output", [], "output: [] is not of type 'object'"),
+    ("output", {"directory": 5}, "output/directory: 5 is not of type 'string'"),
+], ids=["task-list", "task-string", "output-list", "directory-int"])
+def test_malformed_task_or_output_block_exits_two(tmp_path, capsys, block, value, message):
+    # main reads the task name and the output directory before RunContext
+    cfg = make_config("solve", {"degree": 1})
+    cfg[block] = value
+    assert run_cli("solve", write_config(tmp_path, cfg)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_rejects_task_name_mismatch(tmp_path):

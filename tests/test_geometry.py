@@ -137,11 +137,6 @@ def test_ellipsoid_normals_match_implicit_gradient(I3):
     assert np.allclose(nrm, -grad, atol=1e-12)
 
 
-def test_conormals_are_matrix_times_normal(disk_mesh_B, B2):
-    assert np.allclose(disk_mesh_B.bconormals,
-                       disk_mesh_B.bnormals @ B2.a.T, atol=1e-14)
-
-
 def test_arc_jacobian_matches_finite_difference(ellipse):
     h = 1e-6
     for phi in (0.3, 1.2, 4.0):
@@ -211,8 +206,8 @@ def test_build_mesh_guards(disk, C3, I2):
         cx.build_mesh(disk, I2, -1.0, 16, 8, 8)
 
 
-def _per_dimension_mesh_arrays(cs, A, T, m_angular, m_time, m_radial):
-    """The eight mesh arrays from the lateral and cap rules written out once
+def _per_dimension_mesh_arrays(cs, T, m_angular, m_time, m_radial):
+    """The seven mesh arrays from the lateral and cap rules written out once
     per dimension, as the reference that build_mesh must reproduce."""
     s, ws = gauss_legendre(m_radial, 0.0, 1.0)
     if cs.n == 2:
@@ -231,7 +226,7 @@ def _per_dimension_mesh_arrays(cs, A, T, m_angular, m_time, m_radial):
         cap_pts = s[:, None, None] * (rho[None, :, None] * dirs[None, :, :])
         cap_w = ws[:, None] * s[:, None] ** 2 * (rho**3)[None, :] * wdirs[None, :]
     tnodes, tweights = gauss_legendre(m_time, 0.0, T)
-    return {"bpoints": points, "bnormals": inward, "bconormals": inward @ A.a.T,
+    return {"bpoints": points, "bnormals": inward,
             "bweights": bweights, "tnodes": tnodes, "tweights": tweights,
             "cap_points": cap_pts.reshape(-1, cs.n), "cap_weights": cap_w.reshape(-1)}
 
@@ -250,7 +245,7 @@ def test_build_mesh_matches_per_dimension_rules(cs, resolutions):
     A = cx.make_coefficients(cs.n, np.eye(cs.n) + 0.25 * (1.0 - np.eye(cs.n)))
     for m in resolutions:
         mesh = cx.build_mesh(cs, A, 0.7, *m)
-        for name, want in _per_dimension_mesh_arrays(cs, A, 0.7, *m).items():
+        for name, want in _per_dimension_mesh_arrays(cs, 0.7, *m).items():
             got = getattr(mesh, name)
             assert got.shape == want.shape and np.array_equal(got, want), (m, name)
 
