@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 
 from .core import (
     CoefficientMatrix,
-    SpaceTimePoint,
-    caloric_exponential,
     conormal_kernel_source,
     conormal_kernel_target,
     elliptic_conormal_kernel,
@@ -53,13 +51,10 @@ from .potentials import (
     double_layer_star,
     elliptic_gauss_identity,
     jump_probe,
-    partition_identity,
-    representation_check,
     representation_discrepancy,
     representation_values,
     single_layer,
     single_layer_star,
-    stokes_check,
 )
 from .solver import (
     BoundaryData,

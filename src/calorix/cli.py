@@ -25,12 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import (
-    caloric_exponential,
-    conormal_kernel_source,
-    fundamental_solution,
-    make_coefficients,
-)
+from .core import conormal_kernel_source, fundamental_solution, make_coefficients
 from .errors import CalorixError, ConfigInvalid, TaskFailed
 from .geometry import CrossSection, build_mesh
 from .polynomials import caloric_poly, enumerate_basis, moment_identity_check
@@ -223,6 +218,18 @@ def validate_config(config):
             f"geometry/{geom['kind']}: needs n={spec.n}, operator has n={n}")
 
 
+def _read_json(path, unreadable, invalid):
+    """The JSON document in the file at ``path``; ConfigInvalid, prefixed
+    ``unreadable`` if it cannot be opened, ``invalid`` if not UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigInvalid(f"{unreadable}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigInvalid(f"{invalid}: {exc}") from exc
+
+
 class RunContext:
     """Validated config turned into live objects.  ``threads`` is accepted
     for compatibility and ignored: runs are serial."""
@@ -257,6 +264,9 @@ class RunContext:
         return self.config["task"]
 
     def parallel_map(self, fn, items):
+        """[fn(it) for it in items].  A serial map, kept as a method because
+        the perfbench tracer patches it to parent the per-item spans of a
+        traced run (``--trace 1``) under one ``cli.parallel_map`` span."""
         return [fn(it) for it in items]
 
 
@@ -369,7 +379,7 @@ _FD_STEP = float(np.finfo(float).eps) ** 0.25
 def _parabolic_residual(A, f, z, tau, sign):
     """E f - sign * df/dtau at (z, tau) by central differences, for a scalar
     field f(z, tau): the residual of H for sign=+1 and of H* for sign=-1
-    (the sign convention of caloric_exponential)."""
+    (the sign convention of CaloricExponentialField)."""
     n = A.n
     h = _FD_STEP
     lap = 0.0
@@ -423,8 +433,8 @@ def _task_verify_kernels(ctx, rep):
 
         xi = ctx.rng.normal(size=n) * 0.5
         for check, sign in (("exp-pde", +1), ("exp-pde-adjoint", -1)):
-            def u(y, s):
-                return caloric_exponential(A, (y, s), xi, sign)
+            def u(y, s, field=CaloricExponentialField(A, xi, sign)):
+                return float(field.value(y, s)[0])
             r = _parabolic_residual(A, u, z, tau, sign)
             err = abs(r) / max(abs(u(z, tau)), 1.0)
             errs[check].append(err)
@@ -621,14 +631,10 @@ def _load_boundary_data(ctx, spec):
     if path is None:
         raise ConfigInvalid("values-file data needs a path")
     full = os.path.join(ctx.config_dir, path)
-    try:
-        with open(full, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"values file {full}: {exc}") from exc
+    payload = _read_json(full, f"values file {full}", f"values file {full}")
     try:
         return BoundaryData.from_values(mesh, parity, payload, tag="values-file")
-    except (CalorixError, KeyError) as exc:
+    except CalorixError as exc:
         raise ConfigInvalid(f"values file {full}: {exc}") from exc
 
 
@@ -858,15 +864,7 @@ def main(argv=None):
                 f"unknown task {args.task!r}; run 'calorix list-tasks'")
         if args.config is None:
             raise ConfigInvalid("--config is required")
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            raise ConfigInvalid(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigInvalid("config must be a JSON object")
+        config = _read_json(args.config, "cannot read config", "config is not valid JSON")
         # checked before the task name and output directory are read;
         # RunContext checks again, for callers that build it directly
         validate_config(config)

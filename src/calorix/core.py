@@ -3,11 +3,11 @@
 The parabolic operators are H = E - d/dt and its adjoint H* = E + d/dt,
 where E = sum_{h,k} a_hk d^2/dx_h dx_k and A = {a_hk} is symmetric positive
 definite.  This module holds the matrix bookkeeping plus the fundamental
-solution, its conormal-derivative kernels, caloric exponentials, and the
-time-independent (elliptic) kernel used for the Gauss-type surface identity.
+solution, its conormal-derivative kernels, and the time-independent
+(elliptic) kernel used for the Gauss-type surface identity.  A target is a
+plain (x, t) pair; ``_as_xt`` normalises it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,18 +22,6 @@ _LOG_FLOOR = -700.0
 _LOG_CEIL = 700.0
 
 _SYMMETRY_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A point (x, t) with x in R^n."""
-
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
-        object.__setattr__(self, "t", float(self.t))
 
 
 class CoefficientMatrix:
@@ -102,9 +90,7 @@ def make_coefficients(n, entries):
 
 
 def _as_xt(point):
-    """(x, t) of a target given as a SpaceTimePoint or an (x, t) pair."""
-    if isinstance(point, SpaceTimePoint):
-        return point.x, point.t
+    """(x, t) of a target pair, as a flat float array and a float."""
     x, t = point
     return np.asarray(x, dtype=float).reshape(-1), float(t)
 
@@ -157,29 +143,6 @@ def conormal_kernel_target(A, x, y, nu_fixed, tau):
     derivative of the single layer taken at a fixed boundary point.
     """
     return -conormal_kernel_source(A, x, y, nu_fixed, tau)
-
-
-def caloric_exponential(A, point, xi, sign=+1):
-    """exp(<x, xi> + sign * t <A xi, xi>).
-
-    sign=+1 gives a solution of H u = 0, sign=-1 of H* u = 0.
-    ``point`` may be a SpaceTimePoint or an (x, t) pair of arrays; x may carry
-    leading batch axes.
-    """
-    if isinstance(point, SpaceTimePoint):
-        x, t = point.x, point.t
-    else:
-        x, t = point
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    rate = float(xi @ A.a @ xi)
-    # overflow gives inf, which callers reject with a typed error
-    with np.errstate(over="ignore"):
-        out = np.exp(x @ xi + float(sign) * t * rate)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
 
 
 def elliptic_fundamental(A, x, y):

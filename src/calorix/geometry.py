@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidResolution, OffsetTooLarge
-from .core import SpaceTimePoint, _as_xt
+from .core import _as_xt
 from .quadrature import gauss_legendre, periodic_trapezoid, sphere_rule
 
 _BOUNDARY_TOL = 1e-12
@@ -355,7 +355,8 @@ class CylinderMesh:
         return Location("interior")
 
     def offset_point(self, lateral_flat_index, h):
-        """Lateral node moved h along its inward unit normal (same time).
+        """Lateral node moved h along its inward unit normal (same time), as
+        an (x, t) pair.
 
         h > 0 must land strictly inside, h < 0 strictly outside; anything
         else (crossing the far wall, |h| beyond the diameter) raises
@@ -371,7 +372,7 @@ class CylinderMesh:
             raise OffsetTooLarge(f"inward offset {h} leaves the cylinder ({loc.kind})")
         if h < 0 and loc.kind != "exterior":
             raise OffsetTooLarge(f"outward offset {h} fails to leave the cylinder ({loc.kind})")
-        return SpaceTimePoint(x, t)
+        return x, t
 
 
 def build_mesh(cs, A, T, m_angular, m_time, m_radial):

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import SpaceTimePoint, _as_xt, fundamental_solution
+from .core import _as_xt, fundamental_solution
 from .errors import NotCaloric
 from .quadrature import gauss_legendre, tensor_rule
 
@@ -151,10 +151,8 @@ class CaloricPolynomial:
             self._compiled = (betas, ms, coeffs)
         return self._compiled
 
-    def evaluate(self, points, times=None):
-        """Float evaluation; points (m, n) with times (m,), or a SpaceTimePoint."""
-        if isinstance(points, SpaceTimePoint):
-            return float(self.evaluate(points.x[None, :], np.array([points.t]))[0])
+    def evaluate(self, points, times):
+        """Float evaluation at points (m, n) with times (m,)."""
         x = np.atleast_2d(np.asarray(points, dtype=float))
         t = np.asarray(times, dtype=float).reshape(-1)
         if not self.terms:

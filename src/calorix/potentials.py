@@ -44,7 +44,6 @@ import numpy as np
 
 from .core import (
     _as_xt,
-    caloric_exponential,
     conormal_kernel_target,
     elliptic_conormal_kernel,
     fundamental_solution,
@@ -115,8 +114,11 @@ class CaloricExponentialField:
         self.sign = int(sign)
 
     def value(self, points, times):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return caloric_exponential(self.A, (points, times), self.xi, self.sign)
+        x = np.atleast_2d(np.asarray(points, dtype=float))
+        t = np.asarray(times, dtype=float)
+        rate = float(self.xi @ self.A.a @ self.xi)
+        with np.errstate(over="ignore"):  # inf, which callers reject with a typed error
+            return np.exp(x @ self.xi + float(self.sign) * t * rate)
 
     def conormal(self, points, times, normals):
         # <A nu, grad u> = <nu, A xi> u
@@ -545,16 +547,6 @@ def representation_values(mesh, A, fields, which="H"):
     return functools.partial(representation_at, mesh, A, densities, star=star)
 
 
-def partition_identity(mesh, A, target):
-    """Double layer of 1 plus cap potential of 1: the layer representation
-    of u = 1, whose zero flux adds no single layer.
-
-    Equals 1 at interior points of the cylinder and 0 outside its closure;
-    the target must stay off the boundary.
-    """
-    return representation_values(mesh, A, [ConstantField()])(target)[0]
-
-
 def representation_discrepancy(mesh, u_field, target, value):
     """How far a layer representation ``value`` at ``target`` is from what
     it represents: |value - u| at interior targets, |value| at exterior
@@ -563,24 +555,6 @@ def representation_discrepancy(mesh, u_field, target, value):
     if mesh.locate((x, t)).kind == "interior":
         return abs(value - float(u_field.value(x[None, :], np.array([t]))[0]))
     return abs(value)
-
-
-def representation_check(mesh, A, u_field, which="H"):
-    """``representation_discrepancy`` of ``representation_values`` for one
-    caloric field, as a function of the target.  The densities are sampled
-    once, here."""
-    values = representation_values(mesh, A, [u_field], which)
-
-    def check(target):
-        (val,) = values(target)
-        return representation_discrepancy(mesh, u_field, target, val)
-
-    return check
-
-
-def stokes_check(mesh, A, u_field, target, which="H"):
-    """``representation_check(mesh, A, u_field, which)`` at one target."""
-    return representation_check(mesh, A, u_field, which)(target)
 
 
 def elliptic_gauss_identity(cs, A, x):
@@ -654,9 +628,9 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
 
     # one graded rule deep enough for the smallest offset, reused at every
     # level so the h-expansion seen by the extrapolation stays smooth
-    probe = mesh.offset_point(node_index, offsets[-1]).x
+    probe = mesh.offset_point(node_index, offsets[-1])[0]
     graded = _near_boundary_rule(mesh, probe, depth=_graded_depth(mesh.cs, offsets[-1]))
-    kernels = [_LateralKernel(mesh, A, mesh.offset_point(node_index, h).x, t0, False, graded)
+    kernels = [_LateralKernel(mesh, A, mesh.offset_point(node_index, h)[0], t0, False, graded)
                for h in np.concatenate([offsets, -offsets])]
     grid = _TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
     on_grid = _samples(mesh, phi, graded) @ grid.interp

@@ -79,17 +79,26 @@ class BoundaryData:
 
     @classmethod
     def from_values(cls, mesh, parity, values, tag="samples"):
+        """Data from a dict of each region to a flat 1-D sequence of
+        numbers, one per node; anything else raises DegenerateData."""
+        if not isinstance(values, dict):
+            raise DegenerateData("values must map each region to its samples")
         out = {}
         for region in parity_regions(parity):
             pts, _, _ = mesh.region_nodes(region)
-            arr = np.asarray(values[region], dtype=float)
+            try:
+                arr = np.asarray(values.get(region))  # None when missing
+            except ValueError:  # ragged nesting
+                arr = np.asarray(None)
+            if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+                raise DegenerateData(f"{region}: samples must be a flat list of numbers")
             if arr.shape[0] != pts.shape[0]:
                 raise DegenerateData(
                     f"{region}: {arr.shape[0]} samples for {pts.shape[0]} nodes")
             out[region] = arr
         return cls(parity, out, generator=None, tag=tag)
 
-    def concatenated(self, mesh):
+    def concatenated(self):
         return np.concatenate(
             [self.values[r] for r in parity_regions(self.parity)])
 
@@ -220,8 +229,8 @@ def _check_parity(data, parity):
             f"data parity {data.parity!r} does not match solve parity {parity!r}")
 
 
-def _weighted_rhs(system, data, mesh):
-    return system.sqrt_weights * data.concatenated(mesh)
+def _weighted_rhs(system, data):
+    return system.sqrt_weights * data.concatenated()
 
 
 def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
@@ -243,7 +252,7 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
     if system is None:
         system = assemble_system(mesh, A, parity, degree)
     ncols = system.columns_for_degree(degree)
-    rhs = _weighted_rhs(system, data, mesh)
+    rhs = _weighted_rhs(system, data)
 
     r = system.triangular(rhs)  # short when there are fewer rows than columns
     coeff, rank, cond = _svd_solve(r[:ncols, :ncols], r[:ncols, -1], rcond)
@@ -255,19 +264,13 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
                               cond, mesh.fingerprint())
 
 
-def evaluate_solution(approx, A, points, times=None):
-    """Evaluate the approximant: sum over k of c_k / s_k v_k(x, t).
-
-    Accepts (points, times) arrays or a list of SpaceTimePoint.  The basis
-    is evaluated in blocks of at most _EVAL_BLOCK points, which bounds the
-    memory of a fine-mesh evaluation.
+def evaluate_solution(approx, A, points, times):
+    """Evaluate the approximant: sum over k of c_k / s_k v_k(x, t) at points
+    (m, n) with times (m,).  The basis is evaluated in blocks of at most
+    _EVAL_BLOCK points, which bounds the memory of a fine-mesh evaluation.
     """
-    if times is None:
-        pts = np.array([p.x for p in points], dtype=float)
-        ts = np.array([p.t for p in points], dtype=float)
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ts = np.asarray(times, dtype=float).reshape(-1)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ts = np.asarray(times, dtype=float).reshape(-1)
     out = np.empty(pts.shape[0])
     raw = approx.raw_coefficients()
     for lo in range(0, pts.shape[0], _EVAL_BLOCK):
@@ -384,7 +387,7 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12):
     system = assemble_system(mesh, A, parity, degrees[-1])
     assembly_s = time.perf_counter() - start
     start = time.perf_counter()
-    system.triangular(_weighted_rhs(system, data, mesh))
+    system.triangular(_weighted_rhs(system, data))
     factorization_s = time.perf_counter() - start
     if data.exact is not None:
         # the leading columns of one top-degree evaluation serve every degree
@@ -457,7 +460,7 @@ def cross_validate(approx, fine_mesh, A, data):
     fine_data = BoundaryData.from_function(fine_mesh, parity, data.generator,
                                            exact=data.exact, tag=data.tag)
     pts, ts, wts = _dirichlet_nodes(fine_mesh, parity)
-    f = fine_data.concatenated(fine_mesh)
+    f = fine_data.concatenated()
     misfit = evaluate_solution(approx, A, pts, ts) - f
     num = math.sqrt(float(np.sum(wts * misfit**2)))
     den = math.sqrt(float(np.sum(wts * f**2)))

@@ -13,7 +13,6 @@ import pytest
 
 import calorix as cx
 from calorix import cli
-from calorix.core import SpaceTimePoint
 from conftest import ENTRIES, exterior_probes, interior_probes
 from fdtools import series_polynomial_terms
 
@@ -96,9 +95,10 @@ def test_criterion_05_partition_of_unity(capsys, disk_mesh_I, disk_mesh_B,
         rng = np.random.default_rng(seed)
         probes = ([(x, 1.0) for x in interior_probes(mesh.cs, rng, 12)]
                   + [(x, 0.0) for x in exterior_probes(mesh.cs, rng, 8)])
+        partition = cx.representation_values(mesh, mesh.A, [cx.ConstantField()])
         for x, expect in probes:
             t = rng.uniform(0.1, 0.9)
-            got = cx.partition_identity(mesh, mesh.A, SpaceTimePoint(x, t))
+            (got,) = partition((x, t))
             worst = max(worst, abs(got - expect))
             total += 1
     report(capsys, 5, worst < 1e-6,
@@ -177,8 +177,7 @@ def test_criterion_07_lateral_jump_relations(capsys, disk_mesh_I, I2):
         mesh, "sigma3", lambda p, t, nu: gen(p, mesh.T - t, nu))
     dual = 0.0
     for xy, t in (((0.3, 0.2), 0.4), ((0.7, -0.1), 0.8), ((1.5, 0.6), 0.5)):
-        tgt, mtg = SpaceTimePoint(np.array(xy), t), \
-            SpaceTimePoint(np.array(xy), mesh.T - t)
+        tgt, mtg = (np.array(xy), t), (np.array(xy), mesh.T - t)
         dual = max(dual, abs(cx.double_layer(mesh, I2, phi, tgt)
                              - cx.double_layer_star(mesh, I2, mir, mtg)))
         dual = max(dual, abs(cx.single_layer(mesh, I2, phi, tgt)
@@ -210,9 +209,10 @@ def test_criterion_08_boundary_representation(capsys, disk, B2):
                 for r in (1.3, 1.7) for th in (0.9, 3.6) for t in (0.25, 0.75)]
     worst = 0.0
     for fld, which in runs:
-        for x, t in interior + exterior:
-            miss = cx.stokes_check(mesh, B2, fld, SpaceTimePoint(x, t),
-                                   which=which)
+        values = cx.representation_values(mesh, B2, [fld], which)
+        for target in interior + exterior:
+            (value,) = values(target)
+            miss = cx.representation_discrepancy(mesh, fld, target, value)
             worst = max(worst, abs(miss))
     report(capsys, 8, worst < 1e-6,
            f"boundary representation (caps + both lateral layers) closes for "
@@ -228,7 +228,7 @@ def test_criterion_09_initial_limit(capsys, ellipse_mesh_B, B2):
     rng = np.random.default_rng(17)
     worst = 0.0
     for x in interior_probes(ellipse_mesh_B.cs, rng, 10, frac=(0.0, 0.6)):
-        got = cx.cap_potential(ellipse_mesh_B, B2, phi, SpaceTimePoint(x, 1e-4))
+        got = cx.cap_potential(ellipse_mesh_B, B2, phi, (x, 1e-4))
         worst = max(worst, abs(got - float(f(x[None, :], None, None)[0])))
     report(capsys, 9, worst < 1e-3,
            f"bottom-cap potential at t = 1e-4 recovers its density at 10 "

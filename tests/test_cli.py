@@ -271,6 +271,14 @@ def test_rejects_empty_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, shown", [("[1]", "[1]"), ('"abc"', "'abc'")])
+def test_non_object_config_exits_two(tmp_path, capsys, text, shown):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: <root>: {shown} is not of type 'object'\n"
+
+
 def test_rejects_unknown_root_key(tmp_path):
     cfg = make_config("poly-table", {"max_degree": 1})
     cfg["surprise"] = 1
@@ -563,6 +571,55 @@ def test_degenerate_data_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "DegenerateData" in err and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+def _values_file_config():
+    return make_config("solve", {"degree": 2,
+                                 "data": {"kind": "values-file", "path": "vals.json"}})
+
+
+# payload builders, from the node count of each v-parity region
+MALFORMED_VALUES = {
+    "list": lambda counts: [1, 2],
+    "string": lambda counts: {r: "abc" for r in counts},
+    "scalar": lambda counts: {r: 1.0 for r in counts},
+    "null": lambda counts: {r: None for r in counts},
+    "nested": lambda counts: {r: [[1.0]] * m for r, m in counts.items()},
+    "ragged": lambda counts: {r: [[1.0], [1.0, 2.0]] for r in counts},
+    "string-items": lambda counts: {r: ["1"] * m for r, m in counts.items()},
+    "booleans": lambda counts: {r: [True] * m for r, m in counts.items()},
+    "missing-region": lambda counts: {"sigma3": [1.0] * counts["sigma3"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_VALUES))
+def test_malformed_values_file_exits_two(tmp_path, capsys, name):
+    # the payload must map each region to a flat list of numbers, one per node
+    mesh = cx.build_mesh(cx.CrossSection.disk(1.0), cx.CoefficientMatrix(np.eye(2)),
+                         0.5, 16, 6, 4)
+    counts = {r: mesh.region_nodes(r)[0].shape[0] for r in ("sigma2", "sigma3")}
+    (tmp_path / "vals.json").write_text(json.dumps(MALFORMED_VALUES[name](counts)))
+    assert run_cli("solve", write_config(tmp_path, _values_file_config()),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: values file {tmp_path / 'vals.json'}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["config", "values-file"])
+def test_non_utf8_file_exits_two(tmp_path, capsys, which):
+    # a UTF-16 byte-order mark (ff fe) is not UTF-8
+    cfg = _values_file_config()
+    path = write_config(tmp_path, cfg)
+    vals = tmp_path / "vals.json"
+    vals.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    if which == "config":
+        pathlib.Path(path).write_bytes(b"\xff\xfe" + json.dumps(cfg).encode("utf-16-le"))
+    assert run_cli("solve", path, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    prefix = "config is not valid JSON" if which == "config" else f"values file {vals}"
+    assert err.startswith(f"config error: {prefix}: ")
+    assert "codec can't decode" in err and err.count("\n") == 1
 
 
 def test_jump_offset_leaving_a_thin_section_exits_two(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import calorix as cx
-from calorix import SpaceTimePoint
 from calorix.errors import (
     DimensionTooSmall,
     NotPositiveDefinite,
@@ -174,8 +173,8 @@ def test_conormal_target_is_negated_frozen_direction(B2):
 def test_exponential_solves_both_equations(B2):
     xi = np.array([0.3, -0.2])
     for sign, adjoint in ((+1, False), (-1, True)):
-        fn = lambda x, t: float(
-            cx.caloric_exponential(B2, SpaceTimePoint(x, t), xi, sign=sign))
+        field = cx.CaloricExponentialField(B2, xi, sign=sign)
+        fn = lambda x, t: float(field.value(x, t)[0])
         res = heat_operator_residual(fn, ENTRIES["B2"], np.array([0.2, 0.4]),
                                      0.3, adjoint=adjoint)
         assert abs(res) < 1e-6
@@ -183,22 +182,45 @@ def test_exponential_solves_both_equations(B2):
 
 def test_exponential_frozen_value(I2):
     # exp(<x, xi> + t |xi|^2) at x=(1,1), xi=(1,2), t=0.1: exp(3.5)
-    val = cx.caloric_exponential(
-        I2, SpaceTimePoint(np.array([1.0, 1.0]), 0.1), np.array([1.0, 2.0]))
-    assert float(val) == pytest.approx(math.exp(3.5), rel=1e-14)
+    val = cx.CaloricExponentialField(I2, np.array([1.0, 2.0])).value(np.array([1.0, 1.0]), 0.1)
+    assert val.shape == (1,)
+    assert float(val[0]) == pytest.approx(math.exp(3.5), rel=1e-14)
 
 
 # -- target normalisation ---------------------------------------------------
 
+def _exp_field(A):
+    return cx.CaloricExponentialField(A, [0.3, -0.2])
+
+
+def _conormal_single_layer(mesh, A, p):
+    # the operator takes its target from CylinderMesh.offset_point; hand it p
+    mesh.offset_point = lambda node, h: p
+    K = mesh.tnodes.shape[0]
+    phi = cx.DensityField.from_function(mesh, "sigma3", lambda q, s, nu: 1.0 + q[:, 0] * s)
+    return cx.conormal_derivative_single_layer(mesh, A, phi, 3 * K + K // 2, 0.1)
+
+
 TARGET_USERS = {
     "double_layer": lambda mesh, A, p: cx.double_layer(
         mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+    "single_layer": lambda mesh, A, p: cx.single_layer(
+        mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+    "double_layer_star": lambda mesh, A, p: cx.double_layer_star(
+        mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+    "single_layer_star": lambda mesh, A, p: cx.single_layer_star(
+        mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+    "conormal_derivative_single_layer": _conormal_single_layer,
     "cap_potential": lambda mesh, A, p: cx.cap_potential(
         mesh, A, cx.DensityField.constant(mesh, "sigma2"), p),
-    "partition_identity": lambda mesh, A, p: cx.partition_identity(mesh, A, p),
-    "stokes_check": lambda mesh, A, p: cx.stokes_check(
-        mesh, A, cx.CaloricExponentialField(A, [0.3, -0.2]), p),
+    "cap_potential_star": lambda mesh, A, p: cx.cap_potential_star(
+        mesh, A, cx.DensityField.constant(mesh, "sigma1"), p),
+    "representation_values": lambda mesh, A, p: cx.representation_values(
+        mesh, A, [cx.ConstantField(), _exp_field(A)], "H")(p),
+    "representation_discrepancy": lambda mesh, A, p: cx.representation_discrepancy(
+        mesh, _exp_field(A), p, 0.5),
     "CylinderMesh.locate": lambda mesh, A, p: mesh.locate(p),
+    "CylinderMesh.wall_frame": lambda mesh, A, p: mesh.wall_frame(p),
     "moment_identity_check": lambda mesh, A, p: cx.moment_identity_check(
         A, (1, 2), p, resolution=20),
 }
@@ -206,10 +228,14 @@ TARGET_USERS = {
 
 @pytest.mark.parametrize("name", sorted(TARGET_USERS))
 def test_point_and_pair_targets_agree(name, disk, B2):
-    mesh = cx.build_mesh(disk, B2, 1.0, 32, 8, 6)
-    x, t = np.array([0.3, -0.2]), 0.4
+    # a target is a plain (x, t) pair: x an ndarray or a list, t a float or
+    # an int; T = 2 puts the int time 1 inside the cylinder
+    x, t = np.array([0.3, -0.2]), 1
     use = TARGET_USERS[name]
-    assert use(mesh, B2, SpaceTimePoint(x, t)) == use(mesh, B2, (list(x), t))
+    got = [use(cx.build_mesh(disk, B2, 2.0, 32, 8, 6), B2, target)
+           for target in ((x, float(t)), (x, t), (list(x), t))]
+    assert got[1] == got[0]
+    assert got[2] == got[0]
 
 
 # -- elliptic companions ----------------------------------------------------

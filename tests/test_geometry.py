@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import calorix as cx
-from calorix import SpaceTimePoint
 from calorix.errors import (
     DimensionMismatch,
     InvalidResolution,
@@ -188,9 +187,12 @@ def test_locate_classifications(disk_mesh_I):
 def test_offset_point_moves_along_normal(disk_mesh_I):
     K = disk_mesh_I.tnodes.shape[0]
     flat = 7 * K + 10
-    b, _ = disk_mesh_I.lateral_index(flat)
+    b, k = disk_mesh_I.lateral_index(flat)
     inner = disk_mesh_I.offset_point(flat, 0.01)
     outer = disk_mesh_I.offset_point(flat, -0.01)
+    x, t = inner  # a plain (x, t) pair
+    assert np.array_equal(x, disk_mesh_I.bpoints[b] + 0.01 * disk_mesh_I.bnormals[b])
+    assert t == disk_mesh_I.tnodes[k]
     assert disk_mesh_I.locate(inner).kind == "interior"
     assert disk_mesh_I.locate(outer).kind == "exterior"
     with pytest.raises(OffsetTooLarge):

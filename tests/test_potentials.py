@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import calorix as cx
-from calorix import SpaceTimePoint, potentials
+from calorix import potentials
 from calorix.errors import (
     CornerTooClose,
     DimensionMismatch,
@@ -13,6 +13,18 @@ from calorix.errors import (
 )
 
 from conftest import exterior_probes, interior_probes
+
+
+def partition(mesh, A, target):
+    """Partition of unity at one target: the layer representation of u = 1."""
+    return cx.representation_values(mesh, A, [cx.ConstantField()])(target)[0]
+
+
+def discrepancy(mesh, A, field, target, which="H"):
+    """How far the layer representation of one caloric field is from the
+    field at one target."""
+    (value,) = cx.representation_values(mesh, A, [field], which)(target)
+    return cx.representation_discrepancy(mesh, field, target, value)
 
 
 def smooth_density(mesh):
@@ -32,15 +44,15 @@ def test_partition_identity(fix, request):
     rng = np.random.default_rng(42)
     for x in interior_probes(mesh.cs, rng, 6):
         t = rng.uniform(0.1, 0.9)
-        assert abs(cx.partition_identity(mesh, A, (x, t)) - 1.0) < 1e-6
+        assert abs(partition(mesh, A, (x, t)) - 1.0) < 1e-6
     for x in exterior_probes(mesh.cs, rng, 6):
         t = rng.uniform(0.1, 0.9)
-        assert abs(cx.partition_identity(mesh, A, (x, t))) < 1e-6
+        assert abs(partition(mesh, A, (x, t))) < 1e-6
 
 
 def test_partition_rejects_boundary_target(disk_mesh_I, I2):
     with pytest.raises(TargetOnBoundary):
-        cx.partition_identity(disk_mesh_I, I2, (np.array([1.0, 0.0]), 0.5))
+        partition(disk_mesh_I, I2, (np.array([1.0, 0.0]), 0.5))
 
 
 # -- lateral operator basics ------------------------------------------------
@@ -49,7 +61,7 @@ def test_layers_linear_in_density(disk_mesh_B, B2):
     phi = smooth_density(disk_mesh_B)
     phi2 = cx.DensityField(phi.region, 2.0 * phi.values,
                            lambda p, t, nu: 2.0 * phi.generator(p, t, nu))
-    target = SpaceTimePoint(np.array([0.3, 0.2]), 0.6)
+    target = (np.array([0.3, 0.2]), 0.6)
     for op in (cx.double_layer, cx.single_layer, cx.double_layer_star,
                cx.single_layer_star):
         assert op(disk_mesh_B, B2, phi2, target) == pytest.approx(
@@ -59,12 +71,12 @@ def test_layers_linear_in_density(disk_mesh_B, B2):
 def test_forward_layer_vanishes_at_time_zero(disk_mesh_I, I2):
     phi = smooth_density(disk_mesh_I)
     assert cx.single_layer(disk_mesh_I, I2,
-                           phi, SpaceTimePoint(np.array([0.3, 0.2]), 0.0)) == 0.0
+                           phi, (np.array([0.3, 0.2]), 0.0)) == 0.0
 
 
 def test_star_layer_vanishes_at_final_time(disk_mesh_I, I2):
     phi = smooth_density(disk_mesh_I)
-    target = SpaceTimePoint(np.array([0.3, 0.2]), disk_mesh_I.T)
+    target = (np.array([0.3, 0.2]), disk_mesh_I.T)
     assert cx.single_layer_star(disk_mesh_I, I2, phi, target) == 0.0
 
 
@@ -72,7 +84,7 @@ def test_lateral_needs_wall_density(disk_mesh_I, I2):
     cap = cx.DensityField.constant(disk_mesh_I, "sigma2", 1.0)
     with pytest.raises(DimensionMismatch):
         cx.double_layer(disk_mesh_I, I2, cap,
-                        SpaceTimePoint(np.array([0.1, 0.1]), 0.5))
+                        (np.array([0.1, 0.1]), 0.5))
 
 
 def test_sampled_matches_generator(ellipse_mesh_B, B2):
@@ -84,8 +96,8 @@ def test_sampled_matches_generator(ellipse_mesh_B, B2):
     for x in interior_probes(ellipse_mesh_B.cs, rng, 4):
         t = rng.uniform(0.1, 0.95)
         for op in (cx.double_layer, cx.single_layer, cx.double_layer_star):
-            a = op(ellipse_mesh_B, B2, phi, SpaceTimePoint(x, t))
-            b = op(ellipse_mesh_B, B2, sampled, SpaceTimePoint(x, t))
+            a = op(ellipse_mesh_B, B2, phi, (x, t))
+            b = op(ellipse_mesh_B, B2, sampled, (x, t))
             assert b == pytest.approx(a, rel=1e-11, abs=1e-13)
 
 
@@ -105,8 +117,8 @@ def test_sampled_density_near_the_wall_raises(disk_mesh_B, B2):
                cx.single_layer_star):
         for r in (0.99, 1.005):
             with pytest.raises(ValueError, match="generator"):
-                op(mesh, B2, sampled, SpaceTimePoint(r * d, 0.5))
-            assert math.isfinite(op(mesh, B2, phi, SpaceTimePoint(r * d, 0.5)))
+                op(mesh, B2, sampled, (r * d, 0.5))
+            assert math.isfinite(op(mesh, B2, phi, (r * d, 0.5)))
     K = mesh.tnodes.shape[0]
     node = 5 * K + K // 2
     for h in (0.02, -0.02):
@@ -137,7 +149,7 @@ def test_lateral_layers_converge_under_time_refinement(disk, B2):
         lambda p, t, nu: kernel.conormal(p, t, nu),
     ]
     ops = (cx.double_layer, cx.single_layer, cx.double_layer_star, cx.single_layer_star)
-    targets = [SpaceTimePoint(r * np.array([math.cos(a), math.sin(a)]), 0.55)
+    targets = [(r * np.array([math.cos(a), math.sin(a)]), 0.55)
                for r in (0.5, 0.97, 1.03, 1.5) for a in (0.4, 2.2, 4.0)]
 
     def layers(mesh, fn):
@@ -266,8 +278,8 @@ def test_star_operators_match_time_reflection(ellipse_mesh_B, B2):
         t = rng.uniform(0.05, 0.95)
         for star_op, op in ((cx.single_layer_star, cx.single_layer),
                             (cx.double_layer_star, cx.double_layer)):
-            a = star_op(mesh, B2, phi, SpaceTimePoint(x, t))
-            b = op(mesh, B2, phir, SpaceTimePoint(x, T - t))
+            a = star_op(mesh, B2, phi, (x, t))
+            b = op(mesh, B2, phir, (x, T - t))
             worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
     assert worst < 1e-10
 
@@ -353,14 +365,14 @@ def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
     reports = cx.jump_probe(mesh, A, phi, node, kinds)
     assert [r.kind for r in reports] == list(kinds)
     offsets = reports[0].offsets
-    probe = mesh.offset_point(node, offsets[-1]).x
+    probe = mesh.offset_point(node, offsets[-1])[0]
     graded = potentials._near_boundary_rule(
         mesh, probe, depth=potentials._graded_depth(mesh.cs, offsets[-1]))
     samples = potentials._samples(mesh, phi, graded)
     worst = 0.0
     for sign, side in ((1.0, "interior_values"), (-1.0, "exterior_values")):
         for i, h in enumerate(offsets):
-            x = mesh.offset_point(node, sign * h).x
+            x = mesh.offset_point(node, sign * h)[0]
             kernel = potentials._LateralKernel(mesh, A, x, t0, False, graded)
             grid = potentials._TimeGrid(mesh, A, t0, False, kernel.u0min)
             kernel.on(grid)
@@ -420,9 +432,9 @@ def test_trimmed_ladder_matches_the_full_grid_sums(fix, mat, request):
     reports = cx.jump_probe(mesh, A, phi, node, ("double", "conormal_single"))
     offsets = reports[0].offsets
     graded = potentials._near_boundary_rule(
-        mesh, mesh.offset_point(node, offsets[-1]).x,
+        mesh, mesh.offset_point(node, offsets[-1])[0],
         depth=potentials._graded_depth(mesh.cs, offsets[-1]))
-    kernels = [potentials._LateralKernel(mesh, A, mesh.offset_point(node, h).x, t0, False, graded)
+    kernels = [potentials._LateralKernel(mesh, A, mesh.offset_point(node, h)[0], t0, False, graded)
                for h in np.concatenate([offsets, -offsets])]
     grid = potentials._TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
     on_grid = potentials._samples(mesh, phi, graded) @ grid.interp
@@ -576,12 +588,10 @@ def test_representation_exponential(ellipse_mesh_B, B2, which):
     rng = np.random.default_rng(11)
     for x in interior_probes(ellipse_mesh_B.cs, rng, 5):
         t = rng.uniform(0.15, 0.85)
-        assert cx.stokes_check(ellipse_mesh_B, B2, fld,
-                               SpaceTimePoint(x, t), which) < 1e-6
+        assert discrepancy(ellipse_mesh_B, B2, fld, (x, t), which) < 1e-6
     for x in exterior_probes(ellipse_mesh_B.cs, rng, 3):
         t = rng.uniform(0.15, 0.85)
-        assert cx.stokes_check(ellipse_mesh_B, B2, fld,
-                               SpaceTimePoint(x, t), which) < 1e-6
+        assert discrepancy(ellipse_mesh_B, B2, fld, (x, t), which) < 1e-6
 
 
 @pytest.mark.parametrize("which", ["H", "H*"])
@@ -595,8 +605,7 @@ def test_representation_translated_kernel(disk_mesh_B, B2, which):
     rng = np.random.default_rng(13)
     for x in interior_probes(disk_mesh_B.cs, rng, 5):
         t = rng.uniform(0.15, 0.85)
-        assert cx.stokes_check(disk_mesh_B, B2, fld,
-                               SpaceTimePoint(x, t), which) < 1e-6
+        assert discrepancy(disk_mesh_B, B2, fld, (x, t), which) < 1e-6
 
 
 def test_representation_check_samples_each_density_once(disk_mesh_B, B2, monkeypatch):
@@ -610,13 +619,13 @@ def test_representation_check_samples_each_density_once(disk_mesh_B, B2, monkeyp
     monkeypatch.setattr(cx.DensityField, "from_function", classmethod(counted))
     fld = cx.CaloricExponentialField(B2, np.array([0.4, -0.3]))
     with pytest.raises(ValueError):
-        cx.representation_check(disk_mesh_B, B2, fld, "H+")
+        cx.representation_values(disk_mesh_B, B2, [fld], "H+")
     assert calls == []
-    check = cx.representation_check(disk_mesh_B, B2, fld, "H")
+    values = cx.representation_values(disk_mesh_B, B2, [fld], "H")
     assert sorted(calls) == ["sigma2", "sigma3", "sigma3"]
     rng = np.random.default_rng(17)
     for x in interior_probes(disk_mesh_B.cs, rng, 5) + exterior_probes(disk_mesh_B.cs, rng, 5):
-        check((x, rng.uniform(0.15, 0.85)))
+        values((x, rng.uniform(0.15, 0.85)))
     assert len(calls) == 3
 
 
@@ -646,15 +655,16 @@ def test_representation_check_keeps_no_state_between_targets(fix, mat, request):
     targets = [(frac * rim, t) for frac, t in
                ((0.5, 0.3), (0.97, 0.45), (1.03, 0.6), (1.5, 0.75))]
     for which, fld in _representation_cases(mesh, A):
-        check = cx.representation_check(mesh, A, fld, which)
-        forward = [check(target) for target in targets]
-        reverse = [check(target) for target in reversed(targets)][::-1]
+        values = cx.representation_values(mesh, A, [fld], which)
+        forward = [values(target) for target in targets]
+        reverse = [values(target) for target in reversed(targets)][::-1]
         assert forward == reverse
-        assert forward == [cx.stokes_check(mesh, A, fld, target, which) for target in targets]
+        assert forward == [cx.representation_values(mesh, A, [fld], which)(target)
+                           for target in targets]
         for on_wall in ((rim, 0.5), (mesh.bpoints[3], 0.5)):
             with pytest.raises(TargetOnBoundary):
-                check(on_wall)
-        assert check(targets[1]) == forward[1]
+                values(on_wall)
+        assert values(targets[1]) == forward[1]
 
 
 @pytest.mark.parametrize("fix, mat", [("ellipse_mesh_B", "B2"), ("ball_mesh", "I3")])
@@ -694,8 +704,6 @@ def test_representation_values_match_the_per_layer_operators(fix, mat, which, re
                 expect = expect - single(mesh, A, flux, target)
             assert value == expect + cap(mesh, A, top_or_bottom, target)
         assert got[0] == double(mesh, A, ones[0], target) + cap(mesh, A, ones[1], target)
-        if not star:
-            assert got[0] == cx.partition_identity(mesh, A, target)
     for on_wall in ((rim, 0.5), (mesh.bpoints[3], 0.5), (0.5 * rim, 0.0), (0.5 * rim, mesh.T)):
         with pytest.raises(TargetOnBoundary):
             values(on_wall)
@@ -750,7 +758,7 @@ def test_initial_limit_recovers_density(ellipse_mesh_B, B2):
     phi = cx.DensityField.from_function(ellipse_mesh_B, "sigma2", f)
     rng = np.random.default_rng(17)
     for x in interior_probes(ellipse_mesh_B.cs, rng, 10, frac=(0.0, 0.6)):
-        val = cx.cap_potential(ellipse_mesh_B, B2, phi, SpaceTimePoint(x, 1e-4))
+        val = cx.cap_potential(ellipse_mesh_B, B2, phi, (x, 1e-4))
         assert abs(val - float(f(x[None, :], None, None)[0])) < 1e-3
 
 
@@ -761,7 +769,7 @@ def test_initial_limit_error_decreases(ellipse_mesh_B, B2):
     x = np.array([0.3, 0.2])
     exact = float(f(x[None, :], None, None)[0])
     errs = [abs(cx.cap_potential(ellipse_mesh_B, B2, phi,
-                                 SpaceTimePoint(x, t)) - exact)
+                                 (x, t)) - exact)
             for t in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
 
@@ -772,7 +780,7 @@ def test_final_limit_mirrors_initial(disk_mesh_I, I2):
     top = cx.DensityField.from_function(disk_mesh_I, "sigma1", f)
     x = np.array([0.2, -0.3])
     val = cx.cap_potential_star(disk_mesh_I, I2, top,
-                                SpaceTimePoint(x, disk_mesh_I.T - 1e-4))
+                                (x, disk_mesh_I.T - 1e-4))
     assert abs(val - float(f(x[None, :], None, None)[0])) < 1e-3
 
 
@@ -780,7 +788,7 @@ def test_cap_region_guards(disk_mesh_I, I2):
     wall = smooth_density(disk_mesh_I)
     with pytest.raises(DimensionMismatch):
         cx.cap_potential(disk_mesh_I, I2, wall,
-                         SpaceTimePoint(np.array([0.1, 0.1]), 0.5))
+                         (np.array([0.1, 0.1]), 0.5))
 
 
 def test_cap_quadrature_paths_agree(disk_mesh_I, I2):
@@ -791,7 +799,7 @@ def test_cap_quadrature_paths_agree(disk_mesh_I, I2):
     phi = cx.DensityField.from_function(disk_mesh_I, "sigma2", f)
     vals = f(disk_mesh_I.cap_points, None, None)
     sampled = cx.DensityField.from_values(disk_mesh_I, "sigma2", vals)
-    target = SpaceTimePoint(np.array([0.05, 0.0]), 2e-3)
+    target = (np.array([0.05, 0.0]), 2e-3)
     hermite = cx.cap_potential(disk_mesh_I, I2, phi, target)
     mesh_rule = cx.cap_potential(disk_mesh_I, I2, sampled, target)
     assert hermite == pytest.approx(mesh_rule, rel=1e-8)

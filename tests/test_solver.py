@@ -75,10 +75,6 @@ def test_round_trip_evaluation(solver_mesh, I2):
     got = cx.evaluate_solution(ap, I2, pt, np.array([0.5]))[0]
     want = cx.caloric_poly(I2, (2, 1)).evaluate(pt, np.array([0.5]))[0]
     assert got == pytest.approx(want, abs=1e-9)
-    # SpaceTimePoint form
-    got2 = cx.evaluate_solution(ap, I2,
-                                [cx.SpaceTimePoint(np.array([1.0, 1.0]), 0.5)])
-    assert got2[0] == pytest.approx(want, abs=1e-9)
 
 
 def test_zero_coefficients_evaluate_to_zero(solver_mesh, I2):
@@ -120,7 +116,7 @@ def test_qr_ladder_matches_tall_svd(solver_mesh, I2, case):
         data = cx.BoundaryData.from_field(mesh, "v", fld, tag="exp")
         top = 10
     system = cx.assemble_system(mesh, A, "v", top)
-    rhs = system.sqrt_weights * data.concatenated(mesh)
+    rhs = system.sqrt_weights * data.concatenated()
     for deg in range(top + 1):
         ap = cx.solve_dirichlet(mesh, A, "v", deg, data, system=system)
         k = system.columns_for_degree(deg)
@@ -137,7 +133,7 @@ def test_wide_fit_matches_tall_svd(disk, I2):
     system = cx.assemble_system(mesh, I2, "v", 40)
     assert system.matrix.shape == (64, 861)
     ap = cx.solve_dirichlet(mesh, I2, "v", 40, data, system=system)
-    rhs = system.sqrt_weights * data.concatenated(mesh)
+    rhs = system.sqrt_weights * data.concatenated()
     rank, _, residual = _tall_svd_oracle(system.matrix, rhs, 1e-12)
     assert ap.rank == rank
     assert abs(ap.residual - residual) <= 1e-12
@@ -176,7 +172,7 @@ def test_blocked_triangular_matches_one_qr(I2, I3, case):
     assert system.matrix.shape[0] == rows
     fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2][:A.n]), sign=+1)
     data = cx.BoundaryData.from_field(mesh, "v", fld)
-    rhs = system.sqrt_weights * data.concatenated(mesh)
+    rhs = system.sqrt_weights * data.concatenated()
     full = np.column_stack([system.matrix, rhs])
     r = system.triangular(rhs)
     ref = np.linalg.qr(full, mode="r")
@@ -192,7 +188,7 @@ def test_blocked_triangular_matches_one_qr(I2, I3, case):
 def test_triangular_does_not_copy_the_matrix(solver_mesh, I2):
     system = cx.assemble_system(solver_mesh, I2, "v", 12)
     assert system.matrix.shape[0] >= 4 * solver._QR_BLOCK
-    rhs = system.sqrt_weights * exp_data(solver_mesh, I2).concatenated(solver_mesh)
+    rhs = system.sqrt_weights * exp_data(solver_mesh, I2).concatenated()
     tracemalloc.start()
     try:
         system.triangular(rhs)
@@ -282,7 +278,7 @@ def test_interior_error_tracks_residual(solver_mesh, I2):
                                    [4, 8])
     wts = np.concatenate([solver_mesh.region_nodes(r)[2]
                           for r in cx.parity_regions("v")])
-    norm_f = math.sqrt(float(np.sum(wts * data.concatenated(solver_mesh)**2)))
+    norm_f = math.sqrt(float(np.sum(wts * data.concatenated()**2)))
     for res, err in zip(report.residuals, report.interior_max_errors):
         assert err <= 10.0 * res * norm_f
 
@@ -307,7 +303,7 @@ def test_taylor_tail_bounds_ls_residual(solver_mesh, I2):
     pts = np.concatenate([solver_mesh.region_nodes(r)[0] for r in regions])
     ts = np.concatenate([solver_mesh.region_nodes(r)[1] for r in regions])
     wts = np.concatenate([solver_mesh.region_nodes(r)[2] for r in regions])
-    f = data.concatenated(solver_mesh)
+    f = data.concatenated()
     norm_f = math.sqrt(float(np.sum(wts * f**2)))
 
     for N in (8, 12):
