@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionTooSmall, NotPositiveDefinite, NotSymmetric
 from .quadrature import unit_sphere_area
 
-# exponents below this underflow to an exact zero instead of raising
+# exponents are clipped here: the kernel saturates at exp(-700) ~ 1e-304
 _LOG_FLOOR = -700.0
 # keep values finite near the (0, 0+) blow-up of the kernel
 _LOG_CEIL = 700.0
@@ -99,7 +99,7 @@ def fundamental_solution(A, z, tau):
     """G(z, tau) = (4 pi tau)^(-n/2) |A|^(-1/2) exp(-<A^-1 z, z>/(4 tau)).
 
     Zero for tau <= 0 (causality).  Broadcasts over leading axes of z / tau;
-    computed in log space so deep tails underflow to 0 without warnings.
+    computed in log space so deep tails saturate at 1e-304 without warnings.
     """
     z = np.asarray(z, dtype=float)
     tau = np.asarray(tau, dtype=float)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _LOG_FLOOR,
     _as_xt,
     conormal_kernel_target,
     elliptic_conormal_kernel,
@@ -99,8 +100,8 @@ class DensityField:
     def from_values(cls, mesh, region, values):
         pts, _, _ = mesh.region_nodes(region)
         vals = np.asarray(values, dtype=float)
-        if vals.shape[0] != pts.shape[0]:
-            raise DimensionMismatch("value count does not match the region's node count")
+        if vals.shape != pts.shape[:1]:
+            raise DimensionMismatch(f"{region}: values of shape {vals.shape} for {len(pts)} nodes")
         return cls(region, vals, None)
 
 
@@ -349,8 +350,10 @@ class _LateralKernel:
             live = np.count_nonzero(self.u0min * ev <= _U_CAP)
             out = None if buffer is None else np.ndarray((self.u0.size, live), buffer=buffer)
             self.decay = np.multiply.outer(-self.u0, ev[:live], out=out)
-            with np.errstate(under="ignore"):
-                np.exp(self.decay, out=self.decay)
+            # exp is slow on underflowing arguments: floor them, then zero them
+            dead = self.decay < _LOG_FLOOR
+            np.exp(np.maximum(self.decay, _LOG_FLOOR, out=self.decay), out=self.decay)
+            self.decay[dead] = 0.0
         return self
 
     def apply(self, kinds, on_grid, nu_fixed=None, into_profile=False):

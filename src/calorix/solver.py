@@ -7,8 +7,8 @@ quadrature approximation to the L2 norm of the parabolic boundary.
 
 Columns come from the float recurrence ``polynomials.basis_matrix``.  A
 system is factored once per right-hand side: one QR of [matrix | rhs] gives
-R, and the fit at any degree is a truncated SVD of the leading block of R
-(nested least squares, Golub & Van Loan, Matrix Computations, ch. 5), so a
+R, and the fit at any degree reads only the leading block of R (nested
+least squares, Golub & Van Loan, Matrix Computations, ch. 5), so a
 ladder of degrees shares one factorization.  R is built by row-block TSQR
 (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012) in the
 memory of the matrix plus O((ncols + _QR_BLOCK) ncols).
@@ -223,6 +223,16 @@ def _svd_solve(matrix, rhs, rcond):
     return coeff, rank, cond
 
 
+def _triangular_solve(block, rhs, rcond):
+    """_svd_solve of a leading block of R, by back substitution when the
+    block is square and no singular value falls below rcond * sing[0]."""
+    sing = np.linalg.svd(block, compute_uv=False)
+    if len(sing) < block.shape[1] or sing[-1] <= rcond * sing[0]:
+        return _svd_solve(block, rhs, rcond)
+    # partial pivoting swaps no row of a triangular matrix: LU is back substitution
+    return np.linalg.solve(block, rhs), len(sing), float(sing[0] / sing[-1])
+
+
 def _check_parity(data, parity):
     if data.parity != parity:
         raise RegionMismatch(
@@ -239,12 +249,13 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
     Minimizes sum_i w_i (sum_k c_k v_k(node_i)/s_k - f_i)^2.  One QR of
     [matrix | rhs] (``TrefftzSystem.triangular``, shared by every degree
     fitted on the same system and data) reduces the fit to the leading
-    block of R, which is solved by truncated singular value decomposition;
-    rcond is the relative cutoff.  The singular values of that block are
-    those of the leading columns of the design matrix, so rank and cond are
-    theirs.  The residual is the weighted misfit norm, computed on the
-    design matrix itself, over the weighted data norm (absolute when the
-    data norm vanishes).
+    block of R.  Its singular values are those of the leading columns of the
+    design matrix, so rank and cond are theirs; rcond is the relative cutoff.
+    A square block with none cut is solved by back substitution, any other
+    by truncated singular value decomposition.  The residual is the weighted
+    misfit norm over the weighted data norm (absolute when the data norm
+    vanishes); Q is orthogonal, so the misfit is read off R: that of the
+    block, and the part of R's last column below it.
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError("rcond must lie in (0, 1)")
@@ -255,8 +266,9 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
     rhs = _weighted_rhs(system, data)
 
     r = system.triangular(rhs)  # short when there are fewer rows than columns
-    coeff, rank, cond = _svd_solve(r[:ncols, :ncols], r[:ncols, -1], rcond)
-    misfit = float(np.linalg.norm(system.matrix[:, :ncols] @ coeff - rhs))
+    block, head = r[:ncols, :ncols], r[:ncols, -1]
+    coeff, rank, cond = _triangular_solve(block, head, rcond)
+    misfit = math.hypot(np.linalg.norm(block @ coeff - head), np.linalg.norm(r[ncols:, -1]))
     norm = float(np.linalg.norm(rhs))
     residual = misfit / norm if norm > 0.0 else misfit
     return CaloricApproximant(parity, degree, A.n, system.alphas[:ncols],

@@ -489,6 +489,24 @@ def test_jump_ladder_trims_columns_and_shares_one_time_sum(disk_mesh_B, B2, monk
     assert np.array_equal(shared, before)
 
 
+def test_decay_profile_zeroes_exponents_below_the_floor(disk_mesh_B, B2):
+    # exp is slow on underflowing arguments: the profile floors its exponent
+    # at _LOG_FLOOR and sets what lay below it to exactly 0
+    mesh = disk_mesh_B
+    K = mesh.tnodes.shape[0]
+    t0 = float(mesh.tnodes[K // 2])
+    h = potentials._JUMP_H0_FACTOR * mesh.diameter * 0.5 ** (potentials._JUMP_LEVELS - 1)
+    x = mesh.offset_point(23 * K + K // 2, h)[0]
+    graded = potentials._near_boundary_rule(mesh, x, depth=potentials._graded_depth(mesh.cs, h))
+    kernel = potentials._LateralKernel(mesh, B2, x, t0, False, graded)
+    decay = kernel.on(potentials._TimeGrid(mesh, B2, t0, False, kernel.u0min)).decay
+    exponent = np.multiply.outer(-kernel.u0, np.exp(kernel.grid.vnodes))[:, :decay.shape[1]]
+    below = exponent < potentials._LOG_FLOOR
+    assert np.any(below)
+    assert np.array_equal(decay[~below], np.exp(exponent[~below]))
+    assert np.all(decay[below] == 0.0)
+
+
 def test_offset_without_live_columns_adds_nothing(disk_mesh_B, B2):
     # an offset whose u0min sits just below the cap can have no column with
     # u0min e^v <= cap on a grid laid out for a smaller u0min
@@ -789,6 +807,15 @@ def test_cap_region_guards(disk_mesh_I, I2):
     with pytest.raises(DimensionMismatch):
         cx.cap_potential(disk_mesh_I, I2, wall,
                          (np.array([0.1, 0.1]), 0.5))
+
+
+@pytest.mark.parametrize("region", ["sigma2", "sigma3"])
+def test_from_values_needs_one_value_per_node(disk_mesh_I, region):
+    m = disk_mesh_I.region_nodes(region)[0].shape[0]
+    for bad in (np.ones((m, 3)), np.ones((m, 1)), np.ones(m + 1), 1.0):
+        with pytest.raises(DimensionMismatch):
+            cx.DensityField.from_values(disk_mesh_I, region, bad)
+    assert cx.DensityField.from_values(disk_mesh_I, region, np.ones(m)).values.shape == (m,)
 
 
 def test_cap_quadrature_paths_agree(disk_mesh_I, I2):

@@ -124,6 +124,42 @@ def test_qr_ladder_matches_tall_svd(solver_mesh, I2, case):
         assert ap.rank == rank, deg
         assert ap.cond == pytest.approx(cond, rel=1e-8), deg
         assert ap.residual == pytest.approx(residual, rel=1e-4, abs=1e-14), deg
+        # every rung is full rank, so back substitution solved it: its fit
+        # matches the truncated SVD of the same block of R
+        assert rank == k, deg
+        r = system.triangular(rhs)
+        svd_coeff = solver._svd_solve(r[:k, :k], r[:k, -1], 1e-12)[0]
+        fitted = system.matrix[:, :k] @ ap.coefficients
+        gap = np.linalg.norm(fitted - system.matrix[:, :k] @ svd_coeff)
+        assert gap <= 1e-10 * np.linalg.norm(rhs), deg
+        # the residual read off R is the misfit on the design matrix
+        misfit = np.linalg.norm(fitted - rhs) / np.linalg.norm(rhs)
+        assert ap.residual == pytest.approx(misfit, rel=1e-4, abs=1e-14), deg
+
+
+def test_rank_deficient_rung_takes_the_truncated_svd(solver_mesh, I2, monkeypatch):
+    # column 2 twice: the square leading blocks of R from degree 1 up are singular
+    base = cx.assemble_system(solver_mesh, I2, "v", 3)
+    order = [0, 1, 2, 2] + list(range(3, 10))
+    system = solver.TrefftzSystem(base.matrix[:, order], [base.alphas[i] for i in order],
+                                  base.scales[order], base.weights, "v")
+    data = exp_data(solver_mesh, I2)
+    rhs = system.sqrt_weights * data.concatenated()
+    truncated, svd_solve = [], solver._svd_solve
+
+    def spied(matrix, rhs, rcond):
+        truncated.append(matrix.shape)
+        return svd_solve(matrix, rhs, rcond)
+
+    monkeypatch.setattr(solver, "_svd_solve", spied)
+    for deg in range(4):
+        ap = cx.solve_dirichlet(solver_mesh, I2, "v", deg, data, system=system)
+        k = system.columns_for_degree(deg)
+        rank, cond, residual = _tall_svd_oracle(system.matrix[:, :k], rhs, 1e-12)
+        assert ap.rank == rank == (k - 1 if deg else 1), deg
+        assert ap.cond == pytest.approx(cond, rel=1e-8), deg
+        assert ap.residual == pytest.approx(residual, rel=1e-4, abs=1e-14), deg
+    assert truncated == [(4, 4), (7, 7), (11, 11)]
 
 
 def test_wide_fit_matches_tall_svd(disk, I2):
