@@ -125,10 +125,9 @@ def _iter_errors(schema, value, path=()):
     """Yield (path, message) for each violation of ``schema`` by ``value``,
     in the schema's keyword order, worded as JSON Schema validators word
     them.  Only the keywords the config schemas use are understood; any
-    other raises, so no schema rule is silently ignored.  ``enum`` and
-    ``const`` compare with ==, as the schemas list only strings;
-    ``uniqueItems`` does too, so unlike JSON Schema it counts true and 1 as
-    equal items."""
+    other raises, so no schema rule is silently ignored.  ``enum`` compares
+    with ==, as the schemas list only strings; ``uniqueItems`` does too, so
+    unlike JSON Schema it counts true and 1 as equal items."""
     for key, arg in schema.items():
         if key == "type":
             if not _TYPES[arg](value):
@@ -136,9 +135,6 @@ def _iter_errors(schema, value, path=()):
         elif key == "enum":
             if value not in arg:
                 yield path, f"{value!r} is not one of {arg!r}"
-        elif key == "const":
-            if value != arg:
-                yield path, f"{arg!r} was expected"
         elif key in _BOUNDS:
             violated, wording = _BOUNDS[key]
             if _is_number(value) and violated(value, arg):
@@ -194,8 +190,7 @@ def validate_config(config):
     task_schema = {
         "type": "object",
         "additionalProperties": False,
-        "required": ["name"],
-        "properties": {"name": {"const": name}, **TASKS[name].schema},
+        "properties": {"name": {}, **TASKS[name].schema},
     }
     _raise_first_error(task_schema, task, ("task", name))
 

@@ -5,12 +5,13 @@ by a radius function on the unit circle (n = 2) or unit sphere (n = 3):
 
     boundary = { rho(u) * u : |u| = 1 }
 
-which gives one set of formulas for boundary points, normals, surface
-measure, caps, and point location.  The lateral boundary of the cylinder
-Omega x (0, T) is meshed with a periodic trapezoid rule in angle (n = 2) or
-a Gauss x trapezoid product on the sphere (n = 3), tensored with
-Gauss-Legendre in time; caps use Gauss in the scaled radius times the same
-angular rules.
+which gives one set of formulas for caps and point location, and one surface
+frame (points, surface measure, inward normals) over unit directions for both
+dimensions: a kind supplies only rho and its tangential gradient.  The
+lateral boundary of Omega x (0, T) is meshed with a periodic trapezoid rule
+in angle (n = 2) or a Gauss x trapezoid product on the sphere (n = 3),
+tensored with Gauss-Legendre in time; caps use Gauss in the scaled radius
+times the same angular rules.
 """
 
 import hashlib
@@ -88,9 +89,7 @@ class CrossSection:
         if self.kind in ("disk", "ball"):
             return np.full(dirs.shape[:-1], self.params["radius"])
         if self.kind in ("ellipse", "ellipsoid"):
-            axes = self._axes()
-            g = np.sum((dirs / axes) ** 2, axis=-1)
-            return 1.0 / np.sqrt(g)
+            return 1.0 / np.sqrt(np.sum((dirs / self._axes()) ** 2, axis=-1))
         # star: radius as a trigonometric polynomial of the polar angle
         phi = np.arctan2(dirs[..., 1], dirs[..., 0])
         return self._star_rho(phi)
@@ -113,6 +112,16 @@ class CrossSection:
             d = d + c * k * np.cos(k * phi)
         return d
 
+    def _tangential_gradient(self, dirs, rho):
+        """Tangential gradient of rho at unit directions dirs (..., n)."""
+        if self.kind == "star":  # rho'(phi) along the circle tangent
+            that = np.stack([-dirs[..., 1], dirs[..., 0]], axis=-1)
+            phi = np.arctan2(dirs[..., 1], dirs[..., 0])
+            return self._star_drho(phi)[..., None] * that
+        # rho = g^(-1/2): ambient gradient, then its tangential part
+        grad = -(rho**3)[..., None] * dirs / self._axes() ** 2
+        return grad - np.sum(grad * dirs, axis=-1)[..., None] * dirs
+
     def radius_extremes(self):
         if self.kind in ("disk", "ball"):
             r = self.params["radius"]
@@ -133,35 +142,32 @@ class CrossSection:
             return -self.radius_extremes()[0]
         return r - float(self.radius(x / r))
 
-    # -- boundary frames ---------------------------------------------------
+    # -- surface frame -----------------------------------------------------
+
+    def surface_frame(self, dirs):
+        """(points, jacobian wrt the unit circle / sphere measure, inward
+        normals) for unit directions dirs of shape (..., n).
+
+        The outward normal is (rho u - grad_s rho) normalized, with grad_s
+        the tangential gradient, and the jacobian rho^(n-2) |rho u - grad_s rho|.
+        """
+        dirs = np.asarray(dirs, dtype=float)
+        if dirs.shape[-1] != self.n:
+            raise DimensionMismatch(f"{dirs.shape[-1]}d directions on a {self.n}d cross-section")
+        rho = self.radius(dirs)
+        points = rho[..., None] * dirs
+        if self.kind in ("disk", "ball"):
+            return points, rho ** (self.n - 1), -dirs
+        raw = points - self._tangential_gradient(dirs, rho)
+        norm = np.linalg.norm(raw, axis=-1)
+        return points, rho ** (self.n - 2) * norm, -(raw / norm[..., None])
 
     def boundary_frame(self, phi):
-        """(points, jacobian, inward normals) over polar angles phi (n = 2).
-
-        jacobian is d(arc length)/d(phi) = sqrt(rho^2 + rho'^2); the outward
-        normal is (rho u - rho' that) normalized, with that the unit tangent
-        of the circle.
-        """
+        """``surface_frame`` over polar angles phi (n = 2); the jacobian is
+        d(arc length)/d(phi)."""
         if self.n != 2:
             raise DimensionMismatch("boundary_frame is the planar parametrization")
-        phi = np.asarray(phi, dtype=float)
-        u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        that = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-        if self.kind == "disk":
-            rho = np.full(phi.shape, self.params["radius"])
-            drho = np.zeros(phi.shape)
-        elif self.kind == "ellipse":
-            a, b = self.params["a"], self.params["b"]
-            w = (b * np.cos(phi)) ** 2 + (a * np.sin(phi)) ** 2
-            rho = a * b / np.sqrt(w)
-            drho = -a * b * (a**2 - b**2) * np.sin(2.0 * phi) / (2.0 * w**1.5)
-        else:
-            rho = self._star_rho(phi)
-            drho = self._star_drho(phi)
-        points = rho[..., None] * u
-        jac = np.sqrt(rho**2 + drho**2)
-        outward = (rho[..., None] * u - drho[..., None] * that) / jac[..., None]
-        return points, jac, -outward
+        return self.surface_frame(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
 
     def nearest_parameter(self, x, coarse):
         """(phi, distance) of the boundary point nearest to x (n = 2): Halley
@@ -184,29 +190,6 @@ class CrossSection:
             if abs(step) <= 1e-13:
                 break
         return phi, float(np.linalg.norm(gap[1]))
-
-    def sphere_frame(self, dirs):
-        """(points, area jacobian wrt the unit-sphere measure, inward normals)
-        for unit directions dirs of shape (..., 3)."""
-        if self.n != 3:
-            raise DimensionMismatch("sphere_frame requires a 3d cross-section")
-        dirs = np.asarray(dirs, dtype=float)
-        rho = self.radius(dirs)
-        points = rho[..., None] * dirs
-        if self.kind == "ball":
-            jac = rho**2
-            outward = dirs.copy()
-        else:
-            axes = self._axes()
-            # rho = g^(-1/2): ambient gradient, then its tangential part
-            grad = -(rho**3)[..., None] * dirs / axes**2
-            radial = np.sum(grad * dirs, axis=-1)
-            grad_s = grad - radial[..., None] * dirs
-            raw = rho[..., None] * dirs - grad_s
-            norm = np.linalg.norm(raw, axis=-1)
-            jac = rho * norm
-            outward = raw / norm[..., None]
-        return points, jac, -outward
 
 
 @dataclass
@@ -396,10 +379,9 @@ def build_mesh(cs, A, T, m_angular, m_time, m_radial):
     if cs.n == 2:
         phi, wdirs = periodic_trapezoid(m_angular)
         dirs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        mesh.bpoints, jac, mesh.bnormals = cs.boundary_frame(phi)
     else:
         dirs, wdirs = sphere_rule(m_angular)
-        mesh.bpoints, jac, mesh.bnormals = cs.sphere_frame(dirs)
+    mesh.bpoints, jac, mesh.bnormals = cs.surface_frame(dirs)
     mesh.bweights = wdirs * jac
     # cap rule: radial Gauss x angular rule, jacobian s^(n-1) rho^n
     s, ws = gauss_legendre(m_radial, 0.0, 1.0)

@@ -588,7 +588,7 @@ def elliptic_gauss_identity(cs, A, x):
     else:
         dirs, sphere_w = sphere_rule(_SURFACE_AZIMUTH)
 
-    pts, jac, inward = cs.sphere_frame(dirs)
+    pts, jac, inward = cs.surface_frame(dirs)
     integrand = -elliptic_conormal_kernel(A, x, pts, inward)
     return float(np.sum(sphere_w * jac * integrand))
 

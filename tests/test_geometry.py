@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import calorix as cx
+from calorix import cli
 from calorix.errors import (
     DimensionMismatch,
     InvalidResolution,
@@ -136,14 +137,61 @@ def test_ellipsoid_normals_match_implicit_gradient(I3):
     assert np.allclose(nrm, -grad, atol=1e-12)
 
 
-def test_arc_jacobian_matches_finite_difference(ellipse):
+@pytest.mark.parametrize("cs", [cx.CrossSection.ellipse(2.0, 1.0),
+                                cx.CrossSection.star(1.0, (0.0, 0.0, 0.25)),
+                                cx.CrossSection.disk(1.3)],
+                         ids=["ellipse", "star", "disk1.3"])
+def test_arc_jacobian_matches_finite_difference(cs):
+    # the inward normal is the unit tangent turned a quarter counter-clockwise
     h = 1e-6
     for phi in (0.3, 1.2, 4.0):
-        p0 = ellipse.boundary_frame(np.array([phi - h]))[0][0]
-        p1 = ellipse.boundary_frame(np.array([phi + h]))[0][0]
-        speed = float(np.linalg.norm(p1 - p0) / (2.0 * h))
-        jac = float(ellipse.boundary_frame(np.array([phi]))[1][0])
-        assert jac == pytest.approx(speed, rel=1e-8)
+        p0 = cs.boundary_frame(np.array([phi - h]))[0][0]
+        p1 = cs.boundary_frame(np.array([phi + h]))[0][0]
+        tangent = (p1 - p0) / (2.0 * h)
+        speed = float(np.linalg.norm(tangent))
+        _, jac, inward = cs.boundary_frame(np.array([phi]))
+        assert float(jac[0]) == pytest.approx(speed, rel=1e-8)
+        assert np.allclose(inward[0], np.array([-tangent[1], tangent[0]]) / speed,
+                           rtol=0.0, atol=1e-8)
+
+
+# one section per kind, off the special cases (unit radius, equal axes); a
+# new kind in cli.GEOMETRIES fails here until it has an entry
+_FRAME_PARAMS = {
+    "disk": {"radius": 1.3},
+    "ellipse": {"a": 1.2, "b": 0.7},
+    "star": {"r0": 1.0, "cos3": 0.25},
+    "ball": {"radius": 0.8},
+    "ellipsoid": {"a": 1.0, "b": 0.8, "c": 0.6},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.GEOMETRIES))
+def test_surface_frame_matches_finite_differences(kind):
+    # P(u) = rho(u) u differenced along great circles through u in the
+    # directions of an orthonormal tangent basis e_j: the rows dP/de_j span
+    # the tangent space, the jacobian wrt the unit circle / sphere measure
+    # is the volume they span, and the inward normal is the unit vector
+    # orthogonal to them that points toward the origin
+    cs = cli.GEOMETRIES[kind].build(**_FRAME_PARAMS[kind])
+    n, h = cs.n, 1e-5
+    rng = np.random.default_rng(18)
+    dirs = rng.normal(size=(6, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    points, jac, inward = cs.surface_frame(dirs)
+    for u, p, j, nu in zip(dirs, points, jac, inward):
+        basis, _ = np.linalg.qr(np.column_stack([u, rng.normal(size=(n, n - 1))]))
+        rows = np.array([(cs.surface_frame(math.cos(h) * u + math.sin(h) * e)[0]
+                          - cs.surface_frame(math.cos(h) * u - math.sin(h) * e)[0]) / (2.0 * h)
+                         for e in basis[:, 1:].T])
+        assert j == pytest.approx(math.sqrt(np.linalg.det(rows @ rows.T)), rel=1e-8)
+        assert abs(np.linalg.norm(nu) - 1.0) <= 1e-14
+        assert np.max(np.abs(rows @ nu)) <= 1e-8 * np.max(np.linalg.norm(rows, axis=1))
+        assert nu @ u < 0.0
+        assert abs(cs.radial_gap(p)) <= 1e-14
+    for width in (n - 1, n + 1):
+        with pytest.raises(DimensionMismatch):
+            cs.surface_frame(np.ones((4, width)))
 
 
 # -- mesh structure ---------------------------------------------------------
@@ -222,7 +270,7 @@ def _per_dimension_mesh_arrays(cs, T, m_angular, m_time, m_radial):
         cap_w = (ws[:, None] * s[:, None] * (rho_phi**2)[None, :] * wphi[None, :])
     else:
         dirs, wdirs = sphere_rule(m_angular)
-        points, jac, inward = cs.sphere_frame(dirs)
+        points, jac, inward = cs.surface_frame(dirs)
         bweights = wdirs * jac
         rho = cs.radius(dirs)
         cap_pts = s[:, None, None] * (rho[None, :, None] * dirs[None, :, :])
