@@ -90,9 +90,15 @@ def make_coefficients(n, entries):
 
 
 def _as_xt(point):
-    """(x, t) of a target pair, as a flat float array and a float."""
+    """(x, t) of a target pair, as a flat float array and a float; raises
+    ValueError naming a non-finite x or t."""
     x, t = point
-    return np.asarray(x, dtype=float).reshape(-1), float(t)
+    x, t = np.asarray(x, dtype=float).reshape(-1), float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"target time t = {t} is not finite")
+    if not np.isfinite(x).all():
+        raise ValueError(f"target point x = {x.tolist()} is not finite")
+    return x, t
 
 
 def fundamental_solution(A, z, tau):

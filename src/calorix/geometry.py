@@ -26,7 +26,6 @@ from .core import _as_xt
 from .quadrature import gauss_legendre, periodic_trapezoid, sphere_rule
 
 _BOUNDARY_TOL = 1e-12
-_POLISH_STEPS, _POLISH_DELTA = 3, 1e-5  # nearest_parameter: steps, stencil half-width
 
 
 class CrossSection:
@@ -169,28 +168,6 @@ class CrossSection:
             raise DimensionMismatch("boundary_frame is the planar parametrization")
         return self.surface_frame(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
 
-    def nearest_parameter(self, x, coarse):
-        """(phi, distance) of the boundary point nearest to x (n = 2): Halley
-        steps on g(phi) = <P(phi) - x, P'(phi)> from the nearest of ``coarse``
-        equispaced parameters, staying within one spacing of it; each step is
-        one ``boundary_frame`` call on a 3-point stencil.  The distance, taken
-        at the last stencil centre, is off by the square of the last step."""
-        phis, _ = periodic_trapezoid(coarse)
-        pts, _, _ = self.boundary_frame(phis)
-        i0 = int(np.argmin(np.sum((pts - x[None, :]) ** 2, axis=1)))
-        lo, hi = phis[i0] - 2.0 * math.pi / coarse, phis[i0] + 2.0 * math.pi / coarse
-        phi, h = phis[i0], _POLISH_DELTA
-        for _ in range(_POLISH_STEPS):
-            p, jac, inward = self.boundary_frame(phi + np.array([-h, 0.0, h]))
-            gap = p - x[None, :]
-            g = jac * (gap[:, 0] * inward[:, 1] - gap[:, 1] * inward[:, 0])
-            g1, g2 = (g[2] - g[0]) / (2.0 * h), (g[2] - 2.0 * g[1] + g[0]) / h**2
-            step = -g[1] * g1 / (g1 * g1 - 0.5 * g[1] * g2)
-            phi = min(max(phi + step, lo), hi)
-            if abs(step) <= 1e-13:
-                break
-        return phi, float(np.linalg.norm(gap[1]))
-
 
 @dataclass
 class Location:
@@ -322,14 +299,10 @@ class CylinderMesh:
     def _classify(self, gap, t):
         """Location of a point with radial gap ``gap`` at time t."""
         tol = _BOUNDARY_TOL
-        if t < -tol or t > self.T + tol:
-            return Location("exterior")
-        if gap > tol:
+        if t < -tol or t > self.T + tol or gap > tol:
             return Location("exterior")
         if abs(gap) <= tol:
-            if -tol <= t <= self.T + tol:
-                return Location("boundary", "sigma3")
-            return Location("exterior")
+            return Location("boundary", "sigma3")
         # strictly inside the cross-section
         if abs(t) <= tol:
             return Location("boundary", "sigma2")

@@ -12,7 +12,9 @@ resampling, onto the graded rule (sampled once per rule), and the
 Gauss-Hermite rule of the caps.  Every lateral operator reaches a target by
 one path: the target's ``WallFrame`` picks the rule, and n = 2 targets within
 a few angular spacings of the wall take the graded one, so there a density
-without a generator raises ValueError instead of taking the mesh rule.
+without a generator raises ValueError instead of taking the mesh rule.  That
+rule is graded toward the polar angle of the target (of the node, for a jump
+probe), as deep as its radial gap asks; no nearest wall point is sought.
 
 Adjoint (star) variants integrate against the time-reversed kernel; they are
 computed directly, and tests compare them with the forward operators on a
@@ -31,9 +33,8 @@ This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
 kernel) come from ``core``, targets moved off a lateral node from
 ``CylinderMesh.offset_point``, a target's location, radial gap and wall
-distance from ``CylinderMesh.wall_frame``, the nearest wall parameter (a
-Halley polish) from ``CrossSection.nearest_parameter``, and every rule
-(graded, Gauss-Hermite, sphere, tensor) from ``quadrature``.
+distance from ``CylinderMesh.wall_frame``, and every rule (graded,
+Gauss-Hermite, sphere, tensor) from ``quadrature``.
 """
 
 import functools
@@ -228,14 +229,12 @@ def _near_wall(mesh, distance):
     return mesh.cs.n == 2 and distance < _NEAR_FACTOR * mesh.boundary_spacing
 
 
-def _near_boundary_rule(mesh, x, depth=None):
-    """Graded composite Gauss rule in the boundary parameter, refined toward
-    the boundary point nearest to x (planar sections only), as (points,
+def _near_boundary_rule(mesh, centre, depth):
+    """Graded composite Gauss rule in the polar angle, ``depth`` levels deep
+    toward the angle of ``centre`` (planar sections only), as (points,
     weights, inward normals)."""
-    phi_star, dist = mesh.cs.nearest_parameter(x, max(512, 4 * mesh.m_angular))
-    depth = _graded_depth(mesh.cs, dist) if depth is None else depth
-    nodes, wgl = composite_gauss(graded_edges_toward(phi_star, math.pi, depth),
-                                 max(8, mesh.m_angular // 12))
+    edges = graded_edges_toward(math.atan2(centre[1], centre[0]), math.pi, depth)
+    nodes, wgl = composite_gauss(edges, max(8, mesh.m_angular // 12))
     bp, jac, inward = mesh.cs.boundary_frame(nodes)
     return bp, wgl * jac, inward
 
@@ -380,7 +379,8 @@ class _LateralKernel:
 def _target_kernel(mesh, A, x, t, star, frame):
     """The kernel of (x, t) on its own time grid, and the map of a density onto
     that grid; on the graded rule if the ``WallFrame`` puts x near the wall."""
-    graded = _near_boundary_rule(mesh, x) if _near_wall(mesh, frame.distance) else None
+    graded = (_near_boundary_rule(mesh, x, _graded_depth(mesh.cs, abs(frame.gap)))
+              if _near_wall(mesh, frame.distance) else None)
     kernel = _LateralKernel(mesh, A, x, t, star, graded)
     grid = _TimeGrid(mesh, A, t, star, kernel.u0min)
     return kernel.on(grid), lambda phi: _samples(mesh, phi, graded) @ grid.interp
@@ -609,9 +609,10 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     toward a 3-D wall yet, and the mesh rule misses these limits.
 
     A tuple of kinds gives a tuple of reports from one ladder.  Its offsets
-    share one time grid and the density on it, each sums only the grid
-    columns where its own decay is above exp(-45), and the kinds, of one
-    exponent, share that sum.  Refusals precede sampling.
+    share one graded rule, centred on the node (the foot of every offset) and
+    deep enough for the smallest offset, one time grid and the density on it;
+    each sums only the grid columns where its own decay is above exp(-45),
+    and the kinds, of one exponent, share that sum.  Refusals precede sampling.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if not kinds or any(name not in _JUMP_KINDS for name in kinds):
@@ -629,10 +630,8 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
 
     offsets = _JUMP_H0_FACTOR * mesh.diameter * 0.5 ** np.arange(_JUMP_LEVELS)
 
-    # one graded rule deep enough for the smallest offset, reused at every
-    # level so the h-expansion seen by the extrapolation stays smooth
-    probe = mesh.offset_point(node_index, offsets[-1])[0]
-    graded = _near_boundary_rule(mesh, probe, depth=_graded_depth(mesh.cs, offsets[-1]))
+    # one rule at every level keeps the h-expansion of the extrapolation smooth
+    graded = _near_boundary_rule(mesh, x0, _graded_depth(mesh.cs, offsets[-1]))
     kernels = [_LateralKernel(mesh, A, mesh.offset_point(node_index, h)[0], t0, False, graded)
                for h in np.concatenate([offsets, -offsets])]
     grid = _TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))

@@ -444,6 +444,9 @@ def test_unsupported_schema_keyword_raises():
     # raised whatever the value, not only where the keyword would apply
     with pytest.raises(ValueError, match="maximum"):
         list(cli._iter_errors({"maximum": 1}, "not a number"))
+    # no schema uses const any more, so it raises even where it would hold
+    with pytest.raises(ValueError, match="const"):
+        list(cli._iter_errors({"const": "solve"}, "solve"))
 
 
 # values a mutation may write; none is an integral float or non-finite, the

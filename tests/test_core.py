@@ -238,6 +238,18 @@ def test_point_and_pair_targets_agree(name, disk, B2):
     assert got[2] == got[0]
 
 
+@pytest.mark.parametrize("name", sorted(TARGET_USERS))
+def test_non_finite_targets_raise(name, disk, B2):
+    # a NaN or infinite time or coordinate is refused by name, inside the
+    # cylinder's span and on its wall, instead of being located or summed
+    use = TARGET_USERS[name]
+    for x, t, what in (((0.3, -0.2), math.nan, "time"), ((1.0, 0.0), math.nan, "time"),
+                       ((0.3, -0.2), math.inf, "time"), ((0.3, -0.2), -math.inf, "time"),
+                       ((math.nan, -0.2), 1.0, "point"), ((0.3, math.inf), 1.0, "point")):
+        with pytest.raises(ValueError, match=f"target {what} .* is not finite"):
+            use(cx.build_mesh(disk, B2, 2.0, 32, 8, 6), B2, (np.array(x), t))
+
+
 # -- elliptic companions ----------------------------------------------------
 
 def test_elliptic_fundamental_classical_value(I3):

@@ -316,61 +316,6 @@ def test_mesh_to_csv(tmp_path, disk_mesh_I):
     assert text.splitlines()[0].startswith("region")
 
 
-# -- nearest boundary parameter ----------------------------------------------
-
-def test_nearest_parameter_on_the_disk_is_the_polar_angle(disk):
-    rng = np.random.default_rng(5)
-    for r in (0.5, 0.97, 1.0 - 1e-6, 1.0 + 1e-6, 1.03, 1.3):
-        for a in rng.uniform(-math.pi, math.pi, 6):
-            x = r * np.array([math.cos(a), math.sin(a)])
-            phi, dist = disk.nearest_parameter(x, 512)
-            assert abs(math.remainder(phi - math.atan2(x[1], x[0]), 2.0 * math.pi)) <= 1e-13
-            assert abs(dist - abs(1.0 - r)) <= 1e-13
-
-
-def _brute_force_nearest(cs, x, fine_phi, fine_pts):
-    """Nearest parameter by a fine grid, then a golden section of the squared
-    distance over one grid spacing either side."""
-    i = int(np.argmin(np.sum((fine_pts - x) ** 2, axis=1)))
-    step = fine_phi[1] - fine_phi[0]
-
-    def dist2(a):
-        return float(np.sum((cs.boundary_frame(np.array([a]))[0][0] - x) ** 2))
-
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = fine_phi[i] - step, fine_phi[i] + step
-    for _ in range(50):
-        c, d = b - inv * (b - a), a + inv * (b - a)
-        a, b = (a, d) if dist2(c) < dist2(d) else (c, b)
-    return 0.5 * (a + b), math.sqrt(dist2(0.5 * (a + b)))
-
-
-@pytest.mark.parametrize("cs", [cx.CrossSection.ellipse(1.2, 0.7),
-                                cx.CrossSection.star(1.0, (0.0, 0.0, 0.25))],
-                         ids=["ellipse", "star"])
-def test_nearest_parameter_matches_brute_force(cs):
-    # targets on the normal through boundary parameter phi0, 1e-6 to 0.3 from
-    # the wall on both sides (below every radius of curvature met there), so
-    # phi0 is the nearest parameter; the brute-force search confirms that it
-    # is the global one.  A golden section of the squared distance resolves
-    # the parameter only to about sqrt(eps), so the parameter is held to
-    # phi0 at 1e-10 and to the brute force at its own resolution.
-    fine_phi = np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False)
-    fine_pts = cs.boundary_frame(fine_phi)[0]
-    phi0s = np.array([0.0, 0.3, 1.1, math.pi / 3.0, 2.0, 3.3, 4.4, 5.7])
-    feet, _, inward = cs.boundary_frame(phi0s)
-    for phi0, foot, nu in zip(phi0s, feet, inward):
-        for d in (1e-6, 1e-3, 0.05, 0.3):
-            for side in (+1.0, -1.0):
-                x = foot + side * d * nu
-                phi, dist = cs.nearest_parameter(x, 512)
-                ref_phi, ref_dist = _brute_force_nearest(cs, x, fine_phi, fine_pts)
-                assert abs(ref_dist - d) <= 1e-10
-                assert abs(dist - ref_dist) <= 1e-10
-                assert abs(math.remainder(phi - phi0, 2.0 * math.pi)) <= 1e-10
-                assert abs(math.remainder(phi - ref_phi, 2.0 * math.pi)) <= 1e-7
-
-
 def test_wall_frame_measures_once_and_agrees_with_locate(disk_mesh_I):
     for x, t in (((0.2, 0.1), 0.5), ((1.5, 0.0), 0.5), ((1.0, 0.0), 0.5),
                  ((0.2, 0.1), 0.0), ((0.2, 0.1), disk_mesh_I.T), ((0.2, 0.1), -0.5)):

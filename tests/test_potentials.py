@@ -11,6 +11,7 @@ from calorix.errors import (
     OffsetTooLarge,
     TargetOnBoundary,
 )
+from calorix.quadrature import composite_gauss, graded_edges_toward
 
 from conftest import exterior_probes, interior_probes
 
@@ -224,7 +225,8 @@ def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
     graded_seen = 0
     for frac, t in ((0.5, 0.3), (0.97, 0.45), (1.03, 0.6), (1.5, 0.75)):
         x = frac * rim
-        graded = (potentials._near_boundary_rule(mesh, x)
+        depth = potentials._graded_depth(mesh.cs, abs(mesh.cs.radial_gap(x)))
+        graded = (potentials._near_boundary_rule(mesh, x, depth)
                   if potentials._near_wall(mesh, mesh.distance_to_wall(x)) else None)
         graded_seen += graded is not None
         samples = potentials._samples(mesh, phi, graded)
@@ -238,14 +240,14 @@ def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
     assert graded_seen == (2 if n == 2 else 0)
 
 
-def test_graded_rule_build_polishes_in_few_frames(disk_mesh_I, ellipse_mesh_B, monkeypatch):
-    # the nearest boundary parameter takes one coarse search, at most three
-    # polish steps of one boundary_frame call each, and the rule's own frame
+def test_graded_rule_build_takes_one_frame(disk_mesh_I, ellipse_mesh_B, monkeypatch):
+    # the rule is graded toward the polar angle of its centre: one
+    # boundary_frame call, on the rule's own nodes, and no search
     calls = []
     frame = cx.CrossSection.boundary_frame
 
     def counted(self, phi):
-        calls.append(np.size(phi))
+        calls.append(np.array(phi))
         return frame(self, phi)
 
     monkeypatch.setattr(cx.CrossSection, "boundary_frame", counted)
@@ -253,9 +255,54 @@ def test_graded_rule_build_polishes_in_few_frames(disk_mesh_I, ellipse_mesh_B, m
         for x in (np.array([0.97, 0.1]), np.array([-0.3, 1.02])):
             x = x * mesh.cs.radius_extremes()[1]
             calls.clear()
-            potentials._near_boundary_rule(mesh, x)
-            assert len(calls) <= 5
-            assert all(size <= 3 for size in calls[1:-1])
+            points, _, _ = potentials._near_boundary_rule(mesh, x, 12)
+            nodes, _ = composite_gauss(graded_edges_toward(math.atan2(x[1], x[0]), math.pi, 12),
+                                       max(8, mesh.m_angular // 12))
+            assert len(calls) == 1 and np.array_equal(calls[0], nodes)
+            assert points.shape == (nodes.size, 2)
+
+
+# largest |graded - refined| per kind (double, conormal, single) over the
+# targets below: twice that of the rule centred on the nearest wall point
+# (found by three Halley steps) that polar centring replaced, on those targets
+_NEAR_WALL_BOUNDS = {"ellipse_mesh_B": (1.1e-8, 1.8e-7, 7.7e-8), "star": (4.5e-6, 6.8e-5, 2.7e-5)}
+
+
+@pytest.mark.parametrize("fix", ["ellipse_mesh_B", "star"])
+def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
+    # targets on both sides of 40 wall points, the k-th at the k-th of six
+    # distances from 1e-6 to 0.08 in turn, on the graded rule centred on
+    # their polar angle, against the same rule with depth + 8 and 4x the
+    # points per panel
+    mesh = _star_mesh(B2) if fix == "star" else request.getfixturevalue(fix)
+
+    def gen(p, t, nu):
+        return (1.0 + 0.4 * p[:, 0] / np.hypot(p[:, 0], p[:, 1]) + 0.2 * p[:, 1]) * (1.0 + 0.3 * t)
+
+    phi, t = cx.DensityField.from_function(mesh, "sigma3", gen), 0.5
+    per = 4 * max(8, mesh.m_angular // 12)
+    feet, _, inward = mesh.cs.boundary_frame(2.0 * math.pi * np.arange(40) / 40)
+    distances = np.resize([1e-6, 1e-4, 1e-3, 1e-2, 0.03, 0.08], 40)
+    worst = np.zeros(3)
+    for foot, nu, d in zip(feet, inward, distances):
+        for x in (foot + d * nu, foot - d * nu):
+            frame = mesh.wall_frame((x, t))
+            assert potentials._near_wall(mesh, frame.distance)
+            kernel, on_grid = potentials._target_kernel(mesh, B2, x, t, False, frame)
+            depth = potentials._graded_depth(mesh.cs, abs(frame.gap)) + 8
+            nodes, w = composite_gauss(
+                graded_edges_toward(math.atan2(x[1], x[0]), math.pi, depth), per)
+            bp, jac, normals = mesh.cs.boundary_frame(nodes)
+            refined = potentials._LateralKernel(mesh, B2, x, t, False, (bp, w * jac, normals))
+            refined.on(potentials._TimeGrid(mesh, B2, t, False, refined.u0min))
+            ref_grid = potentials._samples(mesh, phi, (bp, w * jac, normals)) @ refined.grid.interp
+            # apply overwrites the density on the grid, so each call gets its own
+            got = (kernel.apply(("double", "conormal_fixed"), on_grid(phi), nu)
+                   + [kernel.apply("single", on_grid(phi))])
+            want = (refined.apply(("double", "conormal_fixed"), ref_grid.copy(), nu)
+                    + [refined.apply("single", ref_grid)])
+            worst = np.maximum(worst, np.abs(np.subtract(got, want)))
+    assert np.all(worst <= _NEAR_WALL_BOUNDS[fix]), worst
 
 
 # -- adjoint operators are time reflections ---------------------------------
@@ -365,9 +412,8 @@ def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
     reports = cx.jump_probe(mesh, A, phi, node, kinds)
     assert [r.kind for r in reports] == list(kinds)
     offsets = reports[0].offsets
-    probe = mesh.offset_point(node, offsets[-1])[0]
     graded = potentials._near_boundary_rule(
-        mesh, probe, depth=potentials._graded_depth(mesh.cs, offsets[-1]))
+        mesh, mesh.bpoints[b], potentials._graded_depth(mesh.cs, offsets[-1]))
     samples = potentials._samples(mesh, phi, graded)
     worst = 0.0
     for sign, side in ((1.0, "interior_values"), (-1.0, "exterior_values")):
@@ -432,8 +478,7 @@ def test_trimmed_ladder_matches_the_full_grid_sums(fix, mat, request):
     reports = cx.jump_probe(mesh, A, phi, node, ("double", "conormal_single"))
     offsets = reports[0].offsets
     graded = potentials._near_boundary_rule(
-        mesh, mesh.offset_point(node, offsets[-1])[0],
-        depth=potentials._graded_depth(mesh.cs, offsets[-1]))
+        mesh, mesh.bpoints[b], potentials._graded_depth(mesh.cs, offsets[-1]))
     kernels = [potentials._LateralKernel(mesh, A, mesh.offset_point(node, h)[0], t0, False, graded)
                for h in np.concatenate([offsets, -offsets])]
     grid = potentials._TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
