@@ -11,7 +11,10 @@ R, and the fit at any degree reads only the leading block of R (nested
 least squares, Golub & Van Loan, Matrix Computations, ch. 5), so a
 ladder of degrees shares one factorization.  R is built by row-block TSQR
 (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012) in the
-memory of the matrix plus O((ncols + _QR_BLOCK) ncols).
+memory of the matrix plus O((ncols + _QR_BLOCK) ncols).  A column of degree
+<= D is of degree <= D // 2 in t at a wall node, so, with Q from the QR of the
+sqrt(tweights)-scaled Legendre Vandermonde of the time rule, Q^T maps a node's
+m_time rows to keep = D // 2 + 1 rows and a rest only the rhs reaches.
 """
 
 import math
@@ -108,33 +111,51 @@ class TrefftzSystem:
     sides: rows are sqrt(weight)-scaled node evaluations, columns are
     caloric polynomials divided by their recorded scale."""
 
-    def __init__(self, matrix, alphas, scales, weights, parity):
+    def __init__(self, matrix, alphas, scales, weights, parity, time_modes=None, cap_rows=0):
         self.matrix = matrix
         self.alphas = alphas
         self.scales = scales
         self.weights = weights
         self.parity = parity
+        self.degree = max(sum(a) for a in alphas)
+        self.time_modes = time_modes  # Q of the module docstring, or None
+        self.cap_rows = cap_rows  # with time_modes, the wall rows follow these
         self._factored = None  # (rhs, R) of the last triangular() call
 
     def triangular(self, rhs):
         """R of the QR factorization of [matrix | rhs], by row-block TSQR.
 
-        Each block of _QR_BLOCK rows is factored under the R of the rows
-        above it: the memory is the matrix plus O((ncols + _QR_BLOCK) ncols),
-        and Q is not formed.  The result for the last rhs seen (compared by
-        value) is kept, so a degree ladder on one right-hand side factors once.
+        Each block of _QR_BLOCK rows, or of _QR_BLOCK // keep wall nodes, is
+        factored under the R of the rows above it: the memory is the matrix
+        plus O((ncols + _QR_BLOCK) ncols).  The result for the last rhs seen
+        (compared by value) is kept, so a degree ladder factors once.
         """
         rhs = np.asarray(rhs, dtype=float)
         if self._factored is None or not np.array_equal(self._factored[0], rhs):
             rows, ncols = self.matrix.shape
-            buf = np.empty((ncols + 1 + _QR_BLOCK, ncols + 1), order="F")
+            q, cap = self.time_modes, self.cap_rows if self.time_modes is not None else rows
+            buf = np.empty((ncols + 2 + _QR_BLOCK, ncols + 1), order="F")
             r = buf[:0]  # the running R, kept at the top of buf
-            for lo in range(0, rows, _QR_BLOCK):
-                k, end = len(r), len(r) + min(rows - lo, _QR_BLOCK)
-                buf[k:end, :-1] = self.matrix[lo:lo + _QR_BLOCK]
-                buf[k:end, -1] = rhs[lo:lo + _QR_BLOCK]
+            for lo in range(0, cap, _QR_BLOCK):
+                k, end = len(r), len(r) + min(cap - lo, _QR_BLOCK)
+                buf[k:end, :-1] = self.matrix[lo:lo + end - k]
+                buf[k:end, -1] = rhs[lo:lo + end - k]
                 r = np.linalg.qr(buf[:end], mode="r")
                 buf[:len(r)] = r
+            if q is not None:
+                keep = self.degree // 2 + 1
+                wall = self.matrix[cap:].reshape(-1, len(q), ncols)  # a view
+                wrhs = rhs[cap:].reshape(len(wall), len(q))
+                for lo in range(0, len(wall), _QR_BLOCK // keep):
+                    nodes = wall[lo:lo + _QR_BLOCK // keep]
+                    k, end = len(r), len(r) + len(nodes) * keep
+                    np.matmul(q[:, :keep].T, nodes, out=buf[k:end, :-1].reshape(-1, keep, ncols))
+                    buf[k:end, -1] = (wrhs[lo:lo + len(nodes)] @ q[:, :keep]).ravel()
+                    if lo + len(nodes) == len(wall):  # the rhs past keep, as one row
+                        buf[end, :-1], buf[end, -1] = 0.0, np.linalg.norm(wrhs @ q[:, keep:])
+                        end += 1
+                    r = np.linalg.qr(buf[:end], mode="r")
+                    buf[:len(r)] = r
             self._factored = (rhs.copy(), r)
         return self._factored[1]
 
@@ -173,7 +194,11 @@ def assemble_system(mesh, A, parity, degree):
     norms = [np.linalg.norm(cols[i:i + 32], axis=1) for i in range(0, len(cols), 32)]
     scales = np.maximum(1.0, np.concatenate(norms))
     cols /= scales[:, None]
-    return TrefftzSystem(cols.T, alphas, scales, wts, parity)
+    q, m = None, len(mesh.tnodes)
+    if degree // 2 + 1 < m:  # the wall's time modes, by the module docstring
+        vander = np.polynomial.legendre.legvander(2.0 * mesh.tnodes / mesh.T - 1.0, m - 1)
+        q = np.linalg.qr(np.sqrt(mesh.tweights)[:, None] * vander)[0]
+    return TrefftzSystem(cols.T, alphas, scales, wts, parity, q, len(pts) - mesh.n_lateral)
 
 
 class CaloricApproximant:
@@ -255,13 +280,18 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
     by truncated singular value decomposition.  The residual is the weighted
     misfit norm over the weighted data norm (absolute when the data norm
     vanishes); Q is orthogonal, so the misfit is read off R: that of the
-    block, and the part of R's last column below it.
+    block, and the part of R's last column below it.  A given ``system`` must
+    be of this mesh and parity (RegionMismatch) and degree (ValueError).
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError("rcond must lie in (0, 1)")
     _check_parity(data, parity)
     if system is None:
         system = assemble_system(mesh, A, parity, degree)
+    elif degree > system.degree:
+        raise ValueError(f"degree {degree} exceeds the system's top degree {system.degree}")
+    elif (system.parity, len(system.matrix)) != (parity, len(mesh.cap_points) + mesh.n_lateral):
+        raise RegionMismatch("the system was assembled for another parity or mesh")
     ncols = system.columns_for_degree(degree)
     rhs = _weighted_rhs(system, data)
 

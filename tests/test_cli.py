@@ -135,7 +135,13 @@ def test_shipped_ball_completeness_run(tmp_path):
 
 def test_cross_validated_study_fits_once(tmp_path, monkeypatch):
     # cross validation re-scores the study's top-degree fit: one assembly and
-    # one blocked QR sweep over its rows for the whole run
+    # one blocked QR sweep for the whole run.  The sweep factors the cap rows
+    # in blocks of _QR_BLOCK and the wall in chunks of _QR_BLOCK // keep
+    # nodes, each node reduced to its first keep = 12 // 2 + 1 time modes;
+    # one more QR builds those modes
+    config = pathlib.Path(__file__).parent.parent / "configs" / "completeness_exp.json"
+    mesh = cx.build_mesh(cx.CrossSection.disk(1.0), cx.make_coefficients(2, np.eye(2)),
+                         0.5, 96, 48, 24)
     calls = {"assemble": 0, "qr": 0}
 
     def counted(name, fn):
@@ -147,12 +153,15 @@ def test_cross_validated_study_fits_once(tmp_path, monkeypatch):
     monkeypatch.setattr("calorix.solver.assemble_system",
                         counted("assemble", cx.assemble_system))
     monkeypatch.setattr("numpy.linalg.qr", counted("qr", np.linalg.qr))
-    config = pathlib.Path(__file__).parent.parent / "configs" / "completeness_exp.json"
     assert run_cli("completeness", str(config), "--out", str(tmp_path / "o")) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["cross_validation"]["degree"] == 12
-    rows = summary["study"]["rows"][0]
-    assert calls == {"assemble": 1, "qr": math.ceil(rows / solver._QR_BLOCK)}
+    cap, keep = len(mesh.cap_points), 12 // 2 + 1
+    # the study reports node rows, not the rows the sweep factors
+    assert summary["study"]["rows"] == [cap + mesh.n_lateral] * 13
+    sweep = math.ceil(cap / solver._QR_BLOCK) + \
+        math.ceil(mesh.n_boundary / (solver._QR_BLOCK // keep))
+    assert calls == {"assemble": 1, "qr": sweep + 1}
 
 
 def test_identities_share_one_kernel_per_target(tmp_path, monkeypatch):

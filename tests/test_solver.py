@@ -187,28 +187,45 @@ def test_shared_system_never_serves_a_stale_factorization(solver_mesh, I2):
             (fresh.residual, fresh.rank, fresh.cond)
 
 
-# cross-section, mesh (m_angular, m_time, m_radial), degree and design rows:
-# one and two whole row blocks, a short last block, less than one block, and
-# a wide system (64 rows, 861 columns)
+# cross-section, mesh (m_angular, m_time, m_radial), degree, parity and
+# design rows.  Every system with keep = degree // 2 + 1 < m_time factors its
+# wall rows as their first keep time modes, in chunks of _QR_BLOCK // keep
+# nodes: a single short chunk (the first four and the adjoint), two cap
+# blocks and two wall chunks on a ball, three chunks the last of them short,
+# and one full chunk to which the folded rhs row is added.  Two systems keep
+# every row: three plain blocks, the last short, and a wide system (64 rows,
+# 861 columns).
 TSQR_CASES = {
-    "one-block": ("disk", (64, 12, 4), 8, 1024),
-    "two-blocks": ("ball", (16, 12, 4), 6, 2048),
-    "short-last-block": ("disk", (96, 48, 24), 12, 6912),
-    "under-one-block": ("disk", (32, 12, 4), 8, 512),
-    "wide": ("disk", (8, 4, 4), 40, 64),
+    "one-block": ("disk", (64, 12, 4), 8, "v", 1024),
+    "two-blocks": ("ball", (16, 12, 4), 6, "v", 2048),
+    "short-last-block": ("disk", (96, 48, 24), 12, "v", 6912),
+    "under-one-block": ("disk", (32, 12, 4), 8, "v", 512),
+    "adjoint": ("disk", (64, 12, 4), 8, "w", 1024),
+    "projected-ball": ("ball", (24, 12, 6), 10, "v", 5184),
+    "short-last-chunk": ("disk", (512, 8, 4), 8, "v", 6144),
+    "full-last-chunk": ("disk", (256, 8, 4), 6, "v", 3072),
+    "unprojected": ("disk", (300, 4, 4), 6, "v", 2400),
+    "wide": ("disk", (8, 4, 4), 40, "v", 64),
 }
+UNPROJECTED = ("unprojected", "wide")
+
+
+def _tsqr_case(I2, I3, case):
+    """(system, rhs) of a TSQR_CASES entry, with exponential data."""
+    kind, shape, degree, parity, rows = TSQR_CASES[case]
+    A = I2 if kind == "disk" else I3
+    mesh = cx.build_mesh(getattr(cx.CrossSection, kind)(1.0), A, 0.5, *shape)
+    system = cx.assemble_system(mesh, A, parity, degree)
+    assert system.matrix.shape[0] == rows
+    assert (system.time_modes is None) == (case in UNPROJECTED)
+    fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2][:A.n]), sign=+1)
+    data = cx.BoundaryData.from_field(mesh, parity, fld)
+    return system, system.sqrt_weights * data.concatenated()
 
 
 @pytest.mark.parametrize("case", list(TSQR_CASES))
 def test_blocked_triangular_matches_one_qr(I2, I3, case):
-    kind, shape, degree, rows = TSQR_CASES[case]
-    A = I2 if kind == "disk" else I3
-    mesh = cx.build_mesh(getattr(cx.CrossSection, kind)(1.0), A, 0.5, *shape)
-    system = cx.assemble_system(mesh, A, "v", degree)
-    assert system.matrix.shape[0] == rows
-    fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2][:A.n]), sign=+1)
-    data = cx.BoundaryData.from_field(mesh, "v", fld)
-    rhs = system.sqrt_weights * data.concatenated()
+    system, rhs = _tsqr_case(I2, I3, case)
     full = np.column_stack([system.matrix, rhs])
     r = system.triangular(rhs)
     ref = np.linalg.qr(full, mode="r")
@@ -219,6 +236,55 @@ def test_blocked_triangular_matches_one_qr(I2, I3, case):
     sing = np.linalg.svd(r, compute_uv=False)
     sing_ref = np.linalg.svd(ref, compute_uv=False)
     assert np.max(np.abs(sing - sing_ref)) <= 1e-12 * sing_ref[0]
+
+
+@pytest.mark.parametrize("case", UNPROJECTED)
+def test_unprojected_triangular_is_the_plain_row_block_loop(I2, I3, case):
+    system, rhs = _tsqr_case(I2, I3, case)
+    rows, ncols = system.matrix.shape
+    buf = np.empty((ncols + 1 + solver._QR_BLOCK, ncols + 1), order="F")
+    ref = buf[:0]
+    for lo in range(0, rows, solver._QR_BLOCK):
+        k, end = len(ref), len(ref) + min(rows - lo, solver._QR_BLOCK)
+        buf[k:end, :-1] = system.matrix[lo:lo + solver._QR_BLOCK]
+        buf[k:end, -1] = rhs[lo:lo + solver._QR_BLOCK]
+        ref = np.linalg.qr(buf[:end], mode="r")
+        buf[:len(ref)] = ref
+    assert np.array_equal(system.triangular(rhs), ref)
+
+
+@pytest.mark.parametrize("m_time", [4, 16, 48])
+def test_time_modes_are_orthogonal(disk, I2, m_time):
+    q = cx.assemble_system(cx.build_mesh(disk, I2, 0.5, 8, m_time, 4), I2, "v", 4).time_modes
+    assert q.shape == (m_time, m_time)
+    assert np.max(np.abs(q.T @ q - np.eye(m_time))) <= 1e-14
+
+
+def test_ladder_wall_rows_vanish_beyond_the_kept_modes():
+    # the benchmark's ladder system: each wall node's 16 time samples of a
+    # degree-12 column lie in the first 7 time modes
+    A = cx.make_coefficients(3, [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]])
+    mesh = cx.build_mesh(cx.CrossSection.ball(1.0), A, 0.5, 32, 16, 8)
+    system = cx.assemble_system(mesh, A, "v", 12)
+    q = system.time_modes
+    assert q.shape == (16, 16) and system.cap_rows == len(mesh.cap_points)
+    wall = system.matrix[system.cap_rows:].reshape(mesh.n_boundary, 16, -1)
+    dropped = np.einsum("tk,btc->bkc", q[:, 7:], wall)
+    assert np.max(np.abs(dropped)) <= 1e-14 * np.max(np.abs(system.matrix))
+
+
+@pytest.mark.parametrize("parity", ["v", "w"])
+def test_wall_rows_are_node_major_tensor_weighted_and_last(disk_mesh_I, parity):
+    # the time-mode projection of TrefftzSystem.triangular reads the wall as
+    # the last n_lateral rows, one node's m_time samples after another
+    mesh = disk_mesh_I
+    assert np.array_equal(mesh.lateral_weights(),
+                          np.outer(mesh.bweights, mesh.tweights).ravel())
+    pts, ts, wts = solver._dirichlet_nodes(mesh, parity)
+    wall = slice(len(pts) - mesh.n_lateral, None)
+    assert np.array_equal(pts[wall], np.repeat(mesh.bpoints, len(mesh.tnodes), axis=0))
+    assert np.array_equal(ts[wall], np.tile(mesh.tnodes, mesh.n_boundary))
+    assert np.array_equal(wts[wall], mesh.lateral_weights())
 
 
 def test_triangular_does_not_copy_the_matrix(solver_mesh, I2):
@@ -255,6 +321,27 @@ def test_parity_mismatch_raises(solver_mesh, I2):
     data = poly_data(solver_mesh, I2, (1, 0), parity="v")
     with pytest.raises(RegionMismatch):
         cx.solve_dirichlet(solver_mesh, I2, "w", 2, data)
+
+
+def test_shared_system_above_its_top_degree_raises(disk, I2):
+    mesh = cx.build_mesh(disk, I2, 0.5, 32, 12, 4)
+    system = cx.assemble_system(mesh, I2, "v", 4)
+    with pytest.raises(ValueError, match="top degree 4"):
+        cx.solve_dirichlet(mesh, I2, "v", 10, exp_data(mesh, I2), system=system)
+
+
+def test_shared_system_of_the_other_parity_raises(disk, I2):
+    mesh = cx.build_mesh(disk, I2, 0.5, 32, 12, 4)
+    system = cx.assemble_system(mesh, I2, "w", 6)
+    with pytest.raises(RegionMismatch, match="another parity or mesh"):
+        cx.solve_dirichlet(mesh, I2, "v", 6, exp_data(mesh, I2), system=system)
+
+
+def test_shared_system_of_another_mesh_raises(disk, I2):
+    mesh = cx.build_mesh(disk, I2, 0.5, 32, 12, 4)
+    system = cx.assemble_system(cx.build_mesh(disk, I2, 0.5, 16, 12, 4), I2, "v", 6)
+    with pytest.raises(RegionMismatch, match="another parity or mesh"):
+        cx.solve_dirichlet(mesh, I2, "v", 6, exp_data(mesh, I2), system=system)
 
 
 def test_bad_rcond_raises(solver_mesh, I2):
