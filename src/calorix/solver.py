@@ -11,10 +11,16 @@ R, and the fit at any degree reads only the leading block of R (nested
 least squares, Golub & Van Loan, Matrix Computations, ch. 5), so a
 ladder of degrees shares one factorization.  R is built by row-block TSQR
 (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012) in the
-memory of the matrix plus O((ncols + _QR_BLOCK) ncols).  A column of degree
-<= D is of degree <= D // 2 in t at a wall node, so, with Q from the QR of the
-sqrt(tweights)-scaled Legendre Vandermonde of the time rule, Q^T maps a node's
-m_time rows to keep = D // 2 + 1 rows and a rest only the rhs reaches.
+memory of the matrix plus O((ncols + _QR_BLOCK) ncols), over row groups that
+are orthogonal maps of the rows; what a map leaves out reaches only the rhs,
+as one last row [0 ... 0 | norm], so R is unchanged.  Q^T, Q from the QR of
+the sqrt(tweights)-scaled Legendre Vandermonde in t, maps a wall node to
+keep = D // 2 + 1 time modes, mode k of degree <= D - 2k in x.  On a conic
+or quadric, U (nested by degree: Vandermonde with Arnoldi, Brubeck,
+Nakatsukasa & Trefethen, SIAM Review 63, 2021) maps a cap shell to its
+dim(D) = 2D + 1 (n = 2) or (D + 1)^2 (n = 3) modes of degree <= D, and time
+mode k to dim(D - 2k).  Elsewhere the cap goes in blocks of _QR_BLOCK rows
+and the wall in chunks of _QR_BLOCK // keep nodes.
 """
 
 import math
@@ -29,6 +35,7 @@ from .polynomials import basis_matrix, enumerate_basis
 # (n=3, degree 12) is 30 MB
 _EVAL_BLOCK = 8192
 _QR_BLOCK = 1024  # rows per block in TrefftzSystem.triangular
+_SLAB = 64  # columns per slab in _project_wall
 
 _PARITY_REGIONS = {"v": ("sigma2", "sigma3"), "w": ("sigma1", "sigma3")}
 
@@ -111,53 +118,71 @@ class TrefftzSystem:
     sides: rows are sqrt(weight)-scaled node evaluations, columns are
     caloric polynomials divided by their recorded scale."""
 
-    def __init__(self, matrix, alphas, scales, weights, parity, time_modes=None, cap_rows=0):
+    def __init__(self, matrix, alphas, scales, weights, parity, time_modes=None, cap_rows=0,
+                 space_modes=None, *, mesh_fingerprint, a):
         self.matrix = matrix
         self.alphas = alphas
         self.scales = scales
         self.weights = weights
         self.parity = parity
-        self.degree = max(sum(a) for a in alphas)
+        self.degree = max(sum(alpha) for alpha in alphas)
         self.time_modes = time_modes  # Q of the module docstring, or None
         self.cap_rows = cap_rows  # with time_modes, the wall rows follow these
+        self.space_modes = space_modes  # [U_cap, U_wall] of the module docstring, or None
+        self.mesh_fingerprint, self.a = mesh_fingerprint, a  # what it was assembled for
         self._factored = None  # (rhs, R) of the last triangular() call
 
     def triangular(self, rhs):
-        """R of the QR factorization of [matrix | rhs], by row-block TSQR.
-
-        Each block of _QR_BLOCK rows, or of _QR_BLOCK // keep wall nodes, is
-        factored under the R of the rows above it: the memory is the matrix
-        plus O((ncols + _QR_BLOCK) ncols).  The result for the last rhs seen
-        (compared by value) is kept, so a degree ladder factors once.
-        """
+        """R of the QR factorization of [matrix | rhs], by the row-block TSQR
+        of the module docstring.  The result for the last rhs seen (compared
+        by value) is kept, so a degree ladder factors once."""
         rhs = np.asarray(rhs, dtype=float)
         if self._factored is None or not np.array_equal(self._factored[0], rhs):
-            rows, ncols = self.matrix.shape
-            q, cap = self.time_modes, self.cap_rows if self.time_modes is not None else rows
-            buf = np.empty((ncols + 2 + _QR_BLOCK, ncols + 1), order="F")
-            r = buf[:0]  # the running R, kept at the top of buf
-            for lo in range(0, cap, _QR_BLOCK):
-                k, end = len(r), len(r) + min(cap - lo, _QR_BLOCK)
-                buf[k:end, :-1] = self.matrix[lo:lo + end - k]
-                buf[k:end, -1] = rhs[lo:lo + end - k]
-                r = np.linalg.qr(buf[:end], mode="r")
-                buf[:len(r)] = r
-            if q is not None:
-                keep = self.degree // 2 + 1
-                wall = self.matrix[cap:].reshape(-1, len(q), ncols)  # a view
-                wrhs = rhs[cap:].reshape(len(wall), len(q))
-                for lo in range(0, len(wall), _QR_BLOCK // keep):
-                    nodes = wall[lo:lo + _QR_BLOCK // keep]
-                    k, end = len(r), len(r) + len(nodes) * keep
-                    np.matmul(q[:, :keep].T, nodes, out=buf[k:end, :-1].reshape(-1, keep, ncols))
-                    buf[k:end, -1] = (wrhs[lo:lo + len(nodes)] @ q[:, :keep]).ravel()
-                    if lo + len(nodes) == len(wall):  # the rhs past keep, as one row
-                        buf[end, :-1], buf[end, -1] = 0.0, np.linalg.norm(wrhs @ q[:, keep:])
-                        end += 1
+            ncols = self.matrix.shape[1]
+            # a projected wall is one group of ncols rows, which may exceed _QR_BLOCK
+            buf = np.empty((ncols + 2 + max(_QR_BLOCK, ncols), ncols + 1), order="F")
+            top = end = 0  # the rows of the running R, kept at the top of buf, and all rows
+            for m, b in self._row_groups(rhs):  # a block: up to _QR_BLOCK rows and the rhs row
+                if end > top and (len(m) == 0 or end + len(m) > top + _QR_BLOCK + 1):
                     r = np.linalg.qr(buf[:end], mode="r")
-                    buf[:len(r)] = r
-            self._factored = (rhs.copy(), r)
+                    buf[:len(r)], top = r, len(r)
+                    end, r = top, None  # R lives on in buf
+                buf[end:end + len(m), :-1], buf[end:end + len(m), -1] = m, b
+                end += len(m)
+            self._factored = (rhs.copy(), np.linalg.qr(buf[:end], mode="r"))
         return self._factored[1]
+
+    def _row_groups(self, rhs):
+        """(matrix rows, rhs rows) of each row group of the module docstring
+        in turn; an empty group ends a block.  Without spatial modes each
+        group is a block of its own, computed after the block before it."""
+        q, modes, dropped, ncols = self.time_modes, self.space_modes, [], self.matrix.shape[1]
+        cap = len(rhs) if q is None else self.cap_rows
+        step = _QR_BLOCK if modes is None else len(modes[0])
+        for lo in range(0, cap, step):
+            m, b = self.matrix[lo:min(cap, lo + step)], rhs[lo:min(cap, lo + step)]
+            if modes is None:
+                yield m[:0], b[:0]
+            else:  # the cap shell on U_cap
+                head = modes[0].T @ b
+                dropped.append(np.linalg.norm(b - modes[0] @ head))
+                m, b = modes[0].T @ m, head
+            yield m, b
+        if q is None:
+            return
+        keep = self.degree // 2 + 1
+        wall = self.matrix[cap:].reshape(-1, len(q), ncols)  # a view
+        wrhs = rhs[cap:].reshape(len(wall), len(q))
+        if modes is None:
+            for lo in range(0, len(wall), _QR_BLOCK // keep):
+                nodes = slice(lo, lo + _QR_BLOCK // keep)
+                yield wall[:0, 0], wrhs[:0, 0]
+                yield (np.matmul(q[:, :keep].T, wall[nodes]).reshape(-1, ncols),
+                       (wrhs[nodes] @ q[:, :keep]).ravel())
+        else:
+            dims = [_space_dim(len(self.alphas[0]), self.degree - 2 * k) for k in range(keep)]
+            yield _project_wall(q[:, :keep], modes[1], dims, wall, wrhs, dropped)
+        yield np.zeros((1, ncols)), math.hypot(*dropped, np.linalg.norm(wrhs @ q[:, keep:]))
 
     @property
     def sqrt_weights(self):
@@ -167,6 +192,46 @@ class TrefftzSystem:
         # graded-lex enumeration puts all lower degrees first, so a nested
         # subspace is a leading block of columns
         return sum(1 for a in self.alphas if sum(a) <= degree)
+
+
+def _project_wall(q, u, dims, wall, rhs, dropped):
+    """(matrix rows, rhs rows) of wall time mode k on u[:, :dims[k]], mode after
+    mode, reading the wall once in _SLAB-column slabs; each rhs rest's norm to dropped."""
+    ends, heads = np.cumsum(dims), []
+    out = np.empty((ends[-1], wall.shape[2]))
+    for lo in range(0, wall.shape[2], _SLAB):
+        slab = np.matmul(q.T, wall[:, :, lo:lo + _SLAB])
+        for k, d in enumerate(dims):
+            out[ends[k] - d:ends[k], lo:lo + _SLAB] = u[:, :d].T @ slab[:, k]
+    for d, b in zip(dims, (rhs @ q).T):
+        heads.append(u[:, :d].T @ b)
+        dropped.append(np.linalg.norm(b - u[:, :d] @ heads[-1]))
+    return out, np.concatenate(heads)
+
+
+def _space_dim(n, d):  # of the polynomials of degree <= d on a conic (n = 2) or quadric (n = 3)
+    return 2 * d + 1 if n == 2 else (d + 1) ** 2
+
+
+def _space_modes(points, weights, degree):
+    """U of the module docstring per weight set, stacked, or None unless the
+    points show a quadric's dimensions under each: at every degree, kept
+    singular values at least 1e-3 of the largest, dropped ones at most 1e-13."""
+    n, (prev, lo), weights = points.shape[1], (0, 1), np.asarray(weights)
+    if _space_dim(n, degree) >= len(points):
+        return None
+    u = np.empty(weights.shape + (_space_dim(n, degree),))
+    u[..., 0] = np.sqrt(weights / np.sum(weights, axis=1, keepdims=True))
+    for hi in (_space_dim(n, d) for d in range(1, degree + 1)):
+        new = (points[:, :, None] * u[:, :, None, prev:lo]).reshape(len(u), len(points), -1)
+        for _ in range(2):
+            new -= u[..., :lo] @ (np.swapaxes(u[..., :lo], -1, -2) @ new)
+        left, sing, _ = np.linalg.svd(new, full_matrices=False)
+        sing /= sing[:, :1]
+        if np.any(sing[:, hi - lo - 1] < 1e-3) or np.any(sing[:, hi - lo:] > 1e-13):
+            return None
+        u[..., lo:hi], prev, lo = left[..., :hi - lo], lo, hi
+    return u
 
 
 def _dirichlet_nodes(mesh, parity):
@@ -194,11 +259,14 @@ def assemble_system(mesh, A, parity, degree):
     norms = [np.linalg.norm(cols[i:i + 32], axis=1) for i in range(0, len(cols), 32)]
     scales = np.maximum(1.0, np.concatenate(norms))
     cols /= scales[:, None]
-    q, m = None, len(mesh.tnodes)
+    q, modes, m = None, None, len(mesh.tnodes)
     if degree // 2 + 1 < m:  # the wall's time modes, by the module docstring
         vander = np.polynomial.legendre.legvander(2.0 * mesh.tnodes / mesh.T - 1.0, m - 1)
         q = np.linalg.qr(np.sqrt(mesh.tweights)[:, None] * vander)[0]
-    return TrefftzSystem(cols.T, alphas, scales, wts, parity, q, len(pts) - mesh.n_lateral)
+        modes = _space_modes(mesh.bpoints, [mesh.cap_weights[:mesh.n_boundary], mesh.bweights],
+                             degree)
+    return TrefftzSystem(cols.T, alphas, scales, wts, parity, q, len(pts) - mesh.n_lateral,
+                         modes, mesh_fingerprint=mesh.fingerprint(), a=A.a)
 
 
 class CaloricApproximant:
@@ -281,7 +349,7 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
     misfit norm over the weighted data norm (absolute when the data norm
     vanishes); Q is orthogonal, so the misfit is read off R: that of the
     block, and the part of R's last column below it.  A given ``system`` must
-    be of this mesh and parity (RegionMismatch) and degree (ValueError).
+    be of this mesh, A and parity (RegionMismatch) and degree (ValueError).
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError("rcond must lie in (0, 1)")
@@ -290,8 +358,10 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
         system = assemble_system(mesh, A, parity, degree)
     elif degree > system.degree:
         raise ValueError(f"degree {degree} exceeds the system's top degree {system.degree}")
-    elif (system.parity, len(system.matrix)) != (parity, len(mesh.cap_points) + mesh.n_lateral):
+    elif (system.parity, system.mesh_fingerprint) != (parity, mesh.fingerprint()):
         raise RegionMismatch("the system was assembled for another parity or mesh")
+    elif not np.array_equal(system.a, A.a):
+        raise RegionMismatch("the system was assembled for another coefficient matrix")
     ncols = system.columns_for_degree(degree)
     rhs = _weighted_rhs(system, data)
 

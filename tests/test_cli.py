@@ -135,10 +135,11 @@ def test_shipped_ball_completeness_run(tmp_path):
 
 def test_cross_validated_study_fits_once(tmp_path, monkeypatch):
     # cross validation re-scores the study's top-degree fit: one assembly and
-    # one blocked QR sweep for the whole run.  The sweep factors the cap rows
-    # in blocks of _QR_BLOCK and the wall in chunks of _QR_BLOCK // keep
-    # nodes, each node reduced to its first keep = 12 // 2 + 1 time modes;
-    # one more QR builds those modes
+    # one blocked QR sweep for the whole run.  On the disk each cap shell
+    # enters as its 2 * 12 + 1 trigonometric modes of degree <= 12, and the
+    # wall as its first keep = 12 // 2 + 1 time modes, mode k as its
+    # 2 * (12 - 2k) + 1 modes; with the folded rhs row they fill less than
+    # one block.  One more QR builds the time modes
     config = pathlib.Path(__file__).parent.parent / "configs" / "completeness_exp.json"
     mesh = cx.build_mesh(cx.CrossSection.disk(1.0), cx.make_coefficients(2, np.eye(2)),
                          0.5, 96, 48, 24)
@@ -159,9 +160,9 @@ def test_cross_validated_study_fits_once(tmp_path, monkeypatch):
     cap, keep = len(mesh.cap_points), 12 // 2 + 1
     # the study reports node rows, not the rows the sweep factors
     assert summary["study"]["rows"] == [cap + mesh.n_lateral] * 13
-    sweep = math.ceil(cap / solver._QR_BLOCK) + \
-        math.ceil(mesh.n_boundary / (solver._QR_BLOCK // keep))
-    assert calls == {"assemble": 1, "qr": sweep + 1}
+    rows = mesh.m_radial * 25 + sum(2 * (12 - 2 * k) + 1 for k in range(keep)) + 1
+    assert rows == 600 + 91 + 1
+    assert calls == {"assemble": 1, "qr": math.ceil(rows / solver._QR_BLOCK) + 1}
 
 
 def test_identities_share_one_kernel_per_target(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import calorix as cx
 from calorix import solver
 from calorix.errors import DegenerateData, RegionMismatch
+from calorix.quadrature import gauss_legendre
 
 
 def poly_data(mesh, A, alpha, parity="v"):
@@ -142,7 +143,8 @@ def test_rank_deficient_rung_takes_the_truncated_svd(solver_mesh, I2, monkeypatc
     base = cx.assemble_system(solver_mesh, I2, "v", 3)
     order = [0, 1, 2, 2] + list(range(3, 10))
     system = solver.TrefftzSystem(base.matrix[:, order], [base.alphas[i] for i in order],
-                                  base.scales[order], base.weights, "v")
+                                  base.scales[order], base.weights, "v",
+                                  mesh_fingerprint=base.mesh_fingerprint, a=base.a)
     data = exp_data(solver_mesh, I2)
     rhs = system.sqrt_weights * data.concatenated()
     truncated, svd_solve = [], solver._svd_solve
@@ -188,12 +190,19 @@ def test_shared_system_never_serves_a_stale_factorization(solver_mesh, I2):
 
 
 # cross-section, mesh (m_angular, m_time, m_radial), degree, parity and
-# design rows.  Every system with keep = degree // 2 + 1 < m_time factors its
-# wall rows as their first keep time modes, in chunks of _QR_BLOCK // keep
-# nodes: a single short chunk (the first four and the adjoint), two cap
-# blocks and two wall chunks on a ball, three chunks the last of them short,
-# and one full chunk to which the folded rhs row is added.  Two systems keep
-# every row: three plain blocks, the last short, and a wide system (64 rows,
+# design rows.  Every system with keep = degree // 2 + 1 < m_time projects its
+# wall rows on their first keep time modes.  On a conic or quadric section
+# (all but the star and the two unprojected systems) each cap shell and each
+# wall time mode is further projected on its spatial modes, and the groups
+# are gathered into blocks of at most _QR_BLOCK rows: one block on the
+# disks, balls and the ellipse, two on the ellipsoid, and four when the
+# wall's group, one row per column (1035), exceeds a block and follows a
+# full R.  The star keeps the time-mode loop: a full cap block, a 4-row cap
+# block that must not share a block with the wall, one full wall chunk and a
+# short one; two cap blocks and one full wall chunk, which takes the folded
+# rhs row too; or a one-node last chunk that must not join the full one.
+# Three systems keep every row: three plain blocks, the last short; five
+# full blocks and a one-row block of its own; and a wide system (64 rows,
 # 861 columns).
 TSQR_CASES = {
     "one-block": ("disk", (64, 12, 4), 8, "v", 1024),
@@ -204,28 +213,47 @@ TSQR_CASES = {
     "projected-ball": ("ball", (24, 12, 6), 10, "v", 5184),
     "short-last-chunk": ("disk", (512, 8, 4), 8, "v", 6144),
     "full-last-chunk": ("disk", (256, 8, 4), 6, "v", 3072),
+    "ellipsoid": ("ellipsoid", (24, 12, 10), 10, "v", 6336),
+    "ellipse-adjoint": ("ellipse", (96, 16, 8), 12, "w", 2304),
+    "star": ("star", (257, 8, 4), 8, "v", 3084),
+    "star-full-chunk": ("star", (256, 8, 5), 6, "v", 3328),
+    "star-one-node-chunk": ("star", (205, 8, 4), 8, "v", 2460),
+    "wall-over-a-block": ("disk", (96, 24, 12), 44, "v", 3456),
     "unprojected": ("disk", (300, 4, 4), 6, "v", 2400),
+    "one-row-block": ("disk", (569, 4, 5), 6, "v", 5121),
     "wide": ("disk", (8, 4, 4), 40, "v", 64),
 }
-UNPROJECTED = ("unprojected", "wide")
+UNPROJECTED = ("unprojected", "one-row-block", "wide")
+TIME_MODES_ONLY = ("star", "star-full-chunk", "star-one-node-chunk")
+LADDER_A = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]]
+# each TSQR_CASES kind: its cross-section and coefficient matrix
+TSQR_SECTIONS = {
+    "disk": (cx.CrossSection.disk(1.0), np.eye(2)),
+    "ball": (cx.CrossSection.ball(1.0), np.eye(3)),
+    "ellipsoid": (cx.CrossSection.ellipsoid(1.0, 0.5, 0.3), LADDER_A),
+    "ellipse": (cx.CrossSection.ellipse(1.2, 0.7), np.eye(2)),
+    "star": (cx.CrossSection.star(1.0, (0.0, 0.0, 0.25)), np.eye(2)),
+}
 
 
-def _tsqr_case(I2, I3, case):
+def _tsqr_case(case):
     """(system, rhs) of a TSQR_CASES entry, with exponential data."""
     kind, shape, degree, parity, rows = TSQR_CASES[case]
-    A = I2 if kind == "disk" else I3
-    mesh = cx.build_mesh(getattr(cx.CrossSection, kind)(1.0), A, 0.5, *shape)
+    cs, entries = TSQR_SECTIONS[kind]
+    A = cx.make_coefficients(cs.n, entries)
+    mesh = cx.build_mesh(cs, A, 0.5, *shape)
     system = cx.assemble_system(mesh, A, parity, degree)
     assert system.matrix.shape[0] == rows
     assert (system.time_modes is None) == (case in UNPROJECTED)
+    assert (system.space_modes is None) == (case in UNPROJECTED + TIME_MODES_ONLY)
     fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2][:A.n]), sign=+1)
     data = cx.BoundaryData.from_field(mesh, parity, fld)
     return system, system.sqrt_weights * data.concatenated()
 
 
 @pytest.mark.parametrize("case", list(TSQR_CASES))
-def test_blocked_triangular_matches_one_qr(I2, I3, case):
-    system, rhs = _tsqr_case(I2, I3, case)
+def test_blocked_triangular_matches_one_qr(case):
+    system, rhs = _tsqr_case(case)
     full = np.column_stack([system.matrix, rhs])
     r = system.triangular(rhs)
     ref = np.linalg.qr(full, mode="r")
@@ -239,8 +267,8 @@ def test_blocked_triangular_matches_one_qr(I2, I3, case):
 
 
 @pytest.mark.parametrize("case", UNPROJECTED)
-def test_unprojected_triangular_is_the_plain_row_block_loop(I2, I3, case):
-    system, rhs = _tsqr_case(I2, I3, case)
+def test_unprojected_triangular_is_the_plain_row_block_loop(case):
+    system, rhs = _tsqr_case(case)
     rows, ncols = system.matrix.shape
     buf = np.empty((ncols + 1 + solver._QR_BLOCK, ncols + 1), order="F")
     ref = buf[:0]
@@ -253,6 +281,37 @@ def test_unprojected_triangular_is_the_plain_row_block_loop(I2, I3, case):
     assert np.array_equal(system.triangular(rhs), ref)
 
 
+@pytest.mark.parametrize("case", TIME_MODES_ONLY)
+def test_star_triangular_is_the_time_mode_loop(case):
+    # the star is no quadric, so its cap goes in blocks of _QR_BLOCK rows and
+    # its wall in chunks of _QR_BLOCK // keep nodes, each node as its first
+    # keep time modes, and the rhs past them as one last row
+    system, rhs = _tsqr_case(case)
+    cap, ncols = system.cap_rows, system.matrix.shape[1]
+    q, keep = system.time_modes, system.degree // 2 + 1
+    wall = system.matrix[cap:].reshape(-1, len(q), ncols)
+    wrhs = rhs[cap:].reshape(len(wall), len(q))
+    buf = np.empty((ncols + 2 + solver._QR_BLOCK, ncols + 1), order="F")
+    ref = buf[:0]
+    for lo in range(0, cap, solver._QR_BLOCK):
+        k, end = len(ref), len(ref) + min(cap - lo, solver._QR_BLOCK)
+        buf[k:end, :-1] = system.matrix[lo:lo + end - k]
+        buf[k:end, -1] = rhs[lo:lo + end - k]
+        ref = np.linalg.qr(buf[:end], mode="r")
+        buf[:len(ref)] = ref
+    for lo in range(0, len(wall), solver._QR_BLOCK // keep):
+        nodes = wall[lo:lo + solver._QR_BLOCK // keep]
+        k, end = len(ref), len(ref) + len(nodes) * keep
+        np.matmul(q[:, :keep].T, nodes, out=buf[k:end, :-1].reshape(-1, keep, ncols))
+        buf[k:end, -1] = (wrhs[lo:lo + len(nodes)] @ q[:, :keep]).ravel()
+        if lo + len(nodes) == len(wall):
+            buf[end, :-1], buf[end, -1] = 0.0, np.linalg.norm(wrhs @ q[:, keep:])
+            end += 1
+        ref = np.linalg.qr(buf[:end], mode="r")
+        buf[:len(ref)] = ref
+    assert np.array_equal(system.triangular(rhs), ref)
+
+
 @pytest.mark.parametrize("m_time", [4, 16, 48])
 def test_time_modes_are_orthogonal(disk, I2, m_time):
     q = cx.assemble_system(cx.build_mesh(disk, I2, 0.5, 8, m_time, 4), I2, "v", 4).time_modes
@@ -260,17 +319,78 @@ def test_time_modes_are_orthogonal(disk, I2, m_time):
     assert np.max(np.abs(q.T @ q - np.eye(m_time))) <= 1e-14
 
 
-def test_ladder_wall_rows_vanish_beyond_the_kept_modes():
-    # the benchmark's ladder system: each wall node's 16 time samples of a
-    # degree-12 column lie in the first 7 time modes
-    A = cx.make_coefficients(3, [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]])
+@pytest.fixture(scope="module")
+def ladder():
+    """The benchmark's ladder mesh and its degree-12 system, with the rhs of
+    exponential data."""
+    A = cx.make_coefficients(3, LADDER_A)
     mesh = cx.build_mesh(cx.CrossSection.ball(1.0), A, 0.5, 32, 16, 8)
     system = cx.assemble_system(mesh, A, "v", 12)
+    fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2]), sign=+1)
+    data = cx.BoundaryData.from_field(mesh, "v", fld)
+    return mesh, system, system.sqrt_weights * data.concatenated()
+
+
+def test_ladder_wall_rows_vanish_beyond_the_kept_modes(ladder):
+    # each wall node's 16 time samples of a degree-12 column lie in the
+    # first 7 time modes
+    mesh, system, _ = ladder
     q = system.time_modes
     assert q.shape == (16, 16) and system.cap_rows == len(mesh.cap_points)
     wall = system.matrix[system.cap_rows:].reshape(mesh.n_boundary, 16, -1)
     dropped = np.einsum("tk,btc->bkc", q[:, 7:], wall)
     assert np.max(np.abs(dropped)) <= 1e-14 * np.max(np.abs(system.matrix))
+
+
+def test_ladder_rows_lie_in_their_spatial_modes(ladder):
+    # a cap shell is a degree-12 polynomial on the sphere, (12 + 1)^2 = 169
+    # modes, and wall time mode k one of degree 12 - 2k
+    mesh, system, _ = ladder
+    u_cap, u_wall = system.space_modes
+    biggest = np.max(np.abs(system.matrix))
+    for u in (u_cap, u_wall):
+        assert u.shape == (mesh.n_boundary, 169)
+        assert np.max(np.abs(u.T @ u - np.eye(169))) <= 1e-14
+    for shell in system.matrix[:system.cap_rows].reshape(mesh.m_radial, mesh.n_boundary, -1):
+        assert np.max(np.abs(shell - u_cap @ (u_cap.T @ shell))) <= 1e-14 * biggest
+    wall = system.matrix[system.cap_rows:].reshape(mesh.n_boundary, 16, -1)
+    for k in range(7):
+        mode = np.einsum("t,btc->bc", system.time_modes[:, k], wall)
+        u = u_wall[:, :(13 - 2 * k) ** 2]
+        assert np.max(np.abs(mode - u @ (u.T @ mode))) <= 1e-14 * biggest
+
+
+@pytest.mark.parametrize("section", [cx.CrossSection.ball(1.0),
+                                     cx.CrossSection.ellipsoid(1.0, 0.5, 0.3)],
+                         ids=["ball", "ellipsoid"])
+@pytest.mark.parametrize("region", ["cap", "wall"])
+def test_space_modes_show_a_clear_gap(section, region):
+    # each degree's new columns come from the last degree's times each
+    # coordinate: past the quadric's 2d + 1 new directions, the singular
+    # values fall from at least 0.24 of the largest to roundoff
+    mesh = cx.build_mesh(section, cx.make_coefficients(3, LADDER_A), 0.5, 32, 16, 8)
+    weights = mesh.cap_weights[:mesh.n_boundary] if region == "cap" else mesh.bweights
+    u = solver._space_modes(mesh.bpoints, [weights], 12)[0]
+    for d in range(1, 13):
+        new = (mesh.bpoints[:, :, None] * u[:, None, (d - 1) ** 2:d ** 2]).reshape(len(u), -1)
+        for _ in range(2):
+            new -= u[:, :d ** 2] @ (u[:, :d ** 2].T @ new)
+        sing = np.linalg.svd(new, compute_uv=False)
+        assert sing[2 * d] >= 0.24 * sing[0], d
+        assert np.max(sing[2 * d + 1:], initial=0.0) <= 1e-14 * sing[0], d
+
+
+def test_triangular_peak_stays_below_the_time_mode_loop(ladder):
+    # the time-mode loop peaked 14.4 MB over the held matrix on this system
+    _, system, rhs = ladder
+    system._factored = None  # factor afresh
+    tracemalloc.start()
+    try:
+        system.triangular(rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.4e6
 
 
 @pytest.mark.parametrize("parity", ["v", "w"])
@@ -280,6 +400,13 @@ def test_wall_rows_are_node_major_tensor_weighted_and_last(disk_mesh_I, parity):
     mesh = disk_mesh_I
     assert np.array_equal(mesh.lateral_weights(),
                           np.outer(mesh.bweights, mesh.tweights).ravel())
+    # and the spatial projection reads cap shell j as s_j times the wall
+    # nodes, with weights a multiple of the first shell's
+    s = gauss_legendre(mesh.m_radial, 0.0, 1.0)[0]
+    shells = mesh.cap_points.reshape(mesh.m_radial, mesh.n_boundary, mesh.n)
+    assert np.max(np.abs(shells - s[:, None, None] * mesh.bpoints)) <= 1e-15
+    ratio = mesh.cap_weights.reshape(mesh.m_radial, -1) / mesh.cap_weights[:mesh.n_boundary]
+    assert np.max(np.abs(ratio / ratio[:, :1] - 1.0)) <= 1e-14
     pts, ts, wts = solver._dirichlet_nodes(mesh, parity)
     wall = slice(len(pts) - mesh.n_lateral, None)
     assert np.array_equal(pts[wall], np.repeat(mesh.bpoints, len(mesh.tnodes), axis=0))
@@ -342,6 +469,25 @@ def test_shared_system_of_another_mesh_raises(disk, I2):
     system = cx.assemble_system(cx.build_mesh(disk, I2, 0.5, 16, 12, 4), I2, "v", 6)
     with pytest.raises(RegionMismatch, match="another parity or mesh"):
         cx.solve_dirichlet(mesh, I2, "v", 6, exp_data(mesh, I2), system=system)
+
+
+@pytest.mark.parametrize("other", ["A", "T"])
+def test_shared_system_of_another_operator_or_horizon_raises(disk, I2, B2, other):
+    # same parity and rows: a fit on it would miss the data by 0.2 or 0.1
+    mesh = cx.build_mesh(disk, I2, 0.5, 32, 12, 4)
+    if other == "A":
+        system = cx.assemble_system(mesh, B2, "v", 10)
+    else:
+        system = cx.assemble_system(cx.build_mesh(disk, I2, 1.0, 32, 12, 4), I2, "v", 10)
+    match = "another coefficient matrix" if other == "A" else "another parity or mesh"
+    with pytest.raises(RegionMismatch, match=match):
+        cx.solve_dirichlet(mesh, I2, "v", 10, exp_data(mesh, I2), system=system)
+
+
+def test_hand_built_system_must_name_its_mesh_and_A(solver_mesh, I2):
+    base = cx.assemble_system(solver_mesh, I2, "v", 3)
+    with pytest.raises(TypeError, match="mesh_fingerprint"):
+        solver.TrefftzSystem(base.matrix, base.alphas, base.scales, base.weights, "v")
 
 
 def test_bad_rcond_raises(solver_mesh, I2):
