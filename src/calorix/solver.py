@@ -15,15 +15,15 @@ memory of the matrix plus O((ncols + _QR_BLOCK) ncols), over row groups that
 are orthogonal maps of the rows; what a map leaves out reaches only the rhs,
 as one last row [0 ... 0 | norm], so R is unchanged.  Q^T, Q from the QR of
 the sqrt(tweights)-scaled Legendre Vandermonde in t, maps a wall node to
-keep = D // 2 + 1 time modes, mode k of degree <= D - 2k in x.  On a conic
-or quadric, U (nested by degree: Vandermonde with Arnoldi, Brubeck,
-Nakatsukasa & Trefethen, SIAM Review 63, 2021) maps a cap shell to its
-dim(D) = 2D + 1 (n = 2) or (D + 1)^2 (n = 3) modes of degree <= D, and time
-mode k to dim(D - 2k).  Elsewhere the cap goes in blocks of _QR_BLOCK rows
-and the wall in chunks of _QR_BLOCK // keep nodes.
+keep = min(D // 2 + 1, m_time) time modes, mode k of degree <= D - 2k in x.
+On a conic or quadric, U (nested by degree: Vandermonde with Arnoldi,
+Brubeck, Nakatsukasa & Trefethen, SIAM Review 63, 2021) maps a cap shell to
+its dim(D) = 2D + 1 (n = 2) or (D + 1)^2 (n = 3) modes of degree <= D, and
+time mode k to dim(D - 2k).  Elsewhere, U is the identity.
 """
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -118,17 +118,17 @@ class TrefftzSystem:
     sides: rows are sqrt(weight)-scaled node evaluations, columns are
     caloric polynomials divided by their recorded scale."""
 
-    def __init__(self, matrix, alphas, scales, weights, parity, time_modes=None, cap_rows=0,
-                 space_modes=None, *, mesh_fingerprint, a):
+    def __init__(self, matrix, alphas, scales, weights, parity, *, time_modes, cap_rows,
+                 space_modes=None, mesh_fingerprint, a):
         self.matrix = matrix
         self.alphas = alphas
         self.scales = scales
         self.weights = weights
         self.parity = parity
         self.degree = max(sum(alpha) for alpha in alphas)
-        self.time_modes = time_modes  # Q of the module docstring, or None
-        self.cap_rows = cap_rows  # with time_modes, the wall rows follow these
-        self.space_modes = space_modes  # [U_cap, U_wall] of the module docstring, or None
+        self.time_modes = time_modes  # Q of the module docstring
+        self.cap_rows = cap_rows  # the wall rows follow these
+        self.space_modes = space_modes  # [U_cap, U_wall] of the module docstring; None: identity
         self.mesh_fingerprint, self.a = mesh_fingerprint, a  # what it was assembled for
         self._factored = None  # (rhs, R) of the last triangular() call
 
@@ -139,11 +139,11 @@ class TrefftzSystem:
         rhs = np.asarray(rhs, dtype=float)
         if self._factored is None or not np.array_equal(self._factored[0], rhs):
             ncols = self.matrix.shape[1]
-            # a projected wall is one group of ncols rows, which may exceed _QR_BLOCK
+            # a projected group has at most ncols rows, which may exceed _QR_BLOCK
             buf = np.empty((ncols + 2 + max(_QR_BLOCK, ncols), ncols + 1), order="F")
             top = end = 0  # the rows of the running R, kept at the top of buf, and all rows
             for m, b in self._row_groups(rhs):  # a block: up to _QR_BLOCK rows and the rhs row
-                if end > top and (len(m) == 0 or end + len(m) > top + _QR_BLOCK + 1):
+                if end > top and end + len(m) > top + _QR_BLOCK + 1:
                     r = np.linalg.qr(buf[:end], mode="r")
                     buf[:len(r)], top = r, len(r)
                     end, r = top, None  # R lives on in buf
@@ -153,36 +153,28 @@ class TrefftzSystem:
         return self._factored[1]
 
     def _row_groups(self, rhs):
-        """(matrix rows, rhs rows) of each row group of the module docstring
-        in turn; an empty group ends a block.  Without spatial modes each
-        group is a block of its own, computed after the block before it."""
-        q, modes, dropped, ncols = self.time_modes, self.space_modes, [], self.matrix.shape[1]
-        cap = len(rhs) if q is None else self.cap_rows
-        step = _QR_BLOCK if modes is None else len(modes[0])
+        """(matrix rows, rhs rows) of each row group of the module docstring in
+        turn, then the folded rest row if anything was left out.  Under the
+        identity, cap and wall are read _QR_BLOCK matrix rows at a time."""
+        q, modes, cap, dropped = self.time_modes, self.space_modes, self.cap_rows, []
+        keep, ncols = min(self.degree // 2 + 1, len(q)), self.matrix.shape[1]
+        wall = self.matrix[cap:].reshape(-1, len(q), ncols)  # a view
+        wrhs = rhs[cap:].reshape(len(wall), len(q))
+        step = _QR_BLOCK if modes is None else len(wall)
         for lo in range(0, cap, step):
             m, b = self.matrix[lo:min(cap, lo + step)], rhs[lo:min(cap, lo + step)]
-            if modes is None:
-                yield m[:0], b[:0]
-            else:  # the cap shell on U_cap
+            if modes is not None:  # the cap shell on U_cap
                 head = modes[0].T @ b
                 dropped.append(np.linalg.norm(b - modes[0] @ head))
                 m, b = modes[0].T @ m, head
             yield m, b
-        if q is None:
-            return
-        keep = self.degree // 2 + 1
-        wall = self.matrix[cap:].reshape(-1, len(q), ncols)  # a view
-        wrhs = rhs[cap:].reshape(len(wall), len(q))
-        if modes is None:
-            for lo in range(0, len(wall), _QR_BLOCK // keep):
-                nodes = slice(lo, lo + _QR_BLOCK // keep)
-                yield wall[:0, 0], wrhs[:0, 0]
-                yield (np.matmul(q[:, :keep].T, wall[nodes]).reshape(-1, ncols),
-                       (wrhs[nodes] @ q[:, :keep]).ravel())
-        else:
-            dims = [_space_dim(len(self.alphas[0]), self.degree - 2 * k) for k in range(keep)]
-            yield _project_wall(q[:, :keep], modes[1], dims, wall, wrhs, dropped)
-        yield np.zeros((1, ncols)), math.hypot(*dropped, np.linalg.norm(wrhs @ q[:, keep:]))
+        dims = [_space_dim(len(self.alphas[0]), self.degree - 2 * k) for k in range(keep)]
+        step = max(1, _QR_BLOCK // len(q)) if modes is None else len(wall)
+        for lo in range(0, len(wall), step):
+            yield from _project_wall(q[:, :keep], None if modes is None else modes[1], dims,
+                                     wall[lo:lo + step], wrhs[lo:lo + step], dropped)
+        if dropped or keep < len(q):
+            yield np.zeros((1, ncols)), math.hypot(*dropped, np.linalg.norm(wrhs @ q[:, keep:]))
 
     @property
     def sqrt_weights(self):
@@ -195,18 +187,21 @@ class TrefftzSystem:
 
 
 def _project_wall(q, u, dims, wall, rhs, dropped):
-    """(matrix rows, rhs rows) of wall time mode k on u[:, :dims[k]], mode after
-    mode, reading the wall once in _SLAB-column slabs; each rhs rest's norm to dropped."""
-    ends, heads = np.cumsum(dims), []
-    out = np.empty((ends[-1], wall.shape[2]))
+    """(matrix rows, rhs rows) of each wall time mode k in turn, on u[:, :dims[k]]
+    (u None: the identity), reading the wall once in _SLAB-column slabs; each
+    rhs rest's norm to dropped."""
+    dims = [len(wall)] * len(dims) if u is None else dims
+    out = [np.empty((d, wall.shape[2])) for d in dims]
     for lo in range(0, wall.shape[2], _SLAB):
         slab = np.matmul(q.T, wall[:, :, lo:lo + _SLAB])
         for k, d in enumerate(dims):
-            out[ends[k] - d:ends[k], lo:lo + _SLAB] = u[:, :d].T @ slab[:, k]
-    for d, b in zip(dims, (rhs @ q).T):
-        heads.append(u[:, :d].T @ b)
-        dropped.append(np.linalg.norm(b - u[:, :d] @ heads[-1]))
-    return out, np.concatenate(heads)
+            out[k][:, lo:lo + _SLAB] = slab[:, k] if u is None else u[:, :d].T @ slab[:, k]
+    for m, d, b in zip(out, dims, (rhs @ q).T):
+        if u is not None:
+            head = u[:, :d].T @ b
+            dropped.append(np.linalg.norm(b - u[:, :d] @ head))
+            b = head
+        yield m, b
 
 
 def _space_dim(n, d):  # of the polynomials of degree <= d on a conic (n = 2) or quadric (n = 3)
@@ -259,14 +254,14 @@ def assemble_system(mesh, A, parity, degree):
     norms = [np.linalg.norm(cols[i:i + 32], axis=1) for i in range(0, len(cols), 32)]
     scales = np.maximum(1.0, np.concatenate(norms))
     cols /= scales[:, None]
-    q, modes, m = None, None, len(mesh.tnodes)
-    if degree // 2 + 1 < m:  # the wall's time modes, by the module docstring
-        vander = np.polynomial.legendre.legvander(2.0 * mesh.tnodes / mesh.T - 1.0, m - 1)
-        q = np.linalg.qr(np.sqrt(mesh.tweights)[:, None] * vander)[0]
-        modes = _space_modes(mesh.bpoints, [mesh.cap_weights[:mesh.n_boundary], mesh.bweights],
-                             degree)
-    return TrefftzSystem(cols.T, alphas, scales, wts, parity, q, len(pts) - mesh.n_lateral,
-                         modes, mesh_fingerprint=mesh.fingerprint(), a=A.a)
+    m = len(mesh.tnodes)  # the wall's time modes and the spatial modes, by the module docstring
+    vander = np.polynomial.legendre.legvander(2.0 * mesh.tnodes / mesh.T - 1.0, m - 1)
+    q = np.linalg.qr(np.sqrt(mesh.tweights)[:, None] * vander)[0]
+    modes = _space_modes(mesh.bpoints, [mesh.cap_weights[:mesh.n_boundary], mesh.bweights],
+                         degree)
+    return TrefftzSystem(cols.T, alphas, scales, wts, parity, time_modes=q,
+                         cap_rows=len(pts) - mesh.n_lateral, space_modes=modes,
+                         mesh_fingerprint=mesh.fingerprint(), a=A.a)
 
 
 class CaloricApproximant:
@@ -332,8 +327,10 @@ def _check_parity(data, parity):
             f"data parity {data.parity!r} does not match solve parity {parity!r}")
 
 
-def _weighted_rhs(system, data):
-    return system.sqrt_weights * data.concatenated()
+def _check_degrees(degrees):
+    if not degrees or not all(isinstance(d, numbers.Integral) and d >= 0 for d in degrees) \
+            or any(b <= a for a, b in zip(degrees, degrees[1:])):
+        raise ValueError(f"degrees must be strictly increasing non-negative integers: {degrees!r}")
 
 
 def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
@@ -349,8 +346,10 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
     misfit norm over the weighted data norm (absolute when the data norm
     vanishes); Q is orthogonal, so the misfit is read off R: that of the
     block, and the part of R's last column below it.  A given ``system`` must
-    be of this mesh, A and parity (RegionMismatch) and degree (ValueError).
+    be of this mesh, A and parity (RegionMismatch) and degree (ValueError), as
+    must the degree be a non-negative integer.
     """
+    _check_degrees([degree])
     if not 0.0 < rcond < 1.0:
         raise ValueError("rcond must lie in (0, 1)")
     _check_parity(data, parity)
@@ -363,7 +362,7 @@ def solve_dirichlet(mesh, A, parity, degree, data, rcond=1e-12, system=None):
     elif not np.array_equal(system.a, A.a):
         raise RegionMismatch("the system was assembled for another coefficient matrix")
     ncols = system.columns_for_degree(degree)
-    rhs = _weighted_rhs(system, data)
+    rhs = system.sqrt_weights * data.concatenated()
 
     r = system.triangular(rhs)  # short when there are fewer rows than columns
     block, head = r[:ncols, :ncols], r[:ncols, -1]
@@ -492,14 +491,13 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12):
     (the density theory is stated for higher dimensions).
     """
     degrees = list(degrees)
-    if any(b <= a for a, b in zip(degrees, degrees[1:])):
-        raise ValueError("degrees must be strictly increasing")
+    _check_degrees(degrees)
     _check_parity(data, parity)
     start = time.perf_counter()
     system = assemble_system(mesh, A, parity, degrees[-1])
     assembly_s = time.perf_counter() - start
     start = time.perf_counter()
-    system.triangular(_weighted_rhs(system, data))
+    system.triangular(system.sqrt_weights * data.concatenated())
     factorization_s = time.perf_counter() - start
     if data.exact is not None:
         # the leading columns of one top-degree evaluation serve every degree

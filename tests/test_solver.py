@@ -144,6 +144,7 @@ def test_rank_deficient_rung_takes_the_truncated_svd(solver_mesh, I2, monkeypatc
     order = [0, 1, 2, 2] + list(range(3, 10))
     system = solver.TrefftzSystem(base.matrix[:, order], [base.alphas[i] for i in order],
                                   base.scales[order], base.weights, "v",
+                                  time_modes=base.time_modes, cap_rows=base.cap_rows,
                                   mesh_fingerprint=base.mesh_fingerprint, a=base.a)
     data = exp_data(solver_mesh, I2)
     rhs = system.sqrt_weights * data.concatenated()
@@ -189,42 +190,40 @@ def test_shared_system_never_serves_a_stale_factorization(solver_mesh, I2):
             (fresh.residual, fresh.rank, fresh.cond)
 
 
-# cross-section, mesh (m_angular, m_time, m_radial), degree, parity and
-# design rows.  Every system with keep = degree // 2 + 1 < m_time projects its
-# wall rows on their first keep time modes.  On a conic or quadric section
-# (all but the star and the two unprojected systems) each cap shell and each
-# wall time mode is further projected on its spatial modes, and the groups
-# are gathered into blocks of at most _QR_BLOCK rows: one block on the
-# disks, balls and the ellipse, two on the ellipsoid, and four when the
-# wall's group, one row per column (1035), exceeds a block and follows a
-# full R.  The star keeps the time-mode loop: a full cap block, a 4-row cap
-# block that must not share a block with the wall, one full wall chunk and a
-# short one; two cap blocks and one full wall chunk, which takes the folded
-# rhs row too; or a one-node last chunk that must not join the full one.
-# Three systems keep every row: three plain blocks, the last short; five
-# full blocks and a one-row block of its own; and a wide system (64 rows,
-# 861 columns).
+# cross-section, mesh (m_angular, m_time, m_radial), degree, parity, design
+# rows, and the rows TrefftzSystem._row_groups yields.  Every system maps each
+# wall node to its first keep = min(degree // 2 + 1, m_time) time modes; Q is
+# square on "unprojected" and "one-row-block" (keep = m_time = 4) and on
+# "wide".  On a conic or quadric section (all but the three stars and "wide",
+# whose dim(40) = 81 exceeds its 8 wall nodes) each cap shell and wall time
+# mode is projected on its spatial modes: m_radial * dim(D) + sum_k
+# dim(D - 2k) rows and the folded rest row.  Elsewhere U is the identity:
+# (m_radial + keep) * n_boundary rows, and the folded row only when a time
+# mode is left out, so "wide" yields its 64 rows as they are.  The identity
+# cap goes in slices of _QR_BLOCK rows (the stars end on a 4-row or 256-row
+# slice) and the wall in chunks of _QR_BLOCK // m_time nodes (the 257-node
+# star ends on a one-node chunk).  The groups are gathered into blocks of at
+# most _QR_BLOCK rows and the folded row.
 TSQR_CASES = {
-    "one-block": ("disk", (64, 12, 4), 8, "v", 1024),
-    "two-blocks": ("ball", (16, 12, 4), 6, "v", 2048),
-    "short-last-block": ("disk", (96, 48, 24), 12, "v", 6912),
-    "under-one-block": ("disk", (32, 12, 4), 8, "v", 512),
-    "adjoint": ("disk", (64, 12, 4), 8, "w", 1024),
-    "projected-ball": ("ball", (24, 12, 6), 10, "v", 5184),
-    "short-last-chunk": ("disk", (512, 8, 4), 8, "v", 6144),
-    "full-last-chunk": ("disk", (256, 8, 4), 6, "v", 3072),
-    "ellipsoid": ("ellipsoid", (24, 12, 10), 10, "v", 6336),
-    "ellipse-adjoint": ("ellipse", (96, 16, 8), 12, "w", 2304),
-    "star": ("star", (257, 8, 4), 8, "v", 3084),
-    "star-full-chunk": ("star", (256, 8, 5), 6, "v", 3328),
-    "star-one-node-chunk": ("star", (205, 8, 4), 8, "v", 2460),
-    "wall-over-a-block": ("disk", (96, 24, 12), 44, "v", 3456),
-    "unprojected": ("disk", (300, 4, 4), 6, "v", 2400),
-    "one-row-block": ("disk", (569, 4, 5), 6, "v", 5121),
-    "wide": ("disk", (8, 4, 4), 40, "v", 64),
+    "one-block": ("disk", (64, 12, 4), 8, "v", 1024, 114),
+    "two-blocks": ("ball", (16, 12, 4), 6, "v", 2048, 281),
+    "short-last-block": ("disk", (96, 48, 24), 12, "v", 6912, 692),
+    "under-one-block": ("disk", (32, 12, 4), 8, "v", 512, 114),
+    "adjoint": ("disk", (64, 12, 4), 8, "w", 1024, 114),
+    "projected-ball": ("ball", (24, 12, 6), 10, "v", 5184, 1013),
+    "short-last-chunk": ("disk", (512, 8, 4), 8, "v", 6144, 114),
+    "full-last-chunk": ("disk", (256, 8, 4), 6, "v", 3072, 81),
+    "ellipsoid": ("ellipsoid", (24, 12, 10), 10, "v", 6336, 1497),
+    "ellipse-adjoint": ("ellipse", (96, 16, 8), 12, "w", 2304, 292),
+    "star": ("star", (257, 8, 4), 8, "v", 3084, 2314),
+    "star-full-chunk": ("star", (256, 8, 5), 6, "v", 3328, 2305),
+    "star-one-node-chunk": ("star", (205, 8, 4), 8, "v", 2460, 1846),
+    "wall-over-a-block": ("disk", (96, 24, 12), 44, "v", 3456, 2104),
+    "unprojected": ("disk", (300, 4, 4), 6, "v", 2400, 81),
+    "one-row-block": ("disk", (569, 4, 5), 6, "v", 5121, 94),
+    "wide": ("disk", (8, 4, 4), 40, "v", 64, 64),
 }
-UNPROJECTED = ("unprojected", "one-row-block", "wide")
-TIME_MODES_ONLY = ("star", "star-full-chunk", "star-one-node-chunk")
+IDENTITY_SPACE_MODES = ("star", "star-full-chunk", "star-one-node-chunk", "wide")
 LADDER_A = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]]
 # each TSQR_CASES kind: its cross-section and coefficient matrix
 TSQR_SECTIONS = {
@@ -238,17 +237,19 @@ TSQR_SECTIONS = {
 
 def _tsqr_case(case):
     """(system, rhs) of a TSQR_CASES entry, with exponential data."""
-    kind, shape, degree, parity, rows = TSQR_CASES[case]
+    kind, shape, degree, parity, rows, grouped = TSQR_CASES[case]
     cs, entries = TSQR_SECTIONS[kind]
     A = cx.make_coefficients(cs.n, entries)
     mesh = cx.build_mesh(cs, A, 0.5, *shape)
     system = cx.assemble_system(mesh, A, parity, degree)
     assert system.matrix.shape[0] == rows
-    assert (system.time_modes is None) == (case in UNPROJECTED)
-    assert (system.space_modes is None) == (case in UNPROJECTED + TIME_MODES_ONLY)
+    assert system.time_modes.shape == (shape[1], shape[1])
+    assert (system.space_modes is None) == (case in IDENTITY_SPACE_MODES)
     fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2][:A.n]), sign=+1)
     data = cx.BoundaryData.from_field(mesh, parity, fld)
-    return system, system.sqrt_weights * data.concatenated()
+    rhs = system.sqrt_weights * data.concatenated()
+    assert sum(len(m) for m, _ in system._row_groups(rhs)) == grouped
+    return system, rhs
 
 
 @pytest.mark.parametrize("case", list(TSQR_CASES))
@@ -264,52 +265,6 @@ def test_blocked_triangular_matches_one_qr(case):
     sing = np.linalg.svd(r, compute_uv=False)
     sing_ref = np.linalg.svd(ref, compute_uv=False)
     assert np.max(np.abs(sing - sing_ref)) <= 1e-12 * sing_ref[0]
-
-
-@pytest.mark.parametrize("case", UNPROJECTED)
-def test_unprojected_triangular_is_the_plain_row_block_loop(case):
-    system, rhs = _tsqr_case(case)
-    rows, ncols = system.matrix.shape
-    buf = np.empty((ncols + 1 + solver._QR_BLOCK, ncols + 1), order="F")
-    ref = buf[:0]
-    for lo in range(0, rows, solver._QR_BLOCK):
-        k, end = len(ref), len(ref) + min(rows - lo, solver._QR_BLOCK)
-        buf[k:end, :-1] = system.matrix[lo:lo + solver._QR_BLOCK]
-        buf[k:end, -1] = rhs[lo:lo + solver._QR_BLOCK]
-        ref = np.linalg.qr(buf[:end], mode="r")
-        buf[:len(ref)] = ref
-    assert np.array_equal(system.triangular(rhs), ref)
-
-
-@pytest.mark.parametrize("case", TIME_MODES_ONLY)
-def test_star_triangular_is_the_time_mode_loop(case):
-    # the star is no quadric, so its cap goes in blocks of _QR_BLOCK rows and
-    # its wall in chunks of _QR_BLOCK // keep nodes, each node as its first
-    # keep time modes, and the rhs past them as one last row
-    system, rhs = _tsqr_case(case)
-    cap, ncols = system.cap_rows, system.matrix.shape[1]
-    q, keep = system.time_modes, system.degree // 2 + 1
-    wall = system.matrix[cap:].reshape(-1, len(q), ncols)
-    wrhs = rhs[cap:].reshape(len(wall), len(q))
-    buf = np.empty((ncols + 2 + solver._QR_BLOCK, ncols + 1), order="F")
-    ref = buf[:0]
-    for lo in range(0, cap, solver._QR_BLOCK):
-        k, end = len(ref), len(ref) + min(cap - lo, solver._QR_BLOCK)
-        buf[k:end, :-1] = system.matrix[lo:lo + end - k]
-        buf[k:end, -1] = rhs[lo:lo + end - k]
-        ref = np.linalg.qr(buf[:end], mode="r")
-        buf[:len(ref)] = ref
-    for lo in range(0, len(wall), solver._QR_BLOCK // keep):
-        nodes = wall[lo:lo + solver._QR_BLOCK // keep]
-        k, end = len(ref), len(ref) + len(nodes) * keep
-        np.matmul(q[:, :keep].T, nodes, out=buf[k:end, :-1].reshape(-1, keep, ncols))
-        buf[k:end, -1] = (wrhs[lo:lo + len(nodes)] @ q[:, :keep]).ravel()
-        if lo + len(nodes) == len(wall):
-            buf[end, :-1], buf[end, -1] = 0.0, np.linalg.norm(wrhs @ q[:, keep:])
-            end += 1
-        ref = np.linalg.qr(buf[:end], mode="r")
-        buf[:len(ref)] = ref
-    assert np.array_equal(system.triangular(rhs), ref)
 
 
 @pytest.mark.parametrize("m_time", [4, 16, 48])
@@ -415,16 +370,23 @@ def test_wall_rows_are_node_major_tensor_weighted_and_last(disk_mesh_I, parity):
 
 
 def test_triangular_does_not_copy_the_matrix(solver_mesh, I2):
-    system = cx.assemble_system(solver_mesh, I2, "v", 12)
-    assert system.matrix.shape[0] >= 4 * solver._QR_BLOCK
-    rhs = system.sqrt_weights * exp_data(solver_mesh, I2).concatenated()
-    tracemalloc.start()
-    try:
-        system.triangular(rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * system.matrix.nbytes
+    # a star takes the identity spatial modes, its wall in node chunks; on the
+    # last, Q is square (keep = m_time = 8) and one chunk of every wall node
+    # would copy the wall (a traced peak of 1.4 times the matrix)
+    star = TSQR_SECTIONS["star"][0]
+    for mesh, degree in [(solver_mesh, 12), (cx.build_mesh(star, I2, 0.5, 96, 48, 24), 12),
+                         (cx.build_mesh(star, I2, 0.5, 1024, 8, 4), 14)]:
+        system = cx.assemble_system(mesh, I2, "v", degree)
+        assert (system.space_modes is None) == (mesh is not solver_mesh)
+        assert system.matrix.shape[0] >= 4 * solver._QR_BLOCK
+        rhs = system.sqrt_weights * exp_data(mesh, I2).concatenated()
+        tracemalloc.start()
+        try:
+            system.triangular(rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * system.matrix.nbytes
 
 
 def test_blocked_evaluation_matches_exact_sum(solver_mesh, I2):
@@ -455,6 +417,15 @@ def test_shared_system_above_its_top_degree_raises(disk, I2):
     system = cx.assemble_system(mesh, I2, "v", 4)
     with pytest.raises(ValueError, match="top degree 4"):
         cx.solve_dirichlet(mesh, I2, "v", 10, exp_data(mesh, I2), system=system)
+
+
+@pytest.mark.parametrize("degree, shared", [(-1, True), (2.5, True), (2.5, False)],
+                         ids=["negative-shared", "fractional-shared", "fractional"])
+def test_solve_rejects_a_bad_degree(disk, I2, degree, shared):
+    mesh = cx.build_mesh(disk, I2, 0.5, 32, 12, 4)
+    system = cx.assemble_system(mesh, I2, "v", 4) if shared else None
+    with pytest.raises(ValueError, match="non-negative integers"):
+        cx.solve_dirichlet(mesh, I2, "v", degree, exp_data(mesh, I2), system=system)
 
 
 def test_shared_system_of_the_other_parity_raises(disk, I2):
@@ -615,6 +586,13 @@ def test_degrees_must_increase(solver_mesh, I2):
     data = exp_data(solver_mesh, I2)
     with pytest.raises(ValueError):
         cx.completeness_study(solver_mesh, I2, "v", data, [2, 2, 4])
+
+
+@pytest.mark.parametrize("degrees", [[], [-1, 0]], ids=["empty", "negative"])
+def test_study_rejects_bad_degrees(disk, I2, degrees):
+    mesh = cx.build_mesh(disk, I2, 0.5, 32, 12, 4)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        cx.completeness_study(mesh, I2, "v", exp_data(mesh, I2), degrees)
 
 
 def test_study_report_round_trip(solver_mesh, I2):
