@@ -6,8 +6,10 @@ by a radius function on the unit circle (n = 2) or unit sphere (n = 3):
     boundary = { rho(u) * u : |u| = 1 }
 
 which gives one set of formulas for caps and point location, and one surface
-frame (points, surface measure, inward normals) over unit directions for both
-dimensions: a kind supplies only rho and its tangential gradient.  The
+frame, ``CrossSection.surface_frame`` (points, surface measure, inward
+normals), over unit directions for both dimensions: a kind supplies only rho
+and its tangential gradient.  Every rule on the circle or sphere comes from
+``quadrature`` as unit directions and reaches the surface through it.  The
 lateral boundary of Omega x (0, T) is meshed with a periodic trapezoid rule
 in angle (n = 2) or a Gauss x trapezoid product on the sphere (n = 3),
 tensored with Gauss-Legendre in time; caps use Gauss in the scaled radius
@@ -17,6 +19,7 @@ times the same angular rules.
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,13 +164,6 @@ class CrossSection:
         norm = np.linalg.norm(raw, axis=-1)
         return points, rho ** (self.n - 2) * norm, -(raw / norm[..., None])
 
-    def boundary_frame(self, phi):
-        """``surface_frame`` over polar angles phi (n = 2); the jacobian is
-        d(arc length)/d(phi)."""
-        if self.n != 2:
-            raise DimensionMismatch("boundary_frame is the planar parametrization")
-        return self.surface_frame(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
-
 
 @dataclass
 class Location:
@@ -239,7 +235,10 @@ class CylinderMesh:
         return (self.bweights[:, None] * self.tweights[None, :]).reshape(-1)
 
     def lateral_index(self, flat):
-        """flat lateral index -> (boundary index, time index)."""
+        """flat lateral index -> (boundary index, time index); ValueError for
+        anything but an integer in [0, n_lateral)."""
+        if not isinstance(flat, numbers.Integral) or not 0 <= flat < self.n_lateral:
+            raise ValueError(f"lateral index {flat!r} is not an integer in [0, {self.n_lateral})")
         k = self.tnodes.shape[0]
         return flat // k, flat % k
 
@@ -318,7 +317,7 @@ class CylinderMesh:
         else (crossing the far wall, |h| beyond the diameter) raises
         OffsetTooLarge.
         """
-        b, k = self.lateral_index(int(lateral_flat_index))
+        b, k = self.lateral_index(lateral_flat_index)
         if abs(h) > self.diameter:
             raise OffsetTooLarge(f"offset {h} exceeds the domain diameter")
         x = self.bpoints[b] + float(h) * self.bnormals[b]

@@ -34,7 +34,8 @@ Pointwise kernels (G, its conormal derivatives, the elliptic conormal
 kernel) come from ``core``, targets moved off a lateral node from
 ``CylinderMesh.offset_point``, a target's location, radial gap and wall
 distance from ``CylinderMesh.wall_frame``, and every rule (graded,
-Gauss-Hermite, sphere, tensor) from ``quadrature``.
+Gauss-Hermite, polar, sphere, tensor) from ``quadrature``, as unit
+directions for ``CrossSection.surface_frame``.
 """
 
 import functools
@@ -55,8 +56,8 @@ from .quadrature import (
     composite_gauss,
     gauss_hermite,
     gauss_legendre,
-    graded_edges_toward,
-    periodic_trapezoid,
+    graded_circle_rule,
+    polar_rule,
     sphere_rule,
     tensor_rule,
 )
@@ -91,11 +92,6 @@ class DensityField:
         normals = mesh.lateral_normals() if region == "sigma3" else None
         vals = np.asarray(fn(pts, ts, normals), dtype=float)
         return cls(region, vals, fn)
-
-    @classmethod
-    def constant(cls, mesh, region, value=1.0):
-        value = float(value)
-        return cls.from_function(mesh, region, lambda p, t, nu: np.full(p.shape[0], value))
 
     @classmethod
     def from_values(cls, mesh, region, values):
@@ -233,10 +229,9 @@ def _near_boundary_rule(mesh, centre, depth):
     """Graded composite Gauss rule in the polar angle, ``depth`` levels deep
     toward the angle of ``centre`` (planar sections only), as (points,
     weights, inward normals)."""
-    edges = graded_edges_toward(math.atan2(centre[1], centre[0]), math.pi, depth)
-    nodes, wgl = composite_gauss(edges, max(8, mesh.m_angular // 12))
-    bp, jac, inward = mesh.cs.boundary_frame(nodes)
-    return bp, wgl * jac, inward
+    dirs, weights = graded_circle_rule(centre, depth, max(8, mesh.m_angular // 12))
+    bp, jac, inward = mesh.cs.surface_frame(dirs)
+    return bp, weights * jac, inward
 
 
 def _samples(mesh, phi, graded):
@@ -425,7 +420,7 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h):
     OffsetTooLarge when |h| exceeds the diameter or the point lands on the
     wrong side of the wall.
     """
-    b, _ = mesh.lateral_index(int(node_index))
+    b, _ = mesh.lateral_index(node_index)
     target = mesh.offset_point(node_index, h)
     return _lateral_potential(mesh, A, phi, target, "conormal_fixed",
                               nu_fixed=mesh.bnormals[b])
@@ -573,18 +568,11 @@ def elliptic_gauss_identity(cs, A, x):
         raise DimensionMismatch("cross-section and operator dimensions differ")
     x = np.asarray(x, dtype=float).reshape(-1)
     if abs(cs.radial_gap(x)) <= 1e-9 * cs.radius_extremes()[1]:
-        # on the surface: polar angle gam about x, azimuth psi
-        u0 = x / np.linalg.norm(x)
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(u0)))] = 1.0
-        e1 = e - (e @ u0) * u0
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(u0, e1)
+        # on the surface: Gauss in the polar angle gam about x/|x|
         gam, wg = gauss_legendre(_SURFACE_POLAR, 0.0, math.pi)
-        nodes, sphere_w = tensor_rule([(gam, wg * np.sin(gam)),
-                                       periodic_trapezoid(_SURFACE_AZIMUTH)])
-        gam, psi = nodes[:, :1], nodes[:, 1:]
-        dirs = np.cos(gam) * u0 + np.sin(gam) * (np.cos(psi) * e1 + np.sin(psi) * e2)
+        sin = np.sin(gam)
+        dirs, sphere_w = polar_rule(x / np.linalg.norm(x), (np.cos(gam), sin, wg * sin),
+                                    _SURFACE_AZIMUTH)
     else:
         dirs, sphere_w = sphere_rule(_SURFACE_AZIMUTH)
 
@@ -621,7 +609,7 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
         raise DimensionMismatch("jump probes need a planar cross-section (n = 2)")
     if phi.generator is None:
         raise ValueError("jump probes need a density with a closed-form generator")
-    b, k = mesh.lateral_index(int(node_index))
+    b, k = mesh.lateral_index(node_index)
     t0 = float(mesh.tnodes[k])
     if not (0.1 * mesh.T < t0 < 0.9 * mesh.T):
         raise CornerTooClose(f"node time {t0} within 10% of the cylinder corners")

@@ -1,10 +1,12 @@
 """Quadrature rules and special values; the one home of every rule in calorix.
 
 Everything here is plain numpy; rules are returned as (nodes, weights)
-pairs ready for a dot product.  ``geometry`` builds the cylinder mesh from
-these rules, and ``potentials`` and ``polynomials`` take their graded,
-Gauss-Hermite, sphere and tensor rules from here rather than building
-their own.
+pairs ready for a dot product, rules on the unit circle and sphere with
+unit directions as nodes, for ``CrossSection.surface_frame``.  ``polar_rule``
+is the one construction on the sphere; ``sphere_rule`` is its x3-axis case.
+``geometry`` builds the cylinder mesh from these rules, and ``potentials``
+and ``polynomials`` take their graded, Gauss-Hermite, polar, sphere and
+tensor rules from here rather than building their own.
 """
 
 import math
@@ -55,15 +57,30 @@ def tensor_rule(rules):
     return points, weights.reshape(-1)
 
 
+def polar_rule(axis, polar, m_azimuth):
+    """Rule on the unit sphere of R^3 about the unit vector ``axis``: a rule
+    (cos gamma, sin gamma, weights) in the angle gamma from the axis, times an
+    ``m_azimuth``-point trapezoid in azimuth.  Returns (directions of shape
+    (m, 3), weights), the polar angle varying slowest."""
+    axis = np.asarray(axis, dtype=float)
+    e = np.zeros(3)
+    e[int(np.argmin(np.abs(axis)))] = 1.0
+    e1 = e - (e @ axis) * axis
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    cos, sin, weights = polar
+    psi, w_psi = periodic_trapezoid(m_azimuth)
+    ring = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
+    dirs = cos[:, None, None] * axis + sin[:, None, None] * ring
+    return dirs.reshape(-1, 3), np.multiply.outer(weights, w_psi).reshape(-1)
+
+
 @lru_cache(maxsize=16)
 def sphere_rule(m_angular):
-    """Gauss in the polar cosine times trapezoid in azimuth on the unit sphere
-    of R^3: (directions of shape (m, 3), weights), cached and read-only."""
-    nodes, weights = tensor_rule([gauss_legendre(max(2, m_angular // 2), -1.0, 1.0),
-                                  periodic_trapezoid(m_angular)])
-    ct, psi = nodes[:, 0], nodes[:, 1]
-    st = np.sqrt(1.0 - ct**2)
-    dirs = np.stack([st * np.cos(psi), st * np.sin(psi), ct], axis=-1)
+    """Gauss in the polar cosine times trapezoid in azimuth about the x3 axis:
+    (directions of shape (m, 3), weights), cached and read-only."""
+    ct, w = gauss_legendre(max(2, m_angular // 2), -1.0, 1.0)
+    dirs, weights = polar_rule((0.0, 0.0, 1.0), (ct, np.sqrt(1.0 - ct**2), w), m_angular)
     dirs.setflags(write=False)
     weights.setflags(write=False)
     return dirs, weights
@@ -89,28 +106,17 @@ def graded_edges_toward(center, half_width, depth):
     return np.concatenate([left, right])
 
 
-def gamma_half_integer(twice_z):
-    """Gamma(z) for z = twice_z / 2 with twice_z a positive integer.
-
-    Only half-integer arguments are needed for unit-sphere areas; this keeps
-    the core free of special-function dependencies.
-    """
-    k = int(twice_z)
-    if k <= 0 or k != twice_z:
-        raise ValueError("argument must be a positive integer (twice the half-integer)")
-    if k % 2 == 0:
-        return float(math.factorial(k // 2 - 1))
-    # Gamma(1/2) = sqrt(pi), then Gamma(z + 1) = z Gamma(z)
-    val = math.sqrt(math.pi)
-    z = 0.5
-    while z < k / 2:
-        val *= z
-        z += 1.0
-    return val
+def graded_circle_rule(centre, depth, npts):
+    """Composite Gauss rule on the unit circle: npts nodes per panel of the
+    polar angle, panels graded ``depth`` levels toward the direction of
+    ``centre``.  Returns (directions of shape (m, 2), weights)."""
+    edges = graded_edges_toward(math.atan2(centre[1], centre[0]), math.pi, depth)
+    phi, weights = composite_gauss(edges, npts)
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1), weights
 
 
 def unit_sphere_area(n):
     """Surface area of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return 2.0 * math.pi ** (n / 2.0) / gamma_half_integer(n)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)

@@ -84,6 +84,17 @@ def ball_mesh(I3):
     return cx.build_mesh(cx.CrossSection.ball(1.0), I3, 1.0, 48, 32, 16)
 
 
+def on_circle(phi):
+    """Unit directions (cos phi, sin phi) of polar angles phi."""
+    phi = np.asarray(phi, dtype=float)
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def unit_density(mesh, region):
+    """The density 1 on one boundary region, with its generator."""
+    return cx.DensityField.from_function(mesh, region, lambda p, t, nu: np.ones(p.shape[0]))
+
+
 def interior_probes(cs, rng, count, frac=(0.15, 0.8)):
     """Random points strictly inside a star-shaped cross-section."""
     out = []

@@ -12,7 +12,7 @@ from calorix.errors import (
     NotSymmetric,
 )
 
-from conftest import ENTRIES
+from conftest import ENTRIES, unit_density
 from fdtools import (
     FD_STEP,
     heat_operator_residual,
@@ -203,18 +203,18 @@ def _conormal_single_layer(mesh, A, p):
 
 TARGET_USERS = {
     "double_layer": lambda mesh, A, p: cx.double_layer(
-        mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+        mesh, A, unit_density(mesh, "sigma3"), p),
     "single_layer": lambda mesh, A, p: cx.single_layer(
-        mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+        mesh, A, unit_density(mesh, "sigma3"), p),
     "double_layer_star": lambda mesh, A, p: cx.double_layer_star(
-        mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+        mesh, A, unit_density(mesh, "sigma3"), p),
     "single_layer_star": lambda mesh, A, p: cx.single_layer_star(
-        mesh, A, cx.DensityField.constant(mesh, "sigma3"), p),
+        mesh, A, unit_density(mesh, "sigma3"), p),
     "conormal_derivative_single_layer": _conormal_single_layer,
     "cap_potential": lambda mesh, A, p: cx.cap_potential(
-        mesh, A, cx.DensityField.constant(mesh, "sigma2"), p),
+        mesh, A, unit_density(mesh, "sigma2"), p),
     "cap_potential_star": lambda mesh, A, p: cx.cap_potential_star(
-        mesh, A, cx.DensityField.constant(mesh, "sigma1"), p),
+        mesh, A, unit_density(mesh, "sigma1"), p),
     "representation_values": lambda mesh, A, p: cx.representation_values(
         mesh, A, [cx.ConstantField(), _exp_field(A)], "H")(p),
     "representation_discrepancy": lambda mesh, A, p: cx.representation_discrepancy(

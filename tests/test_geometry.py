@@ -12,6 +12,8 @@ from calorix.errors import (
 )
 from calorix.quadrature import gauss_legendre, periodic_trapezoid, sphere_rule
 
+from conftest import on_circle
+
 # perimeter of the (2, 1) ellipse, frozen from the arithmetic-geometric
 # series and confirmed by direct arc-length quadrature
 ELLIPSE_PERIMETER = 9.688448220547675
@@ -145,11 +147,11 @@ def test_arc_jacobian_matches_finite_difference(cs):
     # the inward normal is the unit tangent turned a quarter counter-clockwise
     h = 1e-6
     for phi in (0.3, 1.2, 4.0):
-        p0 = cs.boundary_frame(np.array([phi - h]))[0][0]
-        p1 = cs.boundary_frame(np.array([phi + h]))[0][0]
+        p0 = cs.surface_frame(on_circle([phi - h]))[0][0]
+        p1 = cs.surface_frame(on_circle([phi + h]))[0][0]
         tangent = (p1 - p0) / (2.0 * h)
         speed = float(np.linalg.norm(tangent))
-        _, jac, inward = cs.boundary_frame(np.array([phi]))
+        _, jac, inward = cs.surface_frame(on_circle([phi]))
         assert float(jac[0]) == pytest.approx(speed, rel=1e-8)
         assert np.allclose(inward[0], np.array([-tangent[1], tangent[0]]) / speed,
                            rtol=0.0, atol=1e-8)
@@ -215,6 +217,7 @@ def test_lateral_index_round_trip(disk_mesh_I):
     K = disk_mesh_I.tnodes.shape[0]
     flat = 5 * K + 3
     assert disk_mesh_I.lateral_index(flat) == (5, 3)
+    assert disk_mesh_I.lateral_index(np.int64(flat)) == (5, 3)
 
 
 def test_locate_classifications(disk_mesh_I):
@@ -262,11 +265,10 @@ def _per_dimension_mesh_arrays(cs, T, m_angular, m_time, m_radial):
     s, ws = gauss_legendre(m_radial, 0.0, 1.0)
     if cs.n == 2:
         phi, wphi = periodic_trapezoid(m_angular)
-        points, jac, inward = cs.boundary_frame(phi)
+        points, jac, inward = cs.surface_frame(on_circle(phi))
         bweights = wphi * jac
-        rho_phi = cs.radius(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
-        cap_pts = (s[:, None, None] * (rho_phi[None, :, None] *
-                                       np.stack([np.cos(phi), np.sin(phi)], axis=-1)[None, :, :]))
+        rho_phi = cs.radius(on_circle(phi))
+        cap_pts = s[:, None, None] * (rho_phi[None, :, None] * on_circle(phi)[None, :, :])
         cap_w = (ws[:, None] * s[:, None] * (rho_phi**2)[None, :] * wphi[None, :])
     else:
         dirs, wdirs = sphere_rule(m_angular)

@@ -13,7 +13,7 @@ from calorix.errors import (
 )
 from calorix.quadrature import composite_gauss, graded_edges_toward
 
-from conftest import exterior_probes, interior_probes
+from conftest import exterior_probes, interior_probes, on_circle, unit_density
 
 
 def partition(mesh, A, target):
@@ -82,7 +82,7 @@ def test_star_layer_vanishes_at_final_time(disk_mesh_I, I2):
 
 
 def test_lateral_needs_wall_density(disk_mesh_I, I2):
-    cap = cx.DensityField.constant(disk_mesh_I, "sigma2", 1.0)
+    cap = unit_density(disk_mesh_I, "sigma2")
     with pytest.raises(DimensionMismatch):
         cx.double_layer(disk_mesh_I, I2, cap,
                         (np.array([0.1, 0.1]), 0.5))
@@ -242,15 +242,15 @@ def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
 
 def test_graded_rule_build_takes_one_frame(disk_mesh_I, ellipse_mesh_B, monkeypatch):
     # the rule is graded toward the polar angle of its centre: one
-    # boundary_frame call, on the rule's own nodes, and no search
+    # surface_frame call, on the rule's own directions, and no search
     calls = []
-    frame = cx.CrossSection.boundary_frame
+    frame = cx.CrossSection.surface_frame
 
-    def counted(self, phi):
-        calls.append(np.array(phi))
-        return frame(self, phi)
+    def counted(self, dirs):
+        calls.append(np.array(dirs))
+        return frame(self, dirs)
 
-    monkeypatch.setattr(cx.CrossSection, "boundary_frame", counted)
+    monkeypatch.setattr(cx.CrossSection, "surface_frame", counted)
     for mesh in (disk_mesh_I, ellipse_mesh_B):
         for x in (np.array([0.97, 0.1]), np.array([-0.3, 1.02])):
             x = x * mesh.cs.radius_extremes()[1]
@@ -258,7 +258,7 @@ def test_graded_rule_build_takes_one_frame(disk_mesh_I, ellipse_mesh_B, monkeypa
             points, _, _ = potentials._near_boundary_rule(mesh, x, 12)
             nodes, _ = composite_gauss(graded_edges_toward(math.atan2(x[1], x[0]), math.pi, 12),
                                        max(8, mesh.m_angular // 12))
-            assert len(calls) == 1 and np.array_equal(calls[0], nodes)
+            assert len(calls) == 1 and np.array_equal(calls[0], on_circle(nodes))
             assert points.shape == (nodes.size, 2)
 
 
@@ -281,7 +281,7 @@ def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
 
     phi, t = cx.DensityField.from_function(mesh, "sigma3", gen), 0.5
     per = 4 * max(8, mesh.m_angular // 12)
-    feet, _, inward = mesh.cs.boundary_frame(2.0 * math.pi * np.arange(40) / 40)
+    feet, _, inward = mesh.cs.surface_frame(on_circle(2.0 * math.pi * np.arange(40) / 40))
     distances = np.resize([1e-6, 1e-4, 1e-3, 1e-2, 0.03, 0.08], 40)
     worst = np.zeros(3)
     for foot, nu, d in zip(feet, inward, distances):
@@ -292,7 +292,7 @@ def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
             depth = potentials._graded_depth(mesh.cs, abs(frame.gap)) + 8
             nodes, w = composite_gauss(
                 graded_edges_toward(math.atan2(x[1], x[0]), math.pi, depth), per)
-            bp, jac, normals = mesh.cs.boundary_frame(nodes)
+            bp, jac, normals = mesh.cs.surface_frame(on_circle(nodes))
             refined = potentials._LateralKernel(mesh, B2, x, t, False, (bp, w * jac, normals))
             refined.on(potentials._TimeGrid(mesh, B2, t, False, refined.u0min))
             ref_grid = potentials._samples(mesh, phi, (bp, w * jac, normals)) @ refined.grid.interp
@@ -333,8 +333,23 @@ def test_star_operators_match_time_reflection(ellipse_mesh_B, B2):
 
 # -- jump relations ---------------------------------------------------------
 
+@pytest.mark.parametrize("index", ["negative", "too-large", "fractional"])
+def test_lateral_entry_points_reject_a_bad_node_index(disk_mesh_I, I2, index):
+    # each bad index once maps to a node with a mid-cylinder time: a
+    # negative one wrapped round, a fractional one was truncated
+    K = disk_mesh_I.tnodes.shape[0]
+    node = {"negative": -(K // 2), "too-large": disk_mesh_I.n_lateral + K // 2,
+            "fractional": 7 * K + K // 2 + 0.5}[index]
+    ones = unit_density(disk_mesh_I, "sigma3")
+    for call in (lambda: cx.jump_probe(disk_mesh_I, I2, ones, node),
+                 lambda: cx.conormal_derivative_single_layer(disk_mesh_I, I2, ones, node, 0.01),
+                 lambda: disk_mesh_I.offset_point(node, 0.01)):
+        with pytest.raises(ValueError, match=f"lateral index {node!r} .*{disk_mesh_I.n_lateral}"):
+            call()
+
+
 def test_jump_of_constant_density(disk_mesh_I, I2):
-    ones = cx.DensityField.constant(disk_mesh_I, "sigma3", 1.0)
+    ones = unit_density(disk_mesh_I, "sigma3")
     K = disk_mesh_I.tnodes.shape[0]
     node = 7 * K + K // 2
     dbl = cx.jump_probe(disk_mesh_I, I2, ones, node, "double")
@@ -757,7 +772,7 @@ def test_representation_values_match_the_per_layer_operators(fix, mat, which, re
     layers = [(sampled("sigma3", lambda p, s, nu, u=u: u.value(p, s)),
                None if u.conormal is None else sampled("sigma3", u.conormal),
                sampled(cap_region, lambda p, s, nu, u=u: u.value(p, s))) for u in fields]
-    ones = (cx.DensityField.constant(mesh, "sigma3"), cx.DensityField.constant(mesh, cap_region))
+    ones = (unit_density(mesh, "sigma3"), unit_density(mesh, cap_region))
     for target in targets:
         got = values(target)
         assert len(got) == len(fields)

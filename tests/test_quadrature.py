@@ -8,9 +8,10 @@ from calorix.quadrature import (
     composite_gauss,
     gauss_hermite,
     gauss_legendre,
-    gamma_half_integer,
+    graded_circle_rule,
     graded_edges_toward,
     periodic_trapezoid,
+    polar_rule,
     sphere_rule,
     tensor_rule,
     unit_sphere_area,
@@ -73,6 +74,47 @@ def test_sphere_rule_is_cached_and_read_only():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("m", [16, 24, 32, 48, 128])
+def test_sphere_rule_is_the_polar_cosine_trapezoid_product(m):
+    # bit for bit the rule written out: Gauss in cos(theta) times a
+    # trapezoid in azimuth, the polar cosine varying slowest
+    ct, wct = gauss_legendre(max(2, m // 2), -1.0, 1.0)
+    psi, wpsi = periodic_trapezoid(m)
+    weights = np.multiply.outer(wct, wpsi).reshape(-1)
+    ct, psi = np.repeat(ct, m), np.tile(psi, ct.size)
+    st = np.sqrt(1.0 - ct**2)
+    dirs = np.stack([st * np.cos(psi), st * np.sin(psi), ct], axis=-1)
+    got = sphere_rule(m)
+    assert np.array_equal(got[0], dirs) and np.array_equal(got[1], weights)
+
+
+@pytest.mark.parametrize("centre, depth, npts", [((0.97, 0.1), 12, 8), ((-0.3, 1.02), 30, 8),
+                                                 ((-1.0, -1e-3), 20, 16)])
+def test_graded_circle_rule_is_the_graded_composite_gauss_rule(centre, depth, npts):
+    # bit for bit composite Gauss on the graded panels, as (cos, sin)
+    phi, w = composite_gauss(graded_edges_toward(math.atan2(centre[1], centre[0]), math.pi, depth),
+                             npts)
+    dirs, weights = graded_circle_rule(np.array(centre), depth, npts)
+    assert np.array_equal(dirs, np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+    assert np.array_equal(weights, w)
+
+
+def test_polar_rule_integrates_zonal_powers_about_any_axis():
+    # (u.b)^k over the unit sphere is 4 pi / (k + 1) for even k, 0 for odd
+    rng = np.random.default_rng(23)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    b = np.array([0.36, -0.48, 0.8])
+    gam, wg = gauss_legendre(32, 0.0, math.pi)
+    dirs, w = polar_rule(axis, (np.cos(gam), np.sin(gam), wg * np.sin(gam)), 64)
+    assert dirs.shape == (32 * 64, 3) and w.shape == (32 * 64,)
+    assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(dirs @ axis - np.repeat(np.cos(gam), 64))) <= 1e-15
+    for k in range(9):
+        exact = 4.0 * math.pi / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(np.sum(w * (dirs @ b) ** k)) - exact) <= 1e-13
+
+
 def test_composite_gauss_matches_single_panel():
     edges = np.linspace(0.0, 1.0, 5)
     x, w = composite_gauss(edges, 10)
@@ -110,16 +152,9 @@ def test_graded_edges_cluster_toward_center():
     assert gaps.min() < 0.05 * gaps.max()
 
 
-def test_gamma_half_integer_values():
-    assert gamma_half_integer(1) == pytest.approx(math.sqrt(math.pi))
-    assert gamma_half_integer(2) == 1.0
-    assert gamma_half_integer(3) == pytest.approx(math.sqrt(math.pi) / 2.0)
-    assert gamma_half_integer(7) == pytest.approx(math.gamma(3.5))
-
-
 def test_unit_sphere_area():
     assert unit_sphere_area(2) == pytest.approx(2.0 * math.pi)
-    assert unit_sphere_area(3) == pytest.approx(4.0 * math.pi)
+    assert unit_sphere_area(3) == 4.0 * math.pi  # 2 pi^1.5 / math.gamma(1.5) rounds to 4 pi
     assert unit_sphere_area(4) == pytest.approx(2.0 * math.pi**2)
 
 
