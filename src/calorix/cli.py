@@ -537,8 +537,8 @@ def _task_verify_identities(ctx, rep):
         del represent  # release this direction's densities before the next samples its own
         for k, name in enumerate(names):
             values[name] = [v[k] for v in out]
-            errors[name] = [representation_discrepancy(mesh, fields[name], tgt, v)
-                            for tgt, v in zip(targets, values[name])]
+            errors[name] = [representation_discrepancy(fields[name], tgt, v, cls)
+                            for tgt, v, cls in zip(targets, values[name], classes)]
 
     errs = errors["partition"]
     for (x, t), cls, v, e in zip(targets, classes, values["partition"], errs):

@@ -545,12 +545,12 @@ def representation_values(mesh, A, fields, which="H"):
     return functools.partial(representation_at, mesh, A, densities, star=star)
 
 
-def representation_discrepancy(mesh, u_field, target, value):
+def representation_discrepancy(u_field, target, value, kind):
     """How far a layer representation ``value`` at ``target`` is from what
-    it represents: |value - u| at interior targets, |value| at exterior
-    ones."""
+    it represents: |value - u| where the target's location ``kind`` (that of
+    ``CylinderMesh.locate``) is "interior", |value| elsewhere."""
     x, t = _as_xt(target)
-    if mesh.locate((x, t)).kind == "interior":
+    if kind == "interior":
         return abs(value - float(u_field.value(x[None, :], np.array([t]))[0]))
     return abs(value)
 

@@ -6,20 +6,21 @@ involved.  Fits use the quadrature-weighted discrete norm of the mesh, a
 quadrature approximation to the L2 norm of the parabolic boundary.
 
 Columns come from the float recurrence ``polynomials.basis_matrix``.  A
-system is factored once per right-hand side: one QR of [matrix | rhs] gives
-R, and the fit at any degree reads only the leading block of R (nested
-least squares, Golub & Van Loan, Matrix Computations, ch. 5), so a
+system is factored once per right-hand side: one QR of [node rows | rhs]
+gives R, and the fit at any degree reads only the leading block of R
+(nested least squares, Golub & Van Loan, Matrix Computations, ch. 5), so a
 ladder of degrees shares one factorization.  R is built by row-block TSQR
-(Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012) in the
-memory of the matrix plus O((ncols + _QR_BLOCK) ncols), over row groups that
-are orthogonal maps of the rows; what a map leaves out reaches only the rhs,
-as one last row [0 ... 0 | norm], so R is unchanged.  Q^T, Q from the QR of
-the sqrt(tweights)-scaled Legendre Vandermonde in t, maps a wall node to
-keep = min(D // 2 + 1, m_time) time modes, mode k of degree <= D - 2k in x.
-On a conic or quadric, U (nested by degree: Vandermonde with Arnoldi,
-Brubeck, Nakatsukasa & Trefethen, SIAM Review 63, 2021) maps a cap shell to
-its dim(D) = 2D + 1 (n = 2) or (D + 1)^2 (n = 3) modes of degree <= D, and
-time mode k to dim(D - 2k).  Elsewhere, U is the identity.
+(Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012) over
+row groups that are orthogonal maps of the node rows; what a map leaves out
+reaches only the rhs, as one row [0 ... 0 | norm], so R is unchanged.  Q^T,
+Q from the QR of the sqrt(tweights)-scaled Legendre Vandermonde in t, maps
+a wall node to keep = min(D // 2 + 1, m_time) time modes, mode k of degree
+<= D - 2k in x.  On a conic or quadric, U (nested by degree: Vandermonde
+with Arnoldi, Brubeck, Nakatsukasa & Trefethen, SIAM Review 63, 2021) maps
+a cap shell to its dim(D) = 2D + 1 (n = 2) or (D + 1)^2 (n = 3) modes of
+degree <= D, and time mode k to dim(D - 2k).  Elsewhere, U is the identity.
+The system holds only the mapped rows, built from the basis at the boundary
+nodes (``assemble_system``), never the node rows, and maps each rhs itself.
 """
 
 import math
@@ -27,15 +28,17 @@ import numbers
 import time
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from .errors import DegenerateData, RegionMismatch
 from .polynomials import basis_matrix, enumerate_basis
+from .quadrature import gauss_legendre
 
 # points per basis block in evaluate_solution: 8192 points x 455 columns
 # (n=3, degree 12) is 30 MB
 _EVAL_BLOCK = 8192
 _QR_BLOCK = 1024  # rows per block in TrefftzSystem.triangular
-_SLAB = 64  # columns per slab in _project_wall
+_SLAB = 64  # columns per slab of the wall in assemble_system
 
 _PARITY_REGIONS = {"v": ("sigma2", "sigma3"), "w": ("sigma1", "sigma3")}
 
@@ -114,9 +117,10 @@ class BoundaryData:
 
 
 class TrefftzSystem:
-    """Assembled design matrix plus the node data needed to form right-hand
-    sides: rows are sqrt(weight)-scaled node evaluations, columns are
-    caloric polynomials divided by their recorded scale."""
+    """The rows the TSQR of the module docstring factors, in row groups:
+    cap shells, then wall time modes; columns are caloric polynomials
+    divided by their recorded scale.  The node weights and the maps form
+    and map right-hand sides."""
 
     def __init__(self, matrix, alphas, scales, weights, parity, *, time_modes, cap_rows,
                  space_modes=None, mesh_fingerprint, a):
@@ -127,54 +131,49 @@ class TrefftzSystem:
         self.parity = parity
         self.degree = max(sum(alpha) for alpha in alphas)
         self.time_modes = time_modes  # Q of the module docstring
-        self.cap_rows = cap_rows  # the wall rows follow these
+        self.cap_rows = cap_rows  # the node rows of the cap; the wall's follow
         self.space_modes = space_modes  # [U_cap, U_wall] of the module docstring; None: identity
         self.mesh_fingerprint, self.a = mesh_fingerprint, a  # what it was assembled for
         self._factored = None  # (rhs, R) of the last triangular() call
 
     def triangular(self, rhs):
-        """R of the QR factorization of [matrix | rhs], by the row-block TSQR
-        of the module docstring.  The result for the last rhs seen (compared
-        by value) is kept, so a degree ladder factors once."""
+        """R of the QR factorization of [node rows | rhs], by the row-block
+        TSQR of the module docstring over [matrix | mapped rhs], _QR_BLOCK
+        rows at a time.  The result for the last rhs seen (compared by value)
+        is kept, so a degree ladder factors once."""
         rhs = np.asarray(rhs, dtype=float)
         if self._factored is None or not np.array_equal(self._factored[0], rhs):
-            ncols = self.matrix.shape[1]
-            # a projected group has at most ncols rows, which may exceed _QR_BLOCK
-            buf = np.empty((ncols + 2 + max(_QR_BLOCK, ncols), ncols + 1), order="F")
-            top = end = 0  # the rows of the running R, kept at the top of buf, and all rows
-            for m, b in self._row_groups(rhs):  # a block: up to _QR_BLOCK rows and the rhs row
-                if end > top and end + len(m) > top + _QR_BLOCK + 1:
-                    r = np.linalg.qr(buf[:end], mode="r")
-                    buf[:len(r)], top = r, len(r)
-                    end, r = top, None  # R lives on in buf
-                buf[end:end + len(m), :-1], buf[end:end + len(m), -1] = m, b
-                end += len(m)
-            self._factored = (rhs.copy(), np.linalg.qr(buf[:end], mode="r"))
+            held, (b, rest) = self.matrix, self._mapped_rhs(rhs)
+            ncols = held.shape[1]
+            buf = np.empty((ncols + 2 + min(_QR_BLOCK, len(held)), ncols + 1), order="F")
+            top = 0  # the rows of the running R, kept at the top of buf
+            if rest is not None:  # the folded rest row goes first
+                buf[0, :-1], buf[0, -1], top = 0.0, rest, 1
+            for lo in range(0, len(held), _QR_BLOCK):
+                end = top + len(held[lo:lo + _QR_BLOCK])
+                buf[top:end, :-1], buf[top:end, -1] = held[lo:lo + _QR_BLOCK], b[lo:lo + _QR_BLOCK]
+                r = np.linalg.qr(buf[:end], mode="r")
+                buf[:len(r)], top = r, len(r)
+                del r  # R lives on in buf, out of the way of the next block's QR
+            self._factored = (rhs.copy(), buf[:top].copy())
         return self._factored[1]
 
-    def _row_groups(self, rhs):
-        """(matrix rows, rhs rows) of each row group of the module docstring in
-        turn, then the folded rest row if anything was left out.  Under the
-        identity, cap and wall are read _QR_BLOCK matrix rows at a time."""
-        q, modes, cap, dropped = self.time_modes, self.space_modes, self.cap_rows, []
-        keep, ncols = min(self.degree // 2 + 1, len(q)), self.matrix.shape[1]
-        wall = self.matrix[cap:].reshape(-1, len(q), ncols)  # a view
-        wrhs = rhs[cap:].reshape(len(wall), len(q))
-        step = _QR_BLOCK if modes is None else len(wall)
-        for lo in range(0, cap, step):
-            m, b = self.matrix[lo:min(cap, lo + step)], rhs[lo:min(cap, lo + step)]
-            if modes is not None:  # the cap shell on U_cap
-                head = modes[0].T @ b
-                dropped.append(np.linalg.norm(b - modes[0] @ head))
-                m, b = modes[0].T @ m, head
-            yield m, b
-        dims = [_space_dim(len(self.alphas[0]), self.degree - 2 * k) for k in range(keep)]
-        step = max(1, _QR_BLOCK // len(q)) if modes is None else len(wall)
-        for lo in range(0, len(wall), step):
-            yield from _project_wall(q[:, :keep], None if modes is None else modes[1], dims,
-                                     wall[lo:lo + step], wrhs[lo:lo + step], dropped)
-        if dropped or keep < len(q):
-            yield np.zeros((1, ncols)), math.hypot(*dropped, np.linalg.norm(wrhs @ q[:, keep:]))
+    def _mapped_rhs(self, rhs):
+        """The rhs of the held rows, by the maps of the module docstring, and
+        the norm of what they leave out (None where they leave out nothing:
+        identity U and keep = m_time)."""
+        q, modes, cap = self.time_modes, self.space_modes, self.cap_rows
+        keep = min(self.degree // 2 + 1, len(q))
+        wall = rhs[cap:].reshape(-1, len(q)) @ q
+        if modes is None:
+            rest = np.linalg.norm(wall[:, keep:]) if keep < len(q) else None
+            return np.concatenate([rhs[:cap], wall[:, :keep].T.ravel()]), rest
+        groups = [(modes[0], b) for b in rhs[:cap].reshape(-1, len(wall))] + [
+            (modes[1][:, :_space_dim(len(self.alphas[0]), self.degree - 2 * k)], b)
+            for k, b in enumerate(wall[:, :keep].T)]
+        heads = [u.T @ b for u, b in groups]
+        dropped = [np.linalg.norm(b - u @ h) for (u, b), h in zip(groups, heads)]
+        return np.concatenate(heads), math.hypot(*dropped, np.linalg.norm(wall[:, keep:]))
 
     @property
     def sqrt_weights(self):
@@ -184,24 +183,6 @@ class TrefftzSystem:
         # graded-lex enumeration puts all lower degrees first, so a nested
         # subspace is a leading block of columns
         return sum(1 for a in self.alphas if sum(a) <= degree)
-
-
-def _project_wall(q, u, dims, wall, rhs, dropped):
-    """(matrix rows, rhs rows) of each wall time mode k in turn, on u[:, :dims[k]]
-    (u None: the identity), reading the wall once in _SLAB-column slabs; each
-    rhs rest's norm to dropped."""
-    dims = [len(wall)] * len(dims) if u is None else dims
-    out = [np.empty((d, wall.shape[2])) for d in dims]
-    for lo in range(0, wall.shape[2], _SLAB):
-        slab = np.matmul(q.T, wall[:, :, lo:lo + _SLAB])
-        for k, d in enumerate(dims):
-            out[k][:, lo:lo + _SLAB] = slab[:, k] if u is None else u[:, :d].T @ slab[:, k]
-    for m, d, b in zip(out, dims, (rhs @ q).T):
-        if u is not None:
-            head = u[:, :d].T @ b
-            dropped.append(np.linalg.norm(b - u[:, :d] @ head))
-            b = head
-        yield m, b
 
 
 def _space_dim(n, d):  # of the polynomials of degree <= d on a conic (n = 2) or quadric (n = 3)
@@ -236,32 +217,58 @@ def _dirichlet_nodes(mesh, parity):
 
 
 def assemble_system(mesh, A, parity, degree):
-    """Design matrix for |alpha| <= degree on the parity's Dirichlet regions.
+    """The TSQR rows of the module docstring for |alpha| <= degree on the
+    parity's Dirichlet regions, from the basis at the boundary nodes.
 
-    Entry (i, k) = sqrt(w_i) v_k(node_i) / s_k with s_k = max(1, column
-    2-norm); scales are recorded so coefficients can be mapped back to the
-    raw basis.
+    They map the node rows sqrt(w_i) v_k(node_i) / s_k, with s_k = max(1,
+    column 2-norm), a norm the maps keep; scales are recorded so coefficients
+    can be mapped back to the raw basis.  The cap at t = 0 is one shell
+    scaled, as v_alpha(s x, 0) = s^|alpha| v_alpha(x, 0); at t = T each shell
+    is its own nodes.  The wall is the basis at keep Gauss times g (the time
+    rule itself when keep = m_time): a wall column is of degree < keep in t,
+    L(g)^-1 of its values there are its Legendre coefficients, and Q^T of its
+    weighted node samples is the time modes' triangular factor times them.
     """
     pts, ts, wts = _dirichlet_nodes(mesh, parity)
     if not np.any(wts > 0.0):
         raise DegenerateData("all quadrature weights vanish")
-    sq = np.sqrt(wts)
-
-    alphas = enumerate_basis(A.n, degree)
-    # scale in place and take norms 32 rows at a time: no full-size temporary
-    cols = basis_matrix(A, alphas, parity, pts, ts).T
-    cols *= sq
-    norms = [np.linalg.norm(cols[i:i + 32], axis=1) for i in range(0, len(cols), 32)]
+    alphas, nb, m = enumerate_basis(A.n, degree), mesh.n_boundary, len(mesh.tnodes)
+    keep, cap, shells = min(degree // 2 + 1, m), len(pts) - mesh.n_lateral, mesh.m_radial
+    q, tri = np.linalg.qr(np.sqrt(mesh.tweights)[:, None]
+                          * legvander(2.0 * mesh.tnodes / mesh.T - 1.0, m - 1))
+    modes = _space_modes(mesh.bpoints, [mesh.cap_weights[:nb], mesh.bweights], degree)
+    g = gauss_legendre(keep, 0.0, mesh.T)[0]
+    wq = tri[:keep, :keep] @ np.linalg.inv(legvander(2.0 * g / mesh.T - 1.0, keep - 1))
+    first, lift = pts[:cap], np.ones((shells, 1, 1))  # the cap points evaluated; shell factors
+    if parity == "v":  # shell j is c_j s_j^|alpha| times the section, c_j its weight ratio
+        first, s = mesh.bpoints, gauss_legendre(shells)[0][:, None, None]
+        ratio = np.sqrt(wts[:cap].reshape(shells, nb).sum(axis=1) / wts[:nb].sum())
+        lift = ratio[:, None, None] * s ** np.sum(alphas, axis=1)[:, None]
+    cols = basis_matrix(A, alphas, parity,
+                        np.concatenate([first, np.tile(mesh.bpoints, (keep, 1))]),
+                        np.concatenate([ts[:len(first)], np.repeat(g, nb)])).T
+    cols *= np.sqrt(np.concatenate([wts[:len(first)], np.tile(mesh.bweights, keep)]))
+    dims = [nb] * (shells + keep) if modes is None else [_space_dim(A.n, degree)] * shells \
+        + [_space_dim(A.n, degree - 2 * k) for k in range(keep)]
+    ends = np.cumsum(dims)
+    held = np.empty((len(alphas), ends[-1]))  # the rows, transposed
+    for j in range(shells):
+        if j == 0 or parity == "w":  # at t = 0, one shell serves all
+            head = cols[:, j * nb:(j + 1) * nb]
+            head = head if modes is None else head @ modes[0]
+        held[:, ends[j] - dims[j]:ends[j]] = head * lift[j]
+    wall = cols[:, len(first):].reshape(len(alphas), keep, nb)  # wall points: times, then nodes
+    for lo in range(0, len(alphas), _SLAB):
+        slab = np.matmul(wq, wall[lo:lo + _SLAB])  # columns x time modes x nodes
+        for k, (d, hi) in enumerate(zip(dims[shells:], ends[shells:])):
+            u = slab[:, k] if modes is None else slab[:, k] @ modes[1][:, :d]
+            held[lo:lo + _SLAB, hi - d:hi] = u
+    # take norms 32 columns at a time: no full-size temporary
+    norms = [np.linalg.norm(held[i:i + 32], axis=1) for i in range(0, len(held), 32)]
     scales = np.maximum(1.0, np.concatenate(norms))
-    cols /= scales[:, None]
-    m = len(mesh.tnodes)  # the wall's time modes and the spatial modes, by the module docstring
-    vander = np.polynomial.legendre.legvander(2.0 * mesh.tnodes / mesh.T - 1.0, m - 1)
-    q = np.linalg.qr(np.sqrt(mesh.tweights)[:, None] * vander)[0]
-    modes = _space_modes(mesh.bpoints, [mesh.cap_weights[:mesh.n_boundary], mesh.bweights],
-                         degree)
-    return TrefftzSystem(cols.T, alphas, scales, wts, parity, time_modes=q,
-                         cap_rows=len(pts) - mesh.n_lateral, space_modes=modes,
-                         mesh_fingerprint=mesh.fingerprint(), a=A.a)
+    held /= scales[:, None]
+    return TrefftzSystem(held.T, alphas, scales, wts, parity, time_modes=q, cap_rows=cap,
+                         space_modes=modes, mesh_fingerprint=mesh.fingerprint(), a=A.a)
 
 
 class CaloricApproximant:
@@ -524,7 +531,7 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12):
     return StudyReport(parity, degrees, residuals, ranks, conds, errors,
                        seconds, mesh.fingerprint(), data.tag,
                        exploratory=(A.n == 2),
-                       rows=[system.matrix.shape[0]] * len(degrees),
+                       rows=[len(system.weights)] * len(degrees),
                        columns=columns, assembly_s=assembly_s,
                        factorization_s=factorization_s, final=approx)
 

@@ -212,7 +212,7 @@ def test_criterion_08_boundary_representation(capsys, disk, B2):
         values = cx.representation_values(mesh, B2, [fld], which)
         for target in interior + exterior:
             (value,) = values(target)
-            miss = cx.representation_discrepancy(mesh, fld, target, value)
+            miss = cx.representation_discrepancy(fld, target, value, mesh.locate(target).kind)
             worst = max(worst, abs(miss))
     report(capsys, 8, worst < 1e-6,
            f"boundary representation (caps + both lateral layers) closes for "

@@ -698,5 +698,10 @@ def test_traced_pass_runs_a_completeness_study(tmp_path, monkeypatch):
     names = {span[tracer_module.NAME] for span in tracer.spans}
     assert "solver.assemble_system" in names
     metrics = tracer_module.layer_metrics(tracer.spans, 1)
-    assert metrics["solver.design_mb"] > 0.0
+    # the design is the rows the system holds, not its 5184 node rows
+    A = cx.make_coefficients(3, [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]])
+    mesh = cx.build_mesh(cx.CrossSection.ball(1.0), A, 0.5, 24, 12, 6)
+    system = cx.assemble_system(mesh, A, "v", 10)
+    assert len(system.matrix) < len(system.weights)
+    assert metrics["solver.design_mb"] == system.matrix.nbytes / 1e6
     assert metrics["solver.rank_ratio"] == 1.0

@@ -218,7 +218,7 @@ TARGET_USERS = {
     "representation_values": lambda mesh, A, p: cx.representation_values(
         mesh, A, [cx.ConstantField(), _exp_field(A)], "H")(p),
     "representation_discrepancy": lambda mesh, A, p: cx.representation_discrepancy(
-        mesh, _exp_field(A), p, 0.5),
+        _exp_field(A), p, 0.5, "interior"),
     "CylinderMesh.locate": lambda mesh, A, p: mesh.locate(p),
     "CylinderMesh.wall_frame": lambda mesh, A, p: mesh.wall_frame(p),
     "moment_identity_check": lambda mesh, A, p: cx.moment_identity_check(

@@ -25,7 +25,7 @@ def discrepancy(mesh, A, field, target, which="H"):
     """How far the layer representation of one caloric field is from the
     field at one target."""
     (value,) = cx.representation_values(mesh, A, [field], which)(target)
-    return cx.representation_discrepancy(mesh, field, target, value)
+    return cx.representation_discrepancy(field, target, value, mesh.locate(target).kind)
 
 
 def smooth_density(mesh):

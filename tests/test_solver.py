@@ -7,6 +7,7 @@ import pytest
 import calorix as cx
 from calorix import solver
 from calorix.errors import DegenerateData, RegionMismatch
+from calorix.polynomials import basis_matrix
 from calorix.quadrature import gauss_legendre
 
 
@@ -28,15 +29,25 @@ def exp_data(mesh, A, xi=(0.3, 0.4)):
 
 # -- assembly ---------------------------------------------------------------
 
+def node_rows(mesh, A, system):
+    """The oracle of the rows a system maps: sqrt(w) times the basis at
+    every node of its parity's regions, over the system's scales."""
+    pts, ts, wts = solver._dirichlet_nodes(mesh, system.parity)
+    rows = basis_matrix(A, system.alphas, system.parity, pts, ts) * np.sqrt(wts)[:, None]
+    return rows / system.scales
+
+
 def test_column_count_and_scales(solver_mesh, I2):
     system = cx.assemble_system(solver_mesh, I2, "v", 2)
     assert system.matrix.shape[1] == 6
     assert system.columns_for_degree(0) == 1
     assert system.columns_for_degree(1) == 3
-    # normalized columns have unit norm whenever the raw norm exceeded one
-    norms = np.linalg.norm(system.matrix, axis=0)
+    # normalized columns have unit norm whenever the raw norm exceeded one,
+    # on the node rows and on the rows the system holds
     big = system.scales > 1.0
-    assert np.allclose(norms[big], 1.0, atol=1e-13)
+    for rows in (node_rows(solver_mesh, I2, system), system.matrix):
+        norms = np.linalg.norm(rows, axis=0)
+        assert np.allclose(norms[big], 1.0, atol=1e-13)
 
 
 def test_degree_zero_constant_fit(solver_mesh, I2):
@@ -117,11 +128,12 @@ def test_qr_ladder_matches_tall_svd(solver_mesh, I2, case):
         data = cx.BoundaryData.from_field(mesh, "v", fld, tag="exp")
         top = 10
     system = cx.assemble_system(mesh, A, "v", top)
+    nodes = node_rows(mesh, A, system)
     rhs = system.sqrt_weights * data.concatenated()
     for deg in range(top + 1):
         ap = cx.solve_dirichlet(mesh, A, "v", deg, data, system=system)
         k = system.columns_for_degree(deg)
-        rank, cond, residual = _tall_svd_oracle(system.matrix[:, :k], rhs, 1e-12)
+        rank, cond, residual = _tall_svd_oracle(nodes[:, :k], rhs, 1e-12)
         assert ap.rank == rank, deg
         assert ap.cond == pytest.approx(cond, rel=1e-8), deg
         assert ap.residual == pytest.approx(residual, rel=1e-4, abs=1e-14), deg
@@ -130,10 +142,10 @@ def test_qr_ladder_matches_tall_svd(solver_mesh, I2, case):
         assert rank == k, deg
         r = system.triangular(rhs)
         svd_coeff = solver._svd_solve(r[:k, :k], r[:k, -1], 1e-12)[0]
-        fitted = system.matrix[:, :k] @ ap.coefficients
-        gap = np.linalg.norm(fitted - system.matrix[:, :k] @ svd_coeff)
+        fitted = nodes[:, :k] @ ap.coefficients
+        gap = np.linalg.norm(fitted - nodes[:, :k] @ svd_coeff)
         assert gap <= 1e-10 * np.linalg.norm(rhs), deg
-        # the residual read off R is the misfit on the design matrix
+        # the residual read off R is the misfit on the node rows
         misfit = np.linalg.norm(fitted - rhs) / np.linalg.norm(rhs)
         assert ap.residual == pytest.approx(misfit, rel=1e-4, abs=1e-14), deg
 
@@ -145,7 +157,9 @@ def test_rank_deficient_rung_takes_the_truncated_svd(solver_mesh, I2, monkeypatc
     system = solver.TrefftzSystem(base.matrix[:, order], [base.alphas[i] for i in order],
                                   base.scales[order], base.weights, "v",
                                   time_modes=base.time_modes, cap_rows=base.cap_rows,
+                                  space_modes=base.space_modes,
                                   mesh_fingerprint=base.mesh_fingerprint, a=base.a)
+    nodes = node_rows(solver_mesh, I2, system)
     data = exp_data(solver_mesh, I2)
     rhs = system.sqrt_weights * data.concatenated()
     truncated, svd_solve = [], solver._svd_solve
@@ -158,7 +172,7 @@ def test_rank_deficient_rung_takes_the_truncated_svd(solver_mesh, I2, monkeypatc
     for deg in range(4):
         ap = cx.solve_dirichlet(solver_mesh, I2, "v", deg, data, system=system)
         k = system.columns_for_degree(deg)
-        rank, cond, residual = _tall_svd_oracle(system.matrix[:, :k], rhs, 1e-12)
+        rank, cond, residual = _tall_svd_oracle(nodes[:, :k], rhs, 1e-12)
         assert ap.rank == rank == (k - 1 if deg else 1), deg
         assert ap.cond == pytest.approx(cond, rel=1e-8), deg
         assert ap.residual == pytest.approx(residual, rel=1e-4, abs=1e-14), deg
@@ -173,7 +187,7 @@ def test_wide_fit_matches_tall_svd(disk, I2):
     assert system.matrix.shape == (64, 861)
     ap = cx.solve_dirichlet(mesh, I2, "v", 40, data, system=system)
     rhs = system.sqrt_weights * data.concatenated()
-    rank, _, residual = _tall_svd_oracle(system.matrix, rhs, 1e-12)
+    rank, _, residual = _tall_svd_oracle(node_rows(mesh, I2, system), rhs, 1e-12)
     assert ap.rank == rank
     assert abs(ap.residual - residual) <= 1e-12
 
@@ -190,20 +204,18 @@ def test_shared_system_never_serves_a_stale_factorization(solver_mesh, I2):
             (fresh.residual, fresh.rank, fresh.cond)
 
 
-# cross-section, mesh (m_angular, m_time, m_radial), degree, parity, design
-# rows, and the rows TrefftzSystem._row_groups yields.  Every system maps each
-# wall node to its first keep = min(degree // 2 + 1, m_time) time modes; Q is
-# square on "unprojected" and "one-row-block" (keep = m_time = 4) and on
-# "wide".  On a conic or quadric section (all but the three stars and "wide",
-# whose dim(40) = 81 exceeds its 8 wall nodes) each cap shell and wall time
-# mode is projected on its spatial modes: m_radial * dim(D) + sum_k
-# dim(D - 2k) rows and the folded rest row.  Elsewhere U is the identity:
-# (m_radial + keep) * n_boundary rows, and the folded row only when a time
-# mode is left out, so "wide" yields its 64 rows as they are.  The identity
-# cap goes in slices of _QR_BLOCK rows (the stars end on a 4-row or 256-row
-# slice) and the wall in chunks of _QR_BLOCK // m_time nodes (the 257-node
-# star ends on a one-node chunk).  The groups are gathered into blocks of at
-# most _QR_BLOCK rows and the folded row.
+# cross-section, mesh (m_angular, m_time, m_radial), degree, parity, node
+# rows, and the rows the TSQR factors: those TrefftzSystem.matrix holds and
+# the folded rest row.  Every system maps each wall node to its first keep =
+# min(degree // 2 + 1, m_time) time modes; Q is square on "unprojected",
+# "one-row-block" and "few-times" (keep = m_time = 4) and on "wide".  On a
+# conic or quadric section (all but the three stars and "wide", whose
+# dim(40) = 81 exceeds its 8 wall nodes) each cap shell and wall time mode is
+# held as its spatial modes: m_radial * dim(D) + sum_k dim(D - 2k) rows and
+# the folded rest row.  Elsewhere U is the identity: (m_radial + keep) *
+# n_boundary rows, and the folded row only when a time mode is left out, so
+# "wide" holds its 64 rows as they are.  The TSQR reads the held rows
+# _QR_BLOCK at a time.
 TSQR_CASES = {
     "one-block": ("disk", (64, 12, 4), 8, "v", 1024, 114),
     "two-blocks": ("ball", (16, 12, 4), 6, "v", 2048, 281),
@@ -222,6 +234,9 @@ TSQR_CASES = {
     "unprojected": ("disk", (300, 4, 4), 6, "v", 2400, 81),
     "one-row-block": ("disk", (569, 4, 5), 6, "v", 5121, 94),
     "wide": ("disk", (8, 4, 4), 40, "v", 64, 64),
+    "degree-zero": ("disk", (32, 12, 4), 0, "v", 512, 6),
+    "few-times": ("disk", (64, 4, 6), 12, "v", 640, 227),
+    "ball-adjoint": ("ball", (16, 12, 4), 6, "w", 2048, 281),
 }
 IDENTITY_SPACE_MODES = ("star", "star-full-chunk", "star-one-node-chunk", "wide")
 LADDER_A = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]]
@@ -236,26 +251,32 @@ TSQR_SECTIONS = {
 
 
 def _tsqr_case(case):
-    """(system, rhs) of a TSQR_CASES entry, with exponential data."""
-    kind, shape, degree, parity, rows, grouped = TSQR_CASES[case]
+    """(system, node rows, rhs) of a TSQR_CASES entry, with exponential data."""
+    kind, shape, degree, parity, rows, factored = TSQR_CASES[case]
     cs, entries = TSQR_SECTIONS[kind]
     A = cx.make_coefficients(cs.n, entries)
     mesh = cx.build_mesh(cs, A, 0.5, *shape)
     system = cx.assemble_system(mesh, A, parity, degree)
-    assert system.matrix.shape[0] == rows
+    assert len(system.weights) == rows
+    assert len(system.matrix) + (case != "wide") == factored
     assert system.time_modes.shape == (shape[1], shape[1])
     assert (system.space_modes is None) == (case in IDENTITY_SPACE_MODES)
     fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2][:A.n]), sign=+1)
     data = cx.BoundaryData.from_field(mesh, parity, fld)
-    rhs = system.sqrt_weights * data.concatenated()
-    assert sum(len(m) for m, _ in system._row_groups(rhs)) == grouped
-    return system, rhs
+    return system, node_rows(mesh, A, system), system.sqrt_weights * data.concatenated()
 
 
 @pytest.mark.parametrize("case", list(TSQR_CASES))
 def test_blocked_triangular_matches_one_qr(case):
-    system, rhs = _tsqr_case(case)
-    full = np.column_stack([system.matrix, rhs])
+    system, nodes, rhs = _tsqr_case(case)
+    # the held rows are an orthogonal map of the node rows, and the scales
+    # are the node rows' column norms
+    gram = nodes.T @ nodes
+    held = system.matrix.T @ system.matrix
+    assert np.linalg.norm(held - gram) <= 1e-12 * np.linalg.norm(gram)
+    raw = np.linalg.norm(nodes * system.scales, axis=0)
+    assert np.max(np.abs(system.scales - np.maximum(1.0, raw)) / system.scales) <= 1e-14
+    full = np.column_stack([nodes, rhs])
     r = system.triangular(rhs)
     ref = np.linalg.qr(full, mode="r")
     assert r.shape == ref.shape
@@ -286,29 +307,36 @@ def ladder():
     return mesh, system, system.sqrt_weights * data.concatenated()
 
 
-def test_ladder_wall_rows_vanish_beyond_the_kept_modes(ladder):
+@pytest.fixture(scope="module")
+def ladder_nodes(ladder):
+    """The node rows of the ladder system: 12288 x 455."""
+    mesh, system, _ = ladder
+    return node_rows(mesh, cx.make_coefficients(3, LADDER_A), system)
+
+
+def test_ladder_wall_rows_vanish_beyond_the_kept_modes(ladder, ladder_nodes):
     # each wall node's 16 time samples of a degree-12 column lie in the
     # first 7 time modes
     mesh, system, _ = ladder
     q = system.time_modes
     assert q.shape == (16, 16) and system.cap_rows == len(mesh.cap_points)
-    wall = system.matrix[system.cap_rows:].reshape(mesh.n_boundary, 16, -1)
+    wall = ladder_nodes[system.cap_rows:].reshape(mesh.n_boundary, 16, -1)
     dropped = np.einsum("tk,btc->bkc", q[:, 7:], wall)
-    assert np.max(np.abs(dropped)) <= 1e-14 * np.max(np.abs(system.matrix))
+    assert np.max(np.abs(dropped)) <= 1e-14 * np.max(np.abs(ladder_nodes))
 
 
-def test_ladder_rows_lie_in_their_spatial_modes(ladder):
+def test_ladder_rows_lie_in_their_spatial_modes(ladder, ladder_nodes):
     # a cap shell is a degree-12 polynomial on the sphere, (12 + 1)^2 = 169
     # modes, and wall time mode k one of degree 12 - 2k
     mesh, system, _ = ladder
     u_cap, u_wall = system.space_modes
-    biggest = np.max(np.abs(system.matrix))
+    biggest = np.max(np.abs(ladder_nodes))
     for u in (u_cap, u_wall):
         assert u.shape == (mesh.n_boundary, 169)
         assert np.max(np.abs(u.T @ u - np.eye(169))) <= 1e-14
-    for shell in system.matrix[:system.cap_rows].reshape(mesh.m_radial, mesh.n_boundary, -1):
+    for shell in ladder_nodes[:system.cap_rows].reshape(mesh.m_radial, mesh.n_boundary, -1):
         assert np.max(np.abs(shell - u_cap @ (u_cap.T @ shell))) <= 1e-14 * biggest
-    wall = system.matrix[system.cap_rows:].reshape(mesh.n_boundary, 16, -1)
+    wall = ladder_nodes[system.cap_rows:].reshape(mesh.n_boundary, 16, -1)
     for k in range(7):
         mode = np.einsum("t,btc->bc", system.time_modes[:, k], wall)
         u = u_wall[:, :(13 - 2 * k) ** 2]
@@ -335,8 +363,25 @@ def test_space_modes_show_a_clear_gap(section, region):
         assert np.max(sing[2 * d + 1:], initial=0.0) <= 1e-14 * sing[0], d
 
 
+def test_assembly_peak_stays_below_the_node_matrix(ladder):
+    # the node rows alone would be 12288 x 455, 44.7 MB; assembly evaluates
+    # the basis at 512 cap and 7 x 512 wall points (14.9 MB) and holds 1807
+    # rows (6.6 MB), a traced peak of 27.8 MB
+    mesh, system, _ = ladder
+    assert system.matrix.shape == (1807, 455)
+    tracemalloc.start()
+    try:
+        cx.assemble_system(mesh, cx.make_coefficients(3, LADDER_A), "v", 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
 def test_triangular_peak_stays_below_the_time_mode_loop(ladder):
-    # the time-mode loop peaked 14.4 MB over the held matrix on this system
+    # the time-mode loop peaked 14.4 MB over the held matrix on this system,
+    # the row-group loop 12.0 MB; reading the held rows takes 11.9 MB, and
+    # 13.5 MB if each block's R stays alive through the next block's QR
     _, system, rhs = ladder
     system._factored = None  # factor afresh
     tracemalloc.start()
@@ -345,7 +390,7 @@ def test_triangular_peak_stays_below_the_time_mode_loop(ladder):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14.4e6
+    assert peak < 12.5e6
 
 
 @pytest.mark.parametrize("parity", ["v", "w"])
@@ -370,15 +415,15 @@ def test_wall_rows_are_node_major_tensor_weighted_and_last(disk_mesh_I, parity):
 
 
 def test_triangular_does_not_copy_the_matrix(solver_mesh, I2):
-    # a star takes the identity spatial modes, its wall in node chunks; on the
-    # last, Q is square (keep = m_time = 8) and one chunk of every wall node
-    # would copy the wall (a traced peak of 1.4 times the matrix)
+    # a star takes the identity spatial modes; on the last, Q is square
+    # (keep = m_time = 8), so it holds as many rows as it has nodes, and a
+    # copy of the held wall would show as a traced peak of about the matrix
     star = TSQR_SECTIONS["star"][0]
     for mesh, degree in [(solver_mesh, 12), (cx.build_mesh(star, I2, 0.5, 96, 48, 24), 12),
                          (cx.build_mesh(star, I2, 0.5, 1024, 8, 4), 14)]:
         system = cx.assemble_system(mesh, I2, "v", degree)
         assert (system.space_modes is None) == (mesh is not solver_mesh)
-        assert system.matrix.shape[0] >= 4 * solver._QR_BLOCK
+        assert len(system.weights) >= 4 * solver._QR_BLOCK
         rhs = system.sqrt_weights * exp_data(mesh, I2).concatenated()
         tracemalloc.start()
         try:
@@ -386,7 +431,8 @@ def test_triangular_does_not_copy_the_matrix(solver_mesh, I2):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * system.matrix.nbytes
+        # the bound of the node matrix, which systems held before
+        assert peak < 0.5 * len(system.weights) * system.matrix.shape[1] * 8
 
 
 def test_blocked_evaluation_matches_exact_sum(solver_mesh, I2):
