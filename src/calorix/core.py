@@ -3,8 +3,8 @@
 The parabolic operators are H = E - d/dt and its adjoint H* = E + d/dt,
 where E = sum_{h,k} a_hk d^2/dx_h dx_k and A = {a_hk} is symmetric positive
 definite.  This module holds the matrix bookkeeping plus the fundamental
-solution, its conormal-derivative kernels, and the time-independent
-(elliptic) kernel used for the Gauss-type surface identity.  A target is a
+solution (also shell by shell, s_j p_b, on a cap rule), its conormal kernels,
+and the elliptic kernel of the Gauss-type surface identity.  A target is a
 plain (x, t) pair; ``_as_xt`` normalises it.
 """
 
@@ -107,16 +107,34 @@ def fundamental_solution(A, z, tau):
     Zero for tau <= 0 (causality).  Broadcasts over leading axes of z / tau;
     computed in log space so deep tails saturate at 1e-304 without warnings.
     """
-    z = np.asarray(z, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    q = A.qform_inv(z)
+    return _kernel_of_q(A, A.qform_inv(np.asarray(z, dtype=float)), np.asarray(tau, dtype=float))
+
+
+def shell_terms(A, points):
+    """Rows q(p) = <A^-1 p, p> and A^-1 p at points p: the (A, points) half of the shell kernel."""
+    ainv_p = A.inv @ points.T
+    return np.vstack([np.einsum("ib,ib->b", ainv_p, points.T), ainv_p])
+
+
+def shell_fundamental_solution(A, x, terms, fractions, tau):
+    """G(x - s_j p_b, tau) as a (fractions, points) array for ``terms = shell_terms(A, p)``,
+    from q(x - s p) = q(x) - 2 s <A^-1 p, x> + s^2 q(p): one small product per target.  The
+    expansion costs G a few eps (|x| + |p|)^2 ||A^-1|| / (4 tau) relative to its peak."""
+    lift = np.column_stack([fractions * fractions, np.multiply.outer(fractions, -2.0 * x)])
+    q = np.matmul(lift[:, None, :], terms)[:, 0]  # a gemv per shell: a gemm takes more memory
+    q += x @ A.inv @ x
+    return _kernel_of_q(A, q, tau)
+
+
+def _kernel_of_q(A, q, tau):
+    """G from q = <A^-1 z, z>: the one normalisation, causal zero and log clamp of G."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logv = (-0.5 * A.n) * np.log(4.0 * np.pi * tau) - 0.5 * np.log(A.det) - q / (4.0 * tau)
-        logv = np.where(np.isnan(logv), -np.inf, logv)
-        out = np.where(tau > 0.0, np.exp(np.clip(logv, _LOG_FLOOR, _LOG_CEIL)), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        logv = np.asarray(q / (4.0 * tau))
+        np.subtract((-0.5 * A.n) * np.log(4.0 * np.pi * tau) - 0.5 * np.log(A.det), logv, out=logv)
+        np.copyto(logv, -np.inf, where=np.isnan(logv))
+        np.exp(np.clip(logv, _LOG_FLOOR, _LOG_CEIL, out=logv), out=logv)
+        logv *= tau > 0.0  # the causal zero; exp of a clipped exponent is finite
+    return float(logv) if logv.ndim == 0 else logv
 
 
 def conormal_kernel_source(A, x, y, nu_y, tau):

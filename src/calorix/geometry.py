@@ -187,10 +187,10 @@ class WallFrame:
 class CylinderMesh:
     """Quadrature mesh for Omega x (0, T).
 
-    sigma1 is the top cap (t = T), sigma2 the bottom cap (t = 0), sigma3 the
-    lateral boundary.  Lateral nodes are the tensor product of the boundary
-    rule and the time rule, flattened boundary-major; weights carry the full
-    surface measure so potentials are plain weighted sums.
+    sigma1 is the top cap (t = T), sigma2 the bottom cap (t = 0), sigma3 the lateral
+    boundary.  Lateral nodes are the tensor product of the boundary rule and the time rule,
+    flattened boundary-major, and cap point j * n_boundary + b is ``cap_fractions[j] *
+    bpoints[b]``; weights carry the full surface measure so potentials are plain weighted sums.
     """
 
     cs: CrossSection
@@ -207,6 +207,7 @@ class CylinderMesh:
     tweights: np.ndarray = field(repr=False, default=None)
     cap_points: np.ndarray = field(repr=False, default=None)
     cap_weights: np.ndarray = field(repr=False, default=None)
+    cap_fractions: np.ndarray = field(repr=False, default=None)
 
     @property
     def n(self):
@@ -246,11 +247,8 @@ class CylinderMesh:
         """(points, times, weights) for one boundary region."""
         if region == "sigma3":
             return self.lateral_points(), self.lateral_times(), self.lateral_weights()
-        if region == "sigma2":
-            times = np.zeros(self.cap_points.shape[0])
-            return self.cap_points, times, self.cap_weights
-        if region == "sigma1":
-            times = np.full(self.cap_points.shape[0], self.T)
+        if region in ("sigma1", "sigma2"):
+            times = np.full(self.cap_points.shape[0], self.T if region == "sigma1" else 0.0)
             return self.cap_points, times, self.cap_weights
         raise ValueError(f"unknown region {region!r}")
 
@@ -358,10 +356,10 @@ def build_mesh(cs, A, T, m_angular, m_time, m_radial):
     # cap rule: radial Gauss x angular rule, jacobian s^(n-1) rho^n
     s, ws = gauss_legendre(m_radial, 0.0, 1.0)
     rho = cs.radius(dirs)
-    cap_pts = s[:, None, None] * (rho[None, :, None] * dirs[None, :, :])
     cap_w = ws[:, None] * s[:, None] ** (cs.n - 1) * (rho**cs.n)[None, :] * wdirs[None, :]
-    mesh.cap_points = cap_pts.reshape(-1, cs.n)
+    mesh.cap_points = (s[:, None, None] * mesh.bpoints[None, :, :]).reshape(-1, cs.n)
     mesh.cap_weights = cap_w.reshape(-1)
+    mesh.cap_fractions = s
 
     mesh.tnodes, mesh.tweights = gauss_legendre(m_time, 0.0, T)
     return mesh

@@ -23,11 +23,11 @@ time-reflected cylinder.
 Each potential has a per-target half and a per-density half.  The time half
 of the lateral kernel (``_TimeGrid``: substituted time grid, barycentric
 matrix) serves the targets at one time on one rule, its space half
-(``_LateralKernel``: u0, one decay profile for every kernel kind) one target.
-A target builds both, and its cap kernel, once, and applies every density
-to them.  A jump ladder shares one time grid, the density on it and one
-profile buffer among its offsets; each offset sums only its live columns,
-and its kinds share that sum.  The partition identity is the representation of u = 1.
+(``_LateralKernel``: x - y, u0, one decay profile per kernel kind) one target.
+A target builds both, and its cap kernel on the cap rule's shells, once, and applies
+every density to them.  A jump ladder shares one time grid, the density on it and one
+profile buffer among its offsets; each offset sums only its live columns, and its kinds
+share that sum.  The partition identity is the representation of u = 1.
 
 This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
@@ -50,6 +50,8 @@ from .core import (
     conormal_kernel_target,
     elliptic_conormal_kernel,
     fundamental_solution,
+    shell_fundamental_solution,
+    shell_terms,
 )
 from .errors import CornerTooClose, DimensionMismatch, DimensionTooSmall, TargetOnBoundary
 from .quadrature import (
@@ -88,9 +90,10 @@ class DensityField:
 
     @classmethod
     def from_function(cls, mesh, region, fn):
-        pts, ts, _ = mesh.region_nodes(region)
-        normals = mesh.lateral_normals() if region == "sigma3" else None
-        vals = np.asarray(fn(pts, ts, normals), dtype=float)
+        wall = region == "sigma3"  # points, times and normals; the weights are not built
+        pts, ts = ((mesh.lateral_points(), mesh.lateral_times()) if wall
+                   else mesh.region_nodes(region)[:2])
+        vals = np.asarray(fn(pts, ts, mesh.lateral_normals() if wall else None), dtype=float)
         return cls(region, vals, fn)
 
     @classmethod
@@ -314,8 +317,8 @@ class _TimeGrid:
 
 class _LateralKernel:
     """Space half of the lateral kernel at one target, on the mesh rule
-    (graded None) or the graded one: u0 = <A^-1(x-y), x-y> / (4 tau_hi) at the
-    rule's points y (u0min is inf for an empty window) and, on the grid that
+    (graded None) or the graded one: x - y and u0 = <A^-1(x-y), x-y> / (4 tau_hi)
+    at the rule's points y (u0min is inf for an empty window) and, on the grid that
     ``on`` gives it, one decay profile exp(-u0 e^v) over the live columns,
     where u0min e^v <= ``_U_CAP``: all of its own grid, a prefix of one laid
     out for a smaller u0min.  Kinds of one exponent p share one time sum."""
@@ -328,7 +331,8 @@ class _LateralKernel:
         self.u0min = math.inf
         if self.tau_hi <= 0.0:
             return
-        q = A.qform_inv(x[None, :] - self.points)
+        self.diff = x[None, :] - self.points
+        q = A.qform_inv(self.diff)
         scale = max(mesh.diameter, 1.0)
         if float(q.min()) <= (1e-12 * scale) ** 2:
             raise TargetOnBoundary("lateral potential evaluated on the boundary itself")
@@ -364,9 +368,8 @@ class _LateralKernel:
             np.multiply(on_grid[:, :live], self.decay, out=prod)
             prod *= self.tau_hi ** (1.0 - p)
             inner = prod @ (self.grid.vw * np.exp((p - 1.0) * self.grid.vnodes))[:live]
-            diff = None if names[0] == "single" else self.x[None, :] - self.points
             values = [float(self.grid.pref * np.sum(
-                self.weights * _geometry_factor(kind, diff, self.normals, nu_fixed) * inner))
+                self.weights * _geometry_factor(kind, self.diff, self.normals, nu_fixed) * inner))
                 for kind in names]
         return values[0] if isinstance(kinds, str) else values
 
@@ -430,12 +433,17 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h):
 # cap potentials
 
 
-def _cap_values(mesh, A, phis, x, t, star, frame):
-    """Cap potentials at (x, t) of the densities ``phis``, on one cap.
+def _cap_rule(mesh, A, phis):
+    """Per-run half of the mesh cap rule: shell terms and cap weights x values."""
+    return shell_terms(A, mesh.bpoints), [mesh.cap_weights * phi.values for phi in phis]
+
+
+def _cap_values(mesh, A, phis, x, t, star, frame, rule=None):
+    """Cap potentials at (x, t) of ``phis`` on one cap, on ``rule`` or a fresh ``_cap_rule``.
 
     Densities with a generator take the tensor Gauss-Hermite rule when the
     Gaussian fits inside the cross-section, by the target's ``WallFrame``;
-    the rest share one G at the cap points.
+    the rest share one G at the cap points, from the shell kernel.
     """
     T = mesh.T
     w = (T - t) if star else t
@@ -447,16 +455,16 @@ def _cap_values(mesh, A, phis, x, t, star, frame):
         uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
         pts = x[None, :] + 2.0 * math.sqrt(w) * (uu @ A.chol.T)
         sample_t = np.full(pts.shape[0], T if star else 0.0)
-    g = None
-    out = []
-    for phi in phis:
+    g, out = None, []
+    for k, phi in enumerate(phis):
         if hermite and phi.generator is not None:
             vals = np.asarray(phi.generator(pts, sample_t, None), dtype=float)
             out.append(float(np.sum(wwt * vals) / math.pi ** (A.n / 2.0)))
             continue
         if g is None:
-            g = fundamental_solution(A, x[None, :] - mesh.cap_points, w)
-        out.append(float(np.sum(mesh.cap_weights * phi.values * g)))
+            terms, weighted = rule or _cap_rule(mesh, A, phis)
+            g = shell_fundamental_solution(A, x, terms, mesh.cap_fractions, w).reshape(-1)
+        out.append(float(np.sum(weighted[k] * g)))
     return out
 
 
@@ -492,23 +500,23 @@ class ConstantField:
         return np.ones(np.atleast_2d(points).shape[0])
 
 
-def representation_at(mesh, A, densities, target, star=False):
+def representation_at(mesh, A, densities, target, star=False, cap_rule=None):
     """Layer representation D[u] - S[f] + C[u] at one target, for each
     (trace, flux, cap) density triple from ``representation_values``; flux
     None stands for zero flux and adds no single layer.
 
     All lateral densities share one lateral kernel, on the graded rule when
     the target is near the wall (each density then needs a generator), and
-    all cap densities one cap kernel.  Raises TargetOnBoundary for a target
-    on the boundary.  Public so that a traced run attributes the per-target
-    work to this layer; the package does not export it.
+    all cap densities one cap kernel, on ``cap_rule`` if given.  Raises
+    TargetOnBoundary for a boundary target.  Public so that a traced run
+    attributes the per-target work to this layer; the package does not export it.
     """
     x, t = _as_xt(target)
     frame = mesh.wall_frame((x, t))
     if frame.location.kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
     kernel, on_grid = _target_kernel(mesh, A, x, t, star, frame)
-    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, frame)
+    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, frame, cap_rule)
     doubles = [kernel.apply("double", on_grid(trace)) for trace, _, _ in densities]
     # a zero single layer leaves D - S = D bit for bit
     singles = [0.0 if flux is None else kernel.apply("single", on_grid(flux))
@@ -526,9 +534,9 @@ def representation_values(mesh, A, fields, which="H"):
     top-cap term vanishes).  which='H*' mirrors this with the adjoint
     operators and the top cap.  A field has ``value(points, times)`` and
     ``conormal(points, times, normals)``, or ``conormal = None`` for zero
-    flux (``ConstantField``).  The trace, flux and cap-trace densities are
-    sampled once, here; the returned callable holds them and no other state,
-    and evaluates them all at a target through ``representation_at``.
+    flux (``ConstantField``).  The trace, flux and cap-trace densities and
+    their cap rule are built once, here; the returned callable holds them and
+    no other state, and evaluates them all at a target through ``representation_at``.
     """
     if which not in ("H", "H*"):
         raise ValueError("which must be 'H' or 'H*'")
@@ -542,7 +550,8 @@ def representation_values(mesh, A, fields, which="H"):
                 else DensityField.from_function(mesh, "sigma3", u.conormal))
         cap = DensityField.from_function(mesh, "sigma1" if star else "sigma2", value)
         densities.append((trace, flux, cap))
-    return functools.partial(representation_at, mesh, A, densities, star=star)
+    return functools.partial(representation_at, mesh, A, densities, star=star,
+                             cap_rule=_cap_rule(mesh, A, [cap for _, _, cap in densities]))
 
 
 def representation_discrepancy(u_field, target, value, kind):

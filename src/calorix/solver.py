@@ -241,7 +241,7 @@ def assemble_system(mesh, A, parity, degree):
     wq = tri[:keep, :keep] @ np.linalg.inv(legvander(2.0 * g / mesh.T - 1.0, keep - 1))
     first, lift = pts[:cap], np.ones((shells, 1, 1))  # the cap points evaluated; shell factors
     if parity == "v":  # shell j is c_j s_j^|alpha| times the section, c_j its weight ratio
-        first, s = mesh.bpoints, gauss_legendre(shells)[0][:, None, None]
+        first, s = mesh.bpoints, mesh.cap_fractions[:, None, None]
         ratio = np.sqrt(wts[:cap].reshape(shells, nb).sum(axis=1) / wts[:nb].sum())
         lift = ratio[:, None, None] * s ** np.sum(alphas, axis=1)[:, None]
     cols = basis_matrix(A, alphas, parity,

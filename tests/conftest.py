@@ -108,3 +108,14 @@ def interior_probes(cs, rng, count, frac=(0.15, 0.8)):
 
 def exterior_probes(cs, rng, count, frac=(1.3, 1.8)):
     return interior_probes(cs, rng, count, frac)
+
+
+def shell_kernel_bound(A, x, rho_max, tau):
+    """Error bound of the shell kernel against the direct G, relative to
+    G's maximum.  Each q, expanded or of the rounded x - y, sums at most
+    n^2 + n + 2 <= 14 rounded terms of size <= (|x| + rho_max)^2 ||A^-1||,
+    so the two differ by at most 32 eps times that; exp(-q/(4 tau)) turns
+    it into that over 4 tau relative to G's peak, and the + 1 covers the
+    roundoff of exp and of the normalisation there."""
+    size = (np.linalg.norm(x) + rho_max) ** 2 * np.linalg.norm(A.inv, 2)
+    return 32.0 * np.finfo(float).eps * (size / (4.0 * tau) + 1.0)

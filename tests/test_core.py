@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import calorix as cx
+from calorix.core import shell_fundamental_solution, shell_terms
 from calorix.errors import (
     DimensionTooSmall,
     NotPositiveDefinite,
     NotSymmetric,
 )
 
-from conftest import ENTRIES, unit_density
+from conftest import ENTRIES, shell_kernel_bound, unit_density
 from fdtools import (
     FD_STEP,
     heat_operator_residual,
@@ -134,6 +135,43 @@ def test_satisfies_parabolic_equation(B2, C3):
         z = np.full(A.n, 0.5)
         res = heat_operator_residual(fn, ENTRIES[key], z, 0.4)
         assert abs(res) < 1e-6 * max(1.0, fn(z, 0.4))
+
+
+# the sections and matrices the shell kernel is checked on
+SHELL_CASES = [
+    (cx.CrossSection.disk(1.0), ENTRIES["B2"]),
+    (cx.CrossSection.ellipse(1.0, 0.25), ENTRIES["B2"]),
+    (cx.CrossSection.star(1.0, (0.0, 0.0, 0.25)), [[1.5, 0.3], [0.3, 0.7]]),
+    (cx.CrossSection.ball(1.0), np.eye(3).tolist()),
+    (cx.CrossSection.ellipsoid(1.0, 0.5, 0.3), ENTRIES["C3"]),
+]
+
+
+@pytest.mark.parametrize("cs, entries", SHELL_CASES,
+                         ids=["disk", "ellipse", "star", "ball", "ellipsoid"])
+def test_shell_kernel_matches_the_direct_kernel(cs, entries):
+    # G(x - s_j p_b) from the expanded exponent against G of the cap points'
+    # differences, from the whole-cylinder width down to w = 1e-4, inside,
+    # just across the wall and outside
+    A = cx.make_coefficients(cs.n, entries)
+    T = 0.7
+    mesh = cx.build_mesh(cs, A, T, *((64, 4, 12) if cs.n == 2 else (16, 4, 8)))
+    terms = shell_terms(A, mesh.bpoints)
+    rho_max = cs.radius_extremes()[1]
+    rng = np.random.default_rng(11)
+    for d in [np.eye(cs.n)[0]] + [v / np.linalg.norm(v) for v in rng.normal(size=(2, cs.n))]:
+        rim = float(cs.radius(d[None, :])[0]) * d
+        for frac in (0.3, 0.99, 1.01, 1.5):
+            x = frac * rim
+            for w in (T, 0.1, 1e-2, 1e-3, 1e-4):
+                got = shell_fundamental_solution(A, x, terms, mesh.cap_fractions, w)
+                assert got.shape == (mesh.m_radial, mesh.n_boundary)
+                want = cx.fundamental_solution(A, x[None, :] - mesh.cap_points, w)
+                peak = cx.fundamental_solution(A, np.zeros(cs.n), w)
+                err = np.max(np.abs(got.reshape(-1) - want)) / peak
+                assert err <= shell_kernel_bound(A, x, rho_max, w), (frac, w, err)
+    zero = shell_fundamental_solution(A, rim, terms, mesh.cap_fractions, 0.0)
+    assert not zero.any()
 
 
 # -- conormal kernels -------------------------------------------------------

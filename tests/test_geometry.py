@@ -280,7 +280,8 @@ def _per_dimension_mesh_arrays(cs, T, m_angular, m_time, m_radial):
     tnodes, tweights = gauss_legendre(m_time, 0.0, T)
     return {"bpoints": points, "bnormals": inward,
             "bweights": bweights, "tnodes": tnodes, "tweights": tweights,
-            "cap_points": cap_pts.reshape(-1, cs.n), "cap_weights": cap_w.reshape(-1)}
+            "cap_points": cap_pts.reshape(-1, cs.n), "cap_weights": cap_w.reshape(-1),
+            "cap_fractions": s}
 
 
 @pytest.mark.parametrize("cs, resolutions", [
@@ -300,6 +301,22 @@ def test_build_mesh_matches_per_dimension_rules(cs, resolutions):
         for name, want in _per_dimension_mesh_arrays(cs, 0.7, *m).items():
             got = getattr(mesh, name)
             assert got.shape == want.shape and np.array_equal(got, want), (m, name)
+
+
+@pytest.mark.parametrize("cs", [
+    cx.CrossSection.disk(1.0), cx.CrossSection.ellipse(1.0, 0.25),
+    cx.CrossSection.star(1.0, (0.0, 0.0, 0.25)), cx.CrossSection.ball(1.0),
+    cx.CrossSection.ellipsoid(1.0, 0.5, 0.3),
+], ids=["disk", "ellipse", "star", "ball", "ellipsoid"])
+def test_cap_points_are_scaled_wall_points(cs):
+    # the mesh cap kernel expands G(x - s_j p_b) about the wall points p_b,
+    # so cap point (j, b) must be the radial fraction s_j times p_b exactly
+    A = cx.make_coefficients(cs.n, np.eye(cs.n))
+    for m in ((16, 4, 3), (64, 8, 12)) if cs.n == 2 else ((8, 4, 3), (16, 4, 8)):
+        mesh = cx.build_mesh(cs, A, 0.7, *m)
+        shells = mesh.cap_fractions[:, None, None] * mesh.bpoints[None, :, :]
+        assert mesh.cap_fractions.shape == (mesh.m_radial,)
+        assert np.array_equal(mesh.cap_points, shells.reshape(-1, cs.n)), m
 
 
 def test_fingerprint_tracks_inputs(disk, I2):

@@ -13,7 +13,13 @@ from calorix.errors import (
 )
 from calorix.quadrature import composite_gauss, graded_edges_toward
 
-from conftest import exterior_probes, interior_probes, on_circle, unit_density
+from conftest import (
+    exterior_probes,
+    interior_probes,
+    on_circle,
+    shell_kernel_bound,
+    unit_density,
+)
 
 
 def partition(mesh, A, target):
@@ -850,6 +856,26 @@ def test_initial_limit_error_decreases(ellipse_mesh_B, B2):
                                  (x, t)) - exact)
             for t in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_mesh_cap_rule_matches_the_direct_sum(ellipse_mesh_B, B2):
+    # a density without a generator takes the mesh rule even at t = 1e-4;
+    # its shell kernel keeps the weighted sum of the direct G at the
+    # initial-limit targets to the kernel's error bound
+    mesh = ellipse_mesh_B
+    def f(p, t, nu):
+        return np.sin(p[:, 0]) * np.exp(0.3 * p[:, 1])
+    phi = cx.DensityField.from_values(mesh, "sigma2", f(mesh.cap_points, None, None))
+    rng = np.random.default_rng(17)
+    for x in interior_probes(mesh.cs, rng, 10, frac=(0.0, 0.6)) + [np.array([0.3, 0.2])]:
+        for t in (1e-2, 1e-3, 1e-4):
+            got = cx.cap_potential(mesh, B2, phi, (x, t))
+            g = cx.fundamental_solution(B2, x[None, :] - mesh.cap_points, t)
+            want = float(np.sum(mesh.cap_weights * phi.values * g))
+            scale = float(np.sum(np.abs(mesh.cap_weights * phi.values)))
+            scale *= cx.fundamental_solution(B2, np.zeros(2), t)
+            bound = shell_kernel_bound(B2, x, mesh.cs.radius_extremes()[1], t)
+            assert abs(got - want) <= bound * scale, (x, t)
 
 
 def test_final_limit_mirrors_initial(disk_mesh_I, I2):
