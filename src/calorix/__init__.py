@@ -50,6 +50,7 @@ from .potentials import (
     double_layer,
     double_layer_star,
     elliptic_gauss_identity,
+    elliptic_gauss_values,
     jump_probe,
     representation_discrepancy,
     representation_values,

@@ -116,14 +116,19 @@ def shell_terms(A, points):
     return np.vstack([np.einsum("ib,ib->b", ainv_p, points.T), ainv_p])
 
 
-def shell_fundamental_solution(A, x, terms, fractions, tau):
-    """G(x - s_j p_b, tau) as a (fractions, points) array for ``terms = shell_terms(A, p)``,
-    from q(x - s p) = q(x) - 2 s <A^-1 p, x> + s^2 q(p): one small product per target.  The
-    expansion costs G a few eps (|x| + |p|)^2 ||A^-1|| / (4 tau) relative to its peak."""
+def shell_qform(A, x, terms, fractions):
+    """q(x - s_j p_b) as a (fractions, points) array for ``terms = shell_terms(A, p)``, from
+    q(x - s p) = q(x) - 2 s <A^-1 p, x> + s^2 q(p): one small product per target, which
+    loses a few eps (|x| + |p|)^2 ||A^-1|| to cancellation."""
     lift = np.column_stack([fractions * fractions, np.multiply.outer(fractions, -2.0 * x)])
     q = np.matmul(lift[:, None, :], terms)[:, 0]  # a gemv per shell: a gemm takes more memory
     q += x @ A.inv @ x
-    return _kernel_of_q(A, q, tau)
+    return q
+
+
+def shell_fundamental_solution(A, x, terms, fractions, tau):
+    """G(x - s_j p_b, tau) from ``shell_qform``, off by that over 4 tau relative to its peak."""
+    return _kernel_of_q(A, shell_qform(A, x, terms, fractions), tau)
 
 
 def _kernel_of_q(A, q, tau):

@@ -23,11 +23,11 @@ time-reflected cylinder.
 Each potential has a per-target half and a per-density half.  The time half
 of the lateral kernel (``_TimeGrid``: substituted time grid, barycentric
 matrix) serves the targets at one time on one rule, its space half
-(``_LateralKernel``: x - y, u0, one decay profile per kernel kind) one target.
-A target builds both, and its cap kernel on the cap rule's shells, once, and applies
-every density to them.  A jump ladder shares one time grid, the density on it and one
-profile buffer among its offsets; each offset sums only its live columns, and its kinds
-share that sum.  The partition identity is the representation of u = 1.
+(``_LateralKernel``: x - y, u0, one decay profile) one target.  A target builds
+both and its cap kernel once, and contracts the profile per kernel kind into
+one dot product per density.  A jump ladder's 18 offsets share one density on
+one time grid instead, each summing only its live columns for all its kinds.
+The partition identity is the representation of u = 1.
 
 This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
@@ -51,6 +51,7 @@ from .core import (
     elliptic_conormal_kernel,
     fundamental_solution,
     shell_fundamental_solution,
+    shell_qform,
     shell_terms,
 )
 from .errors import CornerTooClose, DimensionMismatch, DimensionTooSmall, TargetOnBoundary
@@ -62,6 +63,7 @@ from .quadrature import (
     polar_rule,
     sphere_rule,
     tensor_rule,
+    unit_sphere_area,
 )
 
 _U_CAP = 45.0  # exp(-45) ~ 3e-20: truncation point of the substituted time integral
@@ -321,7 +323,8 @@ class _LateralKernel:
     at the rule's points y (u0min is inf for an empty window) and, on the grid that
     ``on`` gives it, one decay profile exp(-u0 e^v) over the live columns,
     where u0min e^v <= ``_U_CAP``: all of its own grid, a prefix of one laid
-    out for a smaller u0min.  Kinds of one exponent p share one time sum."""
+    out for a smaller u0min.  A target's densities share one ``contract`` per
+    kind; a ladder's kinds of one exponent p share one time sum (``apply``)."""
 
     def __init__(self, mesh, A, x, t, star, graded=None):
         self.x = x
@@ -354,40 +357,51 @@ class _LateralKernel:
             self.decay[dead] = 0.0
         return self
 
-    def apply(self, kinds, on_grid, nu_fixed=None, into_profile=False):
-        """Potential of a kind, or a list for a tuple of kinds of one exponent p,
-        from one time sum of decay x ``on_grid`` x tau_hi^(1-p) e^((p-1) v), 0 when
-        dead; the product overwrites the live columns of ``on_grid`` or, with
-        ``into_profile``, the profile, which then serves no other sum."""
-        names = (kinds,) if isinstance(kinds, str) else kinds
-        values = [0.0] * len(names)
-        if not self.dead:
-            p = _kernel_exponent(names[0], self.x.size)
-            live = self.decay.shape[1]
-            prod = self.decay if into_profile else on_grid[:, :live]
-            np.multiply(on_grid[:, :live], self.decay, out=prod)
-            prod *= self.tau_hi ** (1.0 - p)
-            inner = prod @ (self.grid.vw * np.exp((p - 1.0) * self.grid.vnodes))[:live]
-            values = [float(self.grid.pref * np.sum(
-                self.weights * _geometry_factor(kind, self.diff, self.normals, nu_fixed) * inner))
-                for kind in names]
-        return values[0] if isinstance(kinds, str) else values
+    def contract(self, kind, samples, nu_fixed=None):
+        """Potentials of ``kind`` of densities ``samples`` at the rule's points x tnodes,
+        0 when dead: vdot(samples, W) with W = decay @ (interp vw e^((p-1) v) tau_hi^(1-p))^T
+        over the live columns, times pref, weights and geometry factor by rows."""
+        if self.dead or not samples:
+            return [0.0] * len(samples)
+        p = _kernel_exponent(kind, self.x.size)
+        live = self.decay.shape[1]
+        c = (self.grid.vw * np.exp((p - 1.0) * self.grid.vnodes))[:live] * self.tau_hi ** (1.0 - p)
+        W = self.decay @ (self.grid.interp[:, :live] * c).T
+        W *= (self.grid.pref * self.weights
+              * _geometry_factor(kind, self.diff, self.normals, nu_fixed))[:, None]
+        return [float(np.vdot(one, W)) for one in samples]
+
+    def apply(self, kinds, on_grid, nu_fixed):
+        """Potentials of a tuple of kinds of one exponent p from one time sum of
+        decay x ``on_grid`` x tau_hi^(1-p) e^((p-1) v), 0 when dead: the jump
+        ladder's order, whose offsets share ``on_grid``.  The product
+        overwrites the profile, which then serves no other sum."""
+        if self.dead:
+            return [0.0] * len(kinds)
+        p = _kernel_exponent(kinds[0], self.x.size)
+        live = self.decay.shape[1]
+        prod = np.multiply(on_grid[:, :live], self.decay, out=self.decay)
+        prod *= self.tau_hi ** (1.0 - p)
+        inner = prod @ (self.grid.vw * np.exp((p - 1.0) * self.grid.vnodes))[:live]
+        return [float(self.grid.pref * np.sum(
+            self.weights * _geometry_factor(kind, self.diff, self.normals, nu_fixed) * inner))
+            for kind in kinds]
 
 
 def _target_kernel(mesh, A, x, t, star, frame):
-    """The kernel of (x, t) on its own time grid, and the map of a density onto
-    that grid; on the graded rule if the ``WallFrame`` puts x near the wall."""
+    """The kernel of (x, t) on its own time grid, and the map of a density to
+    its samples on the graded rule if the ``WallFrame`` puts x near the wall."""
     graded = (_near_boundary_rule(mesh, x, _graded_depth(mesh.cs, abs(frame.gap)))
               if _near_wall(mesh, frame.distance) else None)
     kernel = _LateralKernel(mesh, A, x, t, star, graded)
-    grid = _TimeGrid(mesh, A, t, star, kernel.u0min)
-    return kernel.on(grid), lambda phi: _samples(mesh, phi, graded) @ grid.interp
+    kernel.on(_TimeGrid(mesh, A, t, star, kernel.u0min))
+    return kernel, lambda phi: _samples(mesh, phi, graded)
 
 
 def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False):
     x, t = _as_xt(target)
-    kernel, on_grid = _target_kernel(mesh, A, x, t, star, mesh.wall_frame((x, t)))
-    return kernel.apply(kind, on_grid(phi), nu_fixed)
+    kernel, samples = _target_kernel(mesh, A, x, t, star, mesh.wall_frame((x, t)))
+    return kernel.contract(kind, [samples(phi)], nu_fixed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +529,14 @@ def representation_at(mesh, A, densities, target, star=False, cap_rule=None):
     frame = mesh.wall_frame((x, t))
     if frame.location.kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
-    kernel, on_grid = _target_kernel(mesh, A, x, t, star, frame)
+    kernel, samples = _target_kernel(mesh, A, x, t, star, frame)
     caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, frame, cap_rule)
-    doubles = [kernel.apply("double", on_grid(trace)) for trace, _, _ in densities]
-    # a zero single layer leaves D - S = D bit for bit
-    singles = [0.0 if flux is None else kernel.apply("single", on_grid(flux))
-               for _, flux, _ in densities]
-    return [d - s + c for d, s, c in zip(doubles, singles, caps)]
+    doubles = kernel.contract("double", [samples(trace) for trace, _, _ in densities])
+    # a zero single layer leaves D - S = D bit for bit, and needs no contraction
+    fluxes = [samples(flux) for _, flux, _ in densities if flux is not None]
+    singles = iter(kernel.contract("single", fluxes))
+    return [d - (0.0 if flux is None else next(singles)) + c
+            for d, (_, flux, _), c in zip(doubles, densities, caps)]
 
 
 def representation_values(mesh, A, fields, which="H"):
@@ -536,7 +551,8 @@ def representation_values(mesh, A, fields, which="H"):
     ``conormal(points, times, normals)``, or ``conormal = None`` for zero
     flux (``ConstantField``).  The trace, flux and cap-trace densities and
     their cap rule are built once, here; the returned callable holds them and
-    no other state, and evaluates them all at a target through ``representation_at``.
+    no other state, and evaluates them all at a target through ``representation_at``:
+    one contraction per kernel kind there, then one dot product per lateral density.
     """
     if which not in ("H", "H*"):
         raise ValueError("which must be 'H' or 'H*'")
@@ -564,17 +580,16 @@ def representation_discrepancy(u_field, target, value, kind):
     return abs(value)
 
 
-def elliptic_gauss_identity(cs, A, x):
+def elliptic_gauss_identity(cs, A, x, rule=None):
     """Surface integral of minus the elliptic conormal kernel over the
     cross-section boundary (n >= 3).
 
     Equals 1 for x inside, 0 outside, and 1/2 on the surface, where the
-    weakly singular integrand is handled by a polar rule centred at x.
+    weakly singular integrand is handled by a polar rule centred at x; off it
+    by the sphere rule ``rule`` of ``elliptic_gauss_values``, or a new one.
     """
-    if cs.n < 3:
-        raise DimensionTooSmall("the surface identity needs n >= 3")
-    if cs.n != A.n:
-        raise DimensionMismatch("cross-section and operator dimensions differ")
+    if rule is None:
+        return elliptic_gauss_values(cs, A)(x)
     x = np.asarray(x, dtype=float).reshape(-1)
     if abs(cs.radial_gap(x)) <= 1e-9 * cs.radius_extremes()[1]:
         # on the surface: Gauss in the polar angle gam about x/|x|
@@ -582,12 +597,26 @@ def elliptic_gauss_identity(cs, A, x):
         sin = np.sin(gam)
         dirs, sphere_w = polar_rule(x / np.linalg.norm(x), (np.cos(gam), sin, wg * sin),
                                     _SURFACE_AZIMUTH)
-    else:
-        dirs, sphere_w = sphere_rule(_SURFACE_AZIMUTH)
+        pts, jac, inward = cs.surface_frame(dirs)
+        return float(np.sum(sphere_w * jac * -elliptic_conormal_kernel(A, x, pts, inward)))
+    terms, weights, inward, nu_y = rule
+    q = shell_qform(A, x, terms, np.ones(1))[0]  # q(x - y) at s = 1: one gemv
+    return float(np.sum(weights * (inward @ x - nu_y) / q ** (A.n / 2.0)))
 
+
+def elliptic_gauss_values(cs, A):
+    """``elliptic_gauss_identity`` on (cs, A) as a function of x, like ``representation_values``:
+    the off-surface rule is built here, per call, as the ``shell_terms`` rows of its points y,
+    the weights sphere_w jac / (omega sqrt|A|), the inward normals nu and <nu, y>."""
+    if cs.n < 3:
+        raise DimensionTooSmall("the surface identity needs n >= 3")
+    if cs.n != A.n:
+        raise DimensionMismatch("cross-section and operator dimensions differ")
+    dirs, sphere_w = sphere_rule(_SURFACE_AZIMUTH)
     pts, jac, inward = cs.surface_frame(dirs)
-    integrand = -elliptic_conormal_kernel(A, x, pts, inward)
-    return float(np.sum(sphere_w * jac * integrand))
+    weights = sphere_w * jac / (unit_sphere_area(A.n) * math.sqrt(A.det))
+    rule = (shell_terms(A, pts), weights, inward, np.einsum("ij,ij->i", inward, pts))
+    return functools.partial(elliptic_gauss_identity, cs, A, rule=rule)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +665,7 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     values, buffer = [], np.empty(on_grid.size)  # holds each offset's profile in turn
     lateral = tuple(_JUMP_KINDS[name] for name in kinds)  # one exponent, so one time sum
     for kernel in kernels:
-        values.append(kernel.on(grid, buffer).apply(lateral, on_grid, nu, into_profile=True))
+        values.append(kernel.on(grid, buffer).apply(lateral, on_grid, nu))
 
     phi0 = float(np.asarray(phi.generator(x0[None, :], np.array([t0]), nu[None, :]))[0])
     reports = []

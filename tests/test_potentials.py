@@ -8,10 +8,16 @@ from calorix import potentials
 from calorix.errors import (
     CornerTooClose,
     DimensionMismatch,
+    DimensionTooSmall,
     OffsetTooLarge,
     TargetOnBoundary,
 )
-from calorix.quadrature import composite_gauss, graded_edges_toward
+from calorix.quadrature import (
+    composite_gauss,
+    graded_edges_toward,
+    sphere_rule,
+    unit_sphere_area,
+)
 
 from conftest import (
     exterior_probes,
@@ -216,9 +222,11 @@ def _unsplit_apply(kernel, kind, samples, nu_fixed):
                                       ("ball_mesh", "I3")])
 @pytest.mark.parametrize("star", [False, True])
 def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
-    # one decay profile per target, with each kind's factor e^((p-1) v)
-    # folded into the v-weights: radial fractions 0.5 and 1.5 take the mesh
-    # rule, 0.97 and 1.03 the graded rule on n = 2 meshes
+    # one decay profile per target, contracted with each kind's v-weights,
+    # e^((p-1) v) and the barycentric matrix into the kernel at the rule's
+    # points x tnodes, then one dot product with the density's samples:
+    # radial fractions 0.5 and 1.5 take the mesh rule, 0.97 and 1.03 the
+    # graded rule on n = 2 meshes
     mesh = request.getfixturevalue(fix)
     A = request.getfixturevalue(mat)
     n = A.n
@@ -240,7 +248,7 @@ def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
         kernel.on(potentials._TimeGrid(mesh, A, t, star, kernel.u0min))
         assert not kernel.dead
         for kind in ("double", "single", "conormal_fixed"):
-            got = kernel.apply(kind, samples @ kernel.grid.interp, nu_fixed)
+            got = kernel.contract(kind, [samples], nu_fixed)[0]
             want = _unsplit_apply(kernel, kind, samples, nu_fixed)
             assert abs(got - want) <= 1e-13 * abs(want)
     assert graded_seen == (2 if n == 2 else 0)
@@ -294,19 +302,18 @@ def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
         for x in (foot + d * nu, foot - d * nu):
             frame = mesh.wall_frame((x, t))
             assert potentials._near_wall(mesh, frame.distance)
-            kernel, on_grid = potentials._target_kernel(mesh, B2, x, t, False, frame)
+            kernel, samples = potentials._target_kernel(mesh, B2, x, t, False, frame)
             depth = potentials._graded_depth(mesh.cs, abs(frame.gap)) + 8
             nodes, w = composite_gauss(
                 graded_edges_toward(math.atan2(x[1], x[0]), math.pi, depth), per)
             bp, jac, normals = mesh.cs.surface_frame(on_circle(nodes))
             refined = potentials._LateralKernel(mesh, B2, x, t, False, (bp, w * jac, normals))
             refined.on(potentials._TimeGrid(mesh, B2, t, False, refined.u0min))
-            ref_grid = potentials._samples(mesh, phi, (bp, w * jac, normals)) @ refined.grid.interp
-            # apply overwrites the density on the grid, so each call gets its own
-            got = (kernel.apply(("double", "conormal_fixed"), on_grid(phi), nu)
-                   + [kernel.apply("single", on_grid(phi))])
-            want = (refined.apply(("double", "conormal_fixed"), ref_grid.copy(), nu)
-                    + [refined.apply("single", ref_grid)])
+            ref_samples = potentials._samples(mesh, phi, (bp, w * jac, normals))
+            got = [kernel.contract(kind, [samples(phi)], nu)[0]
+                   for kind in ("double", "conormal_fixed", "single")]
+            want = [refined.contract(kind, [ref_samples], nu)[0]
+                    for kind in ("double", "conormal_fixed", "single")]
             worst = np.maximum(worst, np.abs(np.subtract(got, want)))
     assert np.all(worst <= _NEAR_WALL_BOUNDS[fix]), worst
 
@@ -421,8 +428,9 @@ def _star_mesh(A):
                                       ("ellipse_mesh_B", "B2"), ("star", "B2")])
 def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
     # the ladder lays one time grid out for the smallest u0 of its 18
-    # offsets; each value must agree with a kernel built for that offset
-    # alone, on its own grid and the same graded rule
+    # offsets and sums density first; each value must agree with the
+    # per-target contraction of a kernel built for that offset alone, on
+    # its own grid and the same graded rule
     A = request.getfixturevalue(mat)
     mesh = _star_mesh(A) if fix == "star" else request.getfixturevalue(fix)
     phi = smooth_density(mesh)
@@ -444,7 +452,7 @@ def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
             grid = potentials._TimeGrid(mesh, A, t0, False, kernel.u0min)
             kernel.on(grid)
             for rep, lateral in zip(reports, ("double", "conormal_fixed")):
-                want = kernel.apply(lateral, samples @ grid.interp, nu)
+                want = kernel.contract(lateral, [samples], nu)[0]
                 worst = max(worst, abs(getattr(rep, side)[i] - want) / abs(want))
     assert worst <= 1e-13
     # one kind at a time takes the same ladder, so the same floats
@@ -535,9 +543,9 @@ def test_jump_ladder_trims_columns_and_shares_one_time_sum(disk_mesh_B, B2, monk
         profiles.append((kernel.u0min, out.decay.shape[1], live, grid.vnodes.size))
         return out
 
-    def summed(kernel, kinds, on_grid, nu_fixed=None, into_profile=False):
-        sums.append((kinds, on_grid, on_grid.copy() if not sums else None, into_profile))
-        return apply(kernel, kinds, on_grid, nu_fixed, into_profile)
+    def summed(kernel, kinds, on_grid, nu_fixed=None):
+        sums.append((kinds, on_grid, on_grid.copy() if not sums else None))
+        return apply(kernel, kinds, on_grid, nu_fixed)
 
     monkeypatch.setattr(potentials._LateralKernel, "on", profiled)
     monkeypatch.setattr(potentials._LateralKernel, "apply", summed)
@@ -550,8 +558,8 @@ def test_jump_ladder_trims_columns_and_shares_one_time_sum(disk_mesh_B, B2, monk
     assert outermost[1] < 0.6 * outermost[3]
     assert len(sums) == 18
     shared, before = sums[0][1:3]
-    assert all(kinds == ("double", "conormal_fixed") and on_grid is shared and into_profile
-               for kinds, on_grid, _, into_profile in sums)
+    assert all(kinds == ("double", "conormal_fixed") and on_grid is shared
+               for kinds, on_grid, _ in sums)
     assert np.array_equal(shared, before)
 
 
@@ -934,6 +942,77 @@ def test_elliptic_identity(shape, mat, request):
         assert abs(cx.elliptic_gauss_identity(cs, A, 0.45 * r * d) - 1.0) < 1e-6
         assert abs(cx.elliptic_gauss_identity(cs, A, 1.6 * r * d)) < 1e-6
         assert abs(cx.elliptic_gauss_identity(cs, A, r * d) - 0.5) < 1e-3
+
+
+def _direct_elliptic_identity(cs, A, x, frame):
+    """The off-surface identity with the sphere rule's frame built and
+    <A^-1(x-y), x-y> formed directly, as before the rule was held, and the
+    roundoff bound of the held rule against it: each expanded q sums at most
+    n + 2 rounded terms of size <= (|x| + rho_max)^2 ||A^-1|| and each
+    <nu, x> - <nu, y> two of size <= |x| + rho_max, as in
+    ``shell_kernel_bound``, and a term w <nu, x-y> / q^(n/2) moves by n/2
+    times its relative error in q plus its error in <nu, x-y>."""
+    dirs, sphere_w = sphere_rule(potentials._SURFACE_AZIMUTH)
+    pts, jac, inward = frame(cs, dirs)
+    value = float(np.sum(sphere_w * jac * -cx.elliptic_conormal_kernel(A, x, pts, inward)))
+    q = A.qform_inv(x - pts)
+    num = np.einsum("ij,ij->i", inward, x - pts)
+    reach = np.linalg.norm(x) + cs.radius_extremes()[1]
+    dq = 32.0 * np.finfo(float).eps * reach ** 2 * np.linalg.norm(A.inv, 2)
+    dnum = 8.0 * np.finfo(float).eps * reach
+    w = sphere_w * jac / (unit_sphere_area(A.n) * math.sqrt(A.det))
+    bound = np.sum(w * q ** (-A.n / 2.0) * (A.n / 2.0 * np.abs(num) * dq / q + dnum))
+    return value, float(bound)
+
+
+@pytest.mark.parametrize("shape", ["ball", "ellipsoid"])
+@pytest.mark.parametrize("mat", ["I3", "C3"])
+def test_held_surface_rule_matches_the_direct_sum(shape, mat, request, monkeypatch):
+    # the held rule expands q(x - y) = q(x) - 2 <A^-1 y, x> + q(y), so it
+    # loses a few eps (|x| + rho_max)^2 ||A^-1|| of q to cancellation: within
+    # that bound everywhere, and within 1e-13 at the CLI's probe fractions
+    # and 1e-6 from the surface; at 0.99 to 1.01 the bound reaches 1e-9,
+    # where the fixed rule itself misses the identity by about 0.2
+    A = request.getfixturevalue(mat)
+    cs = cx.CrossSection.ball(1.0) if shape == "ball" else cx.CrossSection.ellipsoid(1.0, 0.5, 0.3)
+    frame = cx.CrossSection.surface_frame
+    frames = []
+
+    def counted(self, dirs):
+        frames.append(len(dirs))
+        return frame(self, dirs)
+
+    monkeypatch.setattr(cx.CrossSection, "surface_frame", counted)
+    gauss = cx.elliptic_gauss_values(cs, A)
+    assert frames == [sphere_rule(potentials._SURFACE_AZIMUTH)[0].shape[0]]
+    rng = np.random.default_rng(29)
+    for d in rng.normal(size=(3, 3)):
+        d /= np.linalg.norm(d)
+        r = float(cs.radius(d[None, :])[0])
+        for frac in (0.15, 0.8, 0.99, 0.999, 1.0 - 1e-6, 1.0 + 1e-6, 1.01, 1.3, 1.8):
+            got = gauss(frac * r * d)
+            want, bound = _direct_elliptic_identity(cs, A, frac * r * d, frame)
+            assert abs(got - want) <= bound, (frac, got - want, bound)
+            if frac not in (0.99, 0.999, 1.01):
+                assert abs(got - want) <= 1e-13, (frac, got - want)
+        assert len(frames) == 1
+        # a target on the surface keeps its own polar rule, and its floats
+        assert gauss(r * d) == cx.elliptic_gauss_identity(cs, A, r * d)
+        del frames[1:]
+    again = cx.elliptic_gauss_values(cs, A)
+    assert len(frames) == 2 and again.keywords["rule"] is not gauss.keywords["rule"]
+
+
+def test_surface_identity_refuses_before_building_a_rule(disk, I2, I3, monkeypatch):
+    frames = []
+    monkeypatch.setattr(cx.CrossSection, "surface_frame", lambda self, dirs: frames.append(dirs))
+    ball = cx.CrossSection.ball(1.0)
+    for error, cs, A in ((DimensionTooSmall, disk, I2), (DimensionMismatch, ball, I2)):
+        with pytest.raises(error):
+            cx.elliptic_gauss_values(cs, A)
+        with pytest.raises(error):
+            cx.elliptic_gauss_identity(cs, A, np.full(cs.n, 0.3))
+    assert frames == []
 
 
 # -- on-wall limits are averaged by the two-sided probe ---------------------
