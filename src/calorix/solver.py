@@ -19,8 +19,9 @@ a wall node to keep = min(D // 2 + 1, m_time) time modes, mode k of degree
 with Arnoldi, Brubeck, Nakatsukasa & Trefethen, SIAM Review 63, 2021) maps
 a cap shell to its dim(D) = 2D + 1 (n = 2) or (D + 1)^2 (n = 3) modes of
 degree <= D, and time mode k to dim(D - 2k).  Elsewhere, U is the identity.
-The system holds only the mapped rows, built from the basis at the boundary
-nodes (``assemble_system``), never the node rows, and maps each rhs itself.
+``assemble_system`` decides the maps once, one per row group, and the system
+holds only the mapped rows, built from the basis at the boundary nodes, never
+the node rows, and maps each rhs itself.
 """
 
 import math
@@ -123,7 +124,7 @@ class TrefftzSystem:
     and map right-hand sides."""
 
     def __init__(self, matrix, alphas, scales, weights, parity, *, time_modes, cap_rows,
-                 space_modes=None, mesh_fingerprint, a):
+                 row_maps, mesh_fingerprint, a):
         self.matrix = matrix
         self.alphas = alphas
         self.scales = scales
@@ -132,7 +133,7 @@ class TrefftzSystem:
         self.degree = max(sum(alpha) for alpha in alphas)
         self.time_modes = time_modes  # Q of the module docstring
         self.cap_rows = cap_rows  # the node rows of the cap; the wall's follow
-        self.space_modes = space_modes  # [U_cap, U_wall] of the module docstring; None: identity
+        self.row_maps = row_maps  # U_cap, then U_wall's columns for each kept time mode
         self.mesh_fingerprint, self.a = mesh_fingerprint, a  # what it was assembled for
         self._factored = None  # (rhs, R) of the last triangular() call
 
@@ -147,7 +148,7 @@ class TrefftzSystem:
             ncols = held.shape[1]
             buf = np.empty((ncols + 2 + min(_QR_BLOCK, len(held)), ncols + 1), order="F")
             top = 0  # the rows of the running R, kept at the top of buf
-            if rest is not None:  # the folded rest row goes first
+            if rest:  # the folded rest row, where it is not zero, goes first
                 buf[0, :-1], buf[0, -1], top = 0.0, rest, 1
             for lo in range(0, len(held), _QR_BLOCK):
                 end = top + len(held[lo:lo + _QR_BLOCK])
@@ -159,18 +160,13 @@ class TrefftzSystem:
         return self._factored[1]
 
     def _mapped_rhs(self, rhs):
-        """The rhs of the held rows, by the maps of the module docstring, and
-        the norm of what they leave out (None where they leave out nothing:
-        identity U and keep = m_time)."""
-        q, modes, cap = self.time_modes, self.space_modes, self.cap_rows
-        keep = min(self.degree // 2 + 1, len(q))
+        """The rhs of the held rows, by the row maps, and the norm of what
+        they leave out."""
+        q, maps, cap = self.time_modes, self.row_maps, self.cap_rows
+        keep = len(maps) - 1
         wall = rhs[cap:].reshape(-1, len(q)) @ q
-        if modes is None:
-            rest = np.linalg.norm(wall[:, keep:]) if keep < len(q) else None
-            return np.concatenate([rhs[:cap], wall[:, :keep].T.ravel()]), rest
-        groups = [(modes[0], b) for b in rhs[:cap].reshape(-1, len(wall))] + [
-            (modes[1][:, :_space_dim(len(self.alphas[0]), self.degree - 2 * k)], b)
-            for k, b in enumerate(wall[:, :keep].T)]
+        groups = [(maps[0], b) for b in rhs[:cap].reshape(-1, len(wall))] + list(
+            zip(maps[1:], wall[:, :keep].T))
         heads = [u.T @ b for u, b in groups]
         dropped = [np.linalg.norm(b - u @ h) for (u, b), h in zip(groups, heads)]
         return np.concatenate(heads), math.hypot(*dropped, np.linalg.norm(wall[:, keep:]))
@@ -237,6 +233,8 @@ def assemble_system(mesh, A, parity, degree):
     q, tri = np.linalg.qr(np.sqrt(mesh.tweights)[:, None]
                           * legvander(2.0 * mesh.tnodes / mesh.T - 1.0, m - 1))
     modes = _space_modes(mesh.bpoints, [mesh.cap_weights[:nb], mesh.bweights], degree)
+    maps = [np.eye(nb)] * (keep + 1) if modes is None else [modes[0]] + [
+        modes[1][:, :_space_dim(A.n, degree - 2 * k)] for k in range(keep)]
     g = gauss_legendre(keep, 0.0, mesh.T)[0]
     wq = tri[:keep, :keep] @ np.linalg.inv(legvander(2.0 * g / mesh.T - 1.0, keep - 1))
     first, lift = pts[:cap], np.ones((shells, 1, 1))  # the cap points evaluated; shell factors
@@ -248,27 +246,24 @@ def assemble_system(mesh, A, parity, degree):
                         np.concatenate([first, np.tile(mesh.bpoints, (keep, 1))]),
                         np.concatenate([ts[:len(first)], np.repeat(g, nb)])).T
     cols *= np.sqrt(np.concatenate([wts[:len(first)], np.tile(mesh.bweights, keep)]))
-    dims = [nb] * (shells + keep) if modes is None else [_space_dim(A.n, degree)] * shells \
-        + [_space_dim(A.n, degree - 2 * k) for k in range(keep)]
+    dims = [maps[0].shape[1]] * shells + [u.shape[1] for u in maps[1:]]
     ends = np.cumsum(dims)
     held = np.empty((len(alphas), ends[-1]))  # the rows, transposed
     for j in range(shells):
         if j == 0 or parity == "w":  # at t = 0, one shell serves all
-            head = cols[:, j * nb:(j + 1) * nb]
-            head = head if modes is None else head @ modes[0]
+            head = cols[:, j * nb:(j + 1) * nb] @ maps[0]
         held[:, ends[j] - dims[j]:ends[j]] = head * lift[j]
     wall = cols[:, len(first):].reshape(len(alphas), keep, nb)  # wall points: times, then nodes
     for lo in range(0, len(alphas), _SLAB):
         slab = np.matmul(wq, wall[lo:lo + _SLAB])  # columns x time modes x nodes
-        for k, (d, hi) in enumerate(zip(dims[shells:], ends[shells:])):
-            u = slab[:, k] if modes is None else slab[:, k] @ modes[1][:, :d]
-            held[lo:lo + _SLAB, hi - d:hi] = u
+        for k, (u, hi) in enumerate(zip(maps[1:], ends[shells:])):
+            held[lo:lo + _SLAB, hi - u.shape[1]:hi] = slab[:, k] @ u
     # take norms 32 columns at a time: no full-size temporary
     norms = [np.linalg.norm(held[i:i + 32], axis=1) for i in range(0, len(held), 32)]
     scales = np.maximum(1.0, np.concatenate(norms))
     held /= scales[:, None]
     return TrefftzSystem(held.T, alphas, scales, wts, parity, time_modes=q, cap_rows=cap,
-                         space_modes=modes, mesh_fingerprint=mesh.fingerprint(), a=A.a)
+                         row_maps=maps, mesh_fingerprint=mesh.fingerprint(), a=A.a)
 
 
 class CaloricApproximant:

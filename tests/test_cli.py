@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -267,6 +268,51 @@ def test_unmet_residual_target_exits_one(tmp_path, capsys):
     assert "task failed" in capsys.readouterr().err
     # artifacts still land on disk for post-mortem
     assert (tmp_path / "o" / "summary.json").exists()
+
+
+def _nan_on_second_call(fn, nan):
+    """fn, but its second call returns nan(the result) instead."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return nan(out) if len(calls) == 2 else out
+    return wrapper
+
+
+def _failing_checks(tmp_path, task, cfg):
+    assert run_cli(task, write_config(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    return [a["name"] for a in summary["assertions"] if not a["passed"]]
+
+
+def test_nan_elliptic_value_fails_its_check(tmp_path, monkeypatch):
+    # the second value is an interior target's; every check passes without it
+    gauss_values = cli.elliptic_gauss_values
+    monkeypatch.setattr(cli, "elliptic_gauss_values", lambda cs, A: _nan_on_second_call(
+        gauss_values(cs, A), lambda value: np.nan))
+    cfg = make_config("verify-identities",
+                      {"interior_probes": 2, "exterior_probes": 2, "tolerance": 1e-2,
+                       "surface_tolerance": 1e-2},
+                      n=3, geom={"kind": "ball", "params": {"radius": 1.0}, "T": 1.0},
+                      mesh=(8, 6, 4))
+    assert _failing_checks(tmp_path, "verify-identities", cfg) == ["elliptic-interior"]
+
+
+def test_nan_jump_fails_its_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "jump_probe", _nan_on_second_call(cli.jump_probe, lambda reports: [
+        dataclasses.replace(r, jump_estimate=np.nan) for r in reports]))
+    cfg = make_config("verify-jumps", {"probes": 2, "kinds": ["double"], "tolerance": 0.2},
+                      mesh=(48, 24, 12), T=1.0, seed=11)
+    assert _failing_checks(tmp_path, "verify-jumps", cfg) == ["jump-double"]
+
+
+def test_nan_kernel_error_fails_its_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "moment_identity_check", _nan_on_second_call(
+        cli.moment_identity_check, lambda err: np.nan))
+    cfg = make_config("verify-kernels", {"probes": 2}, mesh=(8, 4, 4))
+    assert _failing_checks(tmp_path, "verify-kernels", cfg) == ["mass"]
 
 
 # -- config rejection -------------------------------------------------------

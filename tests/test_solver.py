@@ -157,7 +157,7 @@ def test_rank_deficient_rung_takes_the_truncated_svd(solver_mesh, I2, monkeypatc
     system = solver.TrefftzSystem(base.matrix[:, order], [base.alphas[i] for i in order],
                                   base.scales[order], base.weights, "v",
                                   time_modes=base.time_modes, cap_rows=base.cap_rows,
-                                  space_modes=base.space_modes,
+                                  row_maps=base.row_maps,
                                   mesh_fingerprint=base.mesh_fingerprint, a=base.a)
     nodes = node_rows(solver_mesh, I2, system)
     data = exp_data(solver_mesh, I2)
@@ -260,7 +260,8 @@ def _tsqr_case(case):
     assert len(system.weights) == rows
     assert len(system.matrix) + (case != "wide") == factored
     assert system.time_modes.shape == (shape[1], shape[1])
-    assert (system.space_modes is None) == (case in IDENTITY_SPACE_MODES)
+    nb = mesh.n_boundary
+    assert (system.row_maps[0].shape == (nb, nb)) == (case in IDENTITY_SPACE_MODES)
     fld = cx.CaloricExponentialField(A, np.array([0.3, 0.4, -0.2][:A.n]), sign=+1)
     data = cx.BoundaryData.from_field(mesh, parity, fld)
     return system, node_rows(mesh, A, system), system.sqrt_weights * data.concatenated()
@@ -329,7 +330,8 @@ def test_ladder_rows_lie_in_their_spatial_modes(ladder, ladder_nodes):
     # a cap shell is a degree-12 polynomial on the sphere, (12 + 1)^2 = 169
     # modes, and wall time mode k one of degree 12 - 2k
     mesh, system, _ = ladder
-    u_cap, u_wall = system.space_modes
+    u_cap, u_wall = system.row_maps[:2]
+    assert len(system.row_maps) == 8
     biggest = np.max(np.abs(ladder_nodes))
     for u in (u_cap, u_wall):
         assert u.shape == (mesh.n_boundary, 169)
@@ -339,7 +341,8 @@ def test_ladder_rows_lie_in_their_spatial_modes(ladder, ladder_nodes):
     wall = ladder_nodes[system.cap_rows:].reshape(mesh.n_boundary, 16, -1)
     for k in range(7):
         mode = np.einsum("t,btc->bc", system.time_modes[:, k], wall)
-        u = u_wall[:, :(13 - 2 * k) ** 2]
+        u = system.row_maps[1 + k]
+        assert u.shape == (mesh.n_boundary, (13 - 2 * k) ** 2)
         assert np.max(np.abs(mode - u @ (u.T @ mode))) <= 1e-14 * biggest
 
 
@@ -422,7 +425,8 @@ def test_triangular_does_not_copy_the_matrix(solver_mesh, I2):
     for mesh, degree in [(solver_mesh, 12), (cx.build_mesh(star, I2, 0.5, 96, 48, 24), 12),
                          (cx.build_mesh(star, I2, 0.5, 1024, 8, 4), 14)]:
         system = cx.assemble_system(mesh, I2, "v", degree)
-        assert (system.space_modes is None) == (mesh is not solver_mesh)
+        nb = mesh.n_boundary
+        assert (system.row_maps[0].shape == (nb, nb)) == (mesh is not solver_mesh)
         assert len(system.weights) >= 4 * solver._QR_BLOCK
         rhs = system.sqrt_weights * exp_data(mesh, I2).concatenated()
         tracemalloc.start()
