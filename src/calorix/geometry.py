@@ -167,18 +167,12 @@ class CrossSection:
 
 @dataclass
 class Location:
-    """Classification of a space-time point against the closed cylinder."""
+    """A space-time point measured once against the closed cylinder: its
+    classification, the radial gap of x and the distance from x to the
+    nearest lateral mesh node (``CylinderMesh.locate``)."""
 
     kind: str  # 'interior' | 'exterior' | 'boundary'
-    region: str | None = None  # 'sigma1' | 'sigma2' | 'sigma3' for boundary points
-
-
-@dataclass
-class WallFrame:
-    """A point's location, the radial gap of x and the distance from x to the
-    nearest lateral mesh node (``CylinderMesh.wall_frame``), measured once."""
-
-    location: Location
+    region: str | None  # 'sigma1' | 'sigma2' | 'sigma3' for boundary points
     gap: float
     distance: float
 
@@ -280,51 +274,48 @@ class CylinderMesh:
     # -- point location ----------------------------------------------------
 
     def distance_to_wall(self, x):
-        """Euclidean distance from x to the discretized lateral boundary."""
+        """Euclidean distance from x to the nearest lateral mesh node."""
         d = np.linalg.norm(self.bpoints - np.asarray(x, dtype=float)[None, :], axis=1)
         return float(d.min())
 
-    def wall_frame(self, point):
-        x, t = _as_xt(point)
-        gap = self.cs.radial_gap(x)
-        return WallFrame(self._classify(gap, t), gap, self.distance_to_wall(x))
-
     def locate(self, point):
         x, t = _as_xt(point)
-        return self._classify(self.cs.radial_gap(x), t)
+        gap = self.cs.radial_gap(x)
+        return Location(*self._classify(gap, t), gap, self.distance_to_wall(x))
 
     def _classify(self, gap, t):
-        """Location of a point with radial gap ``gap`` at time t."""
+        """(kind, region) of a point with radial gap ``gap`` at time t."""
         tol = _BOUNDARY_TOL
         if t < -tol or t > self.T + tol or gap > tol:
-            return Location("exterior")
+            return "exterior", None
         if abs(gap) <= tol:
-            return Location("boundary", "sigma3")
+            return "boundary", "sigma3"
         # strictly inside the cross-section
         if abs(t) <= tol:
-            return Location("boundary", "sigma2")
+            return "boundary", "sigma2"
         if abs(t - self.T) <= tol:
-            return Location("boundary", "sigma1")
-        return Location("interior")
+            return "boundary", "sigma1"
+        return "interior", None
 
     def offset_point(self, lateral_flat_index, h):
         """Lateral node moved h along its inward unit normal (same time), as
         an (x, t) pair.
 
         h > 0 must land strictly inside, h < 0 strictly outside; anything
-        else (crossing the far wall, |h| beyond the diameter) raises
-        OffsetTooLarge.
+        else (crossing the far wall, |h| beyond the diameter or NaN) raises
+        OffsetTooLarge.  The point is classified by its radial gap alone: no
+        wall distance is measured.
         """
         b, k = self.lateral_index(lateral_flat_index)
-        if abs(h) > self.diameter:
-            raise OffsetTooLarge(f"offset {h} exceeds the domain diameter")
+        if not abs(h) <= self.diameter:
+            raise OffsetTooLarge(f"offset {h} is not within the domain diameter")
         x = self.bpoints[b] + float(h) * self.bnormals[b]
         t = float(self.tnodes[k])
-        loc = self.locate((x, t))
-        if h > 0 and loc.kind != "interior":
-            raise OffsetTooLarge(f"inward offset {h} leaves the cylinder ({loc.kind})")
-        if h < 0 and loc.kind != "exterior":
-            raise OffsetTooLarge(f"outward offset {h} fails to leave the cylinder ({loc.kind})")
+        kind, _ = self._classify(self.cs.radial_gap(x), t)
+        if h > 0 and kind != "interior":
+            raise OffsetTooLarge(f"inward offset {h} leaves the cylinder ({kind})")
+        if h < 0 and kind != "exterior":
+            raise OffsetTooLarge(f"outward offset {h} fails to leave the cylinder ({kind})")
         return x, t
 
 

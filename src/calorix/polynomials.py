@@ -20,7 +20,7 @@ is run two ways:
   dyadic, so both paths start from the same coefficients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,7 +79,6 @@ class CaloricPolynomial:
     terms: dict
     parity: str | None = None
     alpha: tuple | None = None
-    _compiled: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         clean = {}
@@ -142,22 +141,16 @@ class CaloricPolynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def _compile(self):
-        if self._compiled is None:
-            keys = sorted(self.terms)
-            betas = np.array([k[0] for k in keys], dtype=np.int64).reshape(len(keys), self.n)
-            ms = np.array([k[1] for k in keys], dtype=np.int64)
-            coeffs = np.array([float(self.terms[k]) for k in keys])
-            self._compiled = (betas, ms, coeffs)
-        return self._compiled
-
     def evaluate(self, points, times):
         """Float evaluation at points (m, n) with times (m,)."""
         x = np.atleast_2d(np.asarray(points, dtype=float))
         t = np.asarray(times, dtype=float).reshape(-1)
         if not self.terms:
             return np.zeros(x.shape[0])
-        betas, ms, coeffs = self._compile()
+        keys = sorted(self.terms)
+        betas = np.array([k[0] for k in keys], dtype=np.int64).reshape(len(keys), self.n)
+        ms = np.array([k[1] for k in keys], dtype=np.int64)
+        coeffs = np.array([float(self.terms[k]) for k in keys])
         max_b = betas.max(initial=0)
         max_m = ms.max(initial=0)
         # power tables: pow_x[j][d] = x_j^d over the batch

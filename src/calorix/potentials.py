@@ -10,7 +10,7 @@ as samples at its rule's points x ``mesh.tnodes`` and interpolated in time
 takes the nodal samples.  A closed-form generator serves only angular
 resampling, onto the graded rule (sampled once per rule), and the
 Gauss-Hermite rule of the caps.  Every lateral operator reaches a target by
-one path: the target's ``WallFrame`` picks the rule, and n = 2 targets within
+one path: the target's ``Location`` picks the rule, and n = 2 targets within
 a few angular spacings of the wall take the graded one, so there a density
 without a generator raises ValueError instead of taking the mesh rule.  That
 rule is graded toward the polar angle of the target (of the node, for a jump
@@ -33,7 +33,7 @@ This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
 kernel) come from ``core``, targets moved off a lateral node from
 ``CylinderMesh.offset_point``, a target's location, radial gap and wall
-distance from ``CylinderMesh.wall_frame``, and every rule (graded,
+distance from ``CylinderMesh.locate``, and every rule (graded,
 Gauss-Hermite, polar, sphere, tensor) from ``quadrature``, as unit
 directions for ``CrossSection.surface_frame``.
 """
@@ -388,11 +388,11 @@ class _LateralKernel:
             for kind in kinds]
 
 
-def _target_kernel(mesh, A, x, t, star, frame):
+def _target_kernel(mesh, A, x, t, star, loc):
     """The kernel of (x, t) on its own time grid, and the map of a density to
-    its samples on the graded rule if the ``WallFrame`` puts x near the wall."""
-    graded = (_near_boundary_rule(mesh, x, _graded_depth(mesh.cs, abs(frame.gap)))
-              if _near_wall(mesh, frame.distance) else None)
+    its samples on the graded rule if its ``Location`` ``loc`` puts x near the wall."""
+    graded = (_near_boundary_rule(mesh, x, _graded_depth(mesh.cs, abs(loc.gap)))
+              if _near_wall(mesh, loc.distance) else None)
     kernel = _LateralKernel(mesh, A, x, t, star, graded)
     kernel.on(_TimeGrid(mesh, A, t, star, kernel.u0min))
     return kernel, lambda phi: _samples(mesh, phi, graded)
@@ -400,7 +400,7 @@ def _target_kernel(mesh, A, x, t, star, frame):
 
 def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False):
     x, t = _as_xt(target)
-    kernel, samples = _target_kernel(mesh, A, x, t, star, mesh.wall_frame((x, t)))
+    kernel, samples = _target_kernel(mesh, A, x, t, star, mesh.locate((x, t)))
     return kernel.contract(kind, [samples(phi)], nu_fixed)[0]
 
 
@@ -452,19 +452,19 @@ def _cap_rule(mesh, A, phis):
     return shell_terms(A, mesh.bpoints), [mesh.cap_weights * phi.values for phi in phis]
 
 
-def _cap_values(mesh, A, phis, x, t, star, frame, rule=None):
+def _cap_values(mesh, A, phis, x, t, star, loc, rule=None):
     """Cap potentials at (x, t) of ``phis`` on one cap, on ``rule`` or a fresh ``_cap_rule``.
 
     Densities with a generator take the tensor Gauss-Hermite rule when the
-    Gaussian fits inside the cross-section, by the target's ``WallFrame``;
+    Gaussian fits inside the cross-section, by the target's ``Location`` ``loc``;
     the rest share one G at the cap points, from the shell kernel.
     """
     T = mesh.T
     w = (T - t) if star else t
     if w <= 0.0:
         return [0.0] * len(phis)
-    hermite = (any(phi.generator is not None for phi in phis) and frame.gap < 0.0
-               and 12.0 * math.sqrt(w * A.eig_max) <= frame.distance)
+    hermite = (any(phi.generator is not None for phi in phis) and loc.gap < 0.0
+               and 12.0 * math.sqrt(w * A.eig_max) <= loc.distance)
     if hermite:
         uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
         pts = x[None, :] + 2.0 * math.sqrt(w) * (uu @ A.chol.T)
@@ -488,7 +488,7 @@ def cap_potential(mesh, A, phi, target):
     if phi.region != "sigma2":
         raise DimensionMismatch("cap_potential needs a density on sigma2")
     x, t = _as_xt(target)
-    return _cap_values(mesh, A, [phi], x, t, False, mesh.wall_frame((x, t)))[0]
+    return _cap_values(mesh, A, [phi], x, t, False, mesh.locate((x, t)))[0]
 
 
 def cap_potential_star(mesh, A, phi, target):
@@ -497,7 +497,7 @@ def cap_potential_star(mesh, A, phi, target):
     if phi.region != "sigma1":
         raise DimensionMismatch("cap_potential_star needs a density on sigma1")
     x, t = _as_xt(target)
-    return _cap_values(mesh, A, [phi], x, t, True, mesh.wall_frame((x, t)))[0]
+    return _cap_values(mesh, A, [phi], x, t, True, mesh.locate((x, t)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +526,11 @@ def representation_at(mesh, A, densities, target, star=False, cap_rule=None):
     attributes the per-target work to this layer; the package does not export it.
     """
     x, t = _as_xt(target)
-    frame = mesh.wall_frame((x, t))
-    if frame.location.kind == "boundary":
+    loc = mesh.locate((x, t))
+    if loc.kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
-    kernel, samples = _target_kernel(mesh, A, x, t, star, frame)
-    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, frame, cap_rule)
+    kernel, samples = _target_kernel(mesh, A, x, t, star, loc)
+    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, loc, cap_rule)
     doubles = kernel.contract("double", [samples(trace) for trace, _, _ in densities])
     # a zero single layer leaves D - S = D bit for bit, and needs no contraction
     fluxes = [samples(flux) for _, flux, _ in densities if flux is not None]

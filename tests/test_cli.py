@@ -170,8 +170,9 @@ def test_identities_share_one_kernel_per_target(tmp_path, monkeypatch):
     # each target takes one barycentric matrix and one cap kernel per time
     # direction (u = 1 and u_H forward, u_H* adjoint), and the densities are
     # sampled once per run, however many targets there are; the mesh cap
-    # kernel is the shell expansion, and G at the cap points is never formed
-    calls = {"barycentric": 0, "cap kernel": 0, "direct G": 0, "density": 0}
+    # kernel is the shell expansion, and G at the cap points is never formed;
+    # each target is located once per direction
+    calls = {"barycentric": 0, "cap kernel": 0, "direct G": 0, "density": 0, "locate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -186,13 +187,15 @@ def test_identities_share_one_kernel_per_target(tmp_path, monkeypatch):
                         counted("cap kernel", potentials.shell_fundamental_solution))
     monkeypatch.setattr(potentials, "fundamental_solution",
                         counted("direct G", potentials.fundamental_solution))
+    monkeypatch.setattr(cx.CylinderMesh, "locate", counted("locate", cx.CylinderMesh.locate))
     monkeypatch.setattr(cx.DensityField, "from_function", classmethod(
         counted("density", vars(cx.DensityField)["from_function"].__func__)))
     shipped = pathlib.Path(__file__).parent.parent / "configs" / "verify_identities.json"
     cfg = json.loads(shipped.read_text())
     assert (cfg["task"]["interior_probes"], cfg["task"]["exterior_probes"]) == (20, 20)
     assert run_cli("verify-identities", str(shipped), "--out", str(tmp_path / "o")) == 0
-    assert calls == {"barycentric": 80, "cap kernel": 80, "direct G": 0, "density": 8}
+    assert calls == {"barycentric": 80, "cap kernel": 80, "direct G": 0, "density": 8,
+                     "locate": 80}
 
     cfg["task"].update(interior_probes=3, exterior_probes=2)
     calls.update(density=0)

@@ -258,7 +258,6 @@ TARGET_USERS = {
     "representation_discrepancy": lambda mesh, A, p: cx.representation_discrepancy(
         _exp_field(A), p, 0.5, "interior"),
     "CylinderMesh.locate": lambda mesh, A, p: mesh.locate(p),
-    "CylinderMesh.wall_frame": lambda mesh, A, p: mesh.wall_frame(p),
     "moment_identity_check": lambda mesh, A, p: cx.moment_identity_check(
         A, (1, 2), p, resolution=20),
 }

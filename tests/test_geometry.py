@@ -246,8 +246,9 @@ def test_offset_point_moves_along_normal(disk_mesh_I):
     assert t == disk_mesh_I.tnodes[k]
     assert disk_mesh_I.locate(inner).kind == "interior"
     assert disk_mesh_I.locate(outer).kind == "exterior"
-    with pytest.raises(OffsetTooLarge):
-        disk_mesh_I.offset_point(flat, 10.0)
+    for h in (10.0, math.nan):
+        with pytest.raises(OffsetTooLarge):
+            disk_mesh_I.offset_point(flat, h)
 
 
 def test_build_mesh_guards(disk, C3, I2):
@@ -335,11 +336,16 @@ def test_mesh_to_csv(tmp_path, disk_mesh_I):
     assert text.splitlines()[0].startswith("region")
 
 
-def test_wall_frame_measures_once_and_agrees_with_locate(disk_mesh_I):
-    for x, t in (((0.2, 0.1), 0.5), ((1.5, 0.0), 0.5), ((1.0, 0.0), 0.5),
-                 ((0.2, 0.1), 0.0), ((0.2, 0.1), disk_mesh_I.T), ((0.2, 0.1), -0.5)):
+def test_locate_measures_gap_and_distance_once(disk_mesh_I):
+    # one Location per target: its classification, the radial gap and the
+    # distance to the nearest lateral mesh node
+    for (x, t), kind, region in (
+            (((0.2, 0.1), 0.5), "interior", None), (((1.5, 0.0), 0.5), "exterior", None),
+            (((1.0, 0.0), 0.5), "boundary", "sigma3"), (((0.2, 0.1), 0.0), "boundary", "sigma2"),
+            (((0.2, 0.1), disk_mesh_I.T), "boundary", "sigma1"),
+            (((0.2, 0.1), -0.5), "exterior", None)):
         x = np.array(x)
-        frame = disk_mesh_I.wall_frame((x, t))
-        assert frame.location == disk_mesh_I.locate((x, t))
-        assert frame.gap == disk_mesh_I.cs.radial_gap(x)
-        assert frame.distance == disk_mesh_I.distance_to_wall(x)
+        loc = disk_mesh_I.locate((x, t))
+        assert (loc.kind, loc.region) == (kind, region)
+        assert loc.gap == disk_mesh_I.cs.radial_gap(x)
+        assert loc.distance == disk_mesh_I.distance_to_wall(x)

@@ -180,6 +180,18 @@ def test_evaluate_exact_at_rational_points(B2):
     assert f == pytest.approx(float(val), rel=1e-14)
 
 
+def test_evaluate_reads_the_current_terms(I2):
+    # evaluate builds its term arrays from ``terms`` on each call, so a term
+    # added after a first evaluation is seen, as by evaluate_exact
+    p = cx.caloric_poly(I2, (2, 0), "v")
+    x, t = (Fraction(1, 2), Fraction(1, 5)), Fraction(3, 10)
+    assert p.evaluate(np.array([[0.5, 0.2]]), np.array([0.3]))[0] == pytest.approx(0.85)
+    p.terms[((0, 0), 1)] = Fraction(5)
+    got = p.evaluate(np.array([[0.5, 0.2]]), np.array([0.3]))[0]
+    assert p.evaluate_exact(x, t) == Fraction(7, 4)
+    assert got == pytest.approx(float(p.evaluate_exact(x, t)), rel=1e-14)
+
+
 def test_algebra_and_differentiation(I2):
     p = cx.caloric_poly(I2, (2, 0))
     q = p.diff_x(0)          # 2 x1

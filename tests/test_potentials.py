@@ -300,10 +300,10 @@ def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
     worst = np.zeros(3)
     for foot, nu, d in zip(feet, inward, distances):
         for x in (foot + d * nu, foot - d * nu):
-            frame = mesh.wall_frame((x, t))
-            assert potentials._near_wall(mesh, frame.distance)
-            kernel, samples = potentials._target_kernel(mesh, B2, x, t, False, frame)
-            depth = potentials._graded_depth(mesh.cs, abs(frame.gap)) + 8
+            loc = mesh.locate((x, t))
+            assert potentials._near_wall(mesh, loc.distance)
+            kernel, samples = potentials._target_kernel(mesh, B2, x, t, False, loc)
+            depth = potentials._graded_depth(mesh.cs, abs(loc.gap)) + 8
             nodes, w = composite_gauss(
                 graded_edges_toward(math.atan2(x[1], x[0]), math.pi, depth), per)
             bp, jac, normals = mesh.cs.surface_frame(on_circle(nodes))
@@ -465,8 +465,9 @@ def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
 
 def test_jump_ladder_builds_one_rule_and_one_grid(disk_mesh_B, B2, monkeypatch):
     # both kinds at one node: one graded rule, one barycentric matrix, one
-    # decay profile per offset and two generator calls
-    calls = {"rule": 0, "barycentric": 0, "profile": 0, "generator": 0}
+    # decay profile per offset and two generator calls; the offsets are
+    # classified by their radial gap, so no wall node is scanned
+    calls = {"rule": 0, "barycentric": 0, "profile": 0, "generator": 0, "distance": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -485,12 +486,15 @@ def test_jump_ladder_builds_one_rule_and_one_grid(disk_mesh_B, B2, monkeypatch):
     monkeypatch.setattr(potentials, "_barycentric_matrix",
                         counted("barycentric", potentials._barycentric_matrix))
     monkeypatch.setattr(potentials._LateralKernel, "on", profiled)
+    monkeypatch.setattr(cx.CylinderMesh, "distance_to_wall",
+                        counted("distance", cx.CylinderMesh.distance_to_wall))
     base = smooth_density(disk_mesh_B)
     phi = cx.DensityField("sigma3", base.values, counted("generator", base.generator))
     K = disk_mesh_B.tnodes.shape[0]
     reports = cx.jump_probe(disk_mesh_B, B2, phi, 23 * K + K // 2, ("double", "conormal_single"))
     assert len(reports) == 2
-    assert calls == {"rule": 1, "barycentric": 1, "profile": 18, "generator": 2}
+    assert calls == {"rule": 1, "barycentric": 1, "profile": 18, "generator": 2,
+                     "distance": 0}
 
 
 @pytest.mark.parametrize("fix, mat", [("disk_mesh_I", "I2"), ("disk_mesh_B", "B2"),
@@ -812,7 +816,7 @@ def test_representation_values_match_the_per_layer_operators(fix, mat, which, re
 @pytest.mark.parametrize("which", ["H", "H*"])
 def test_representation_measures_the_wall_once_per_target(fix, mat, which, request,
                                                           monkeypatch):
-    # one wall frame per target: its location, the lateral rule switch and
+    # one Location per target: its kind, the lateral rule switch and
     # the Gauss-Hermite clearance of the cap all read one radial gap and
     # one wall distance
     mesh = request.getfixturevalue(fix)

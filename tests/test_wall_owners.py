@@ -1,0 +1,36 @@
+"""``geometry`` owns the measurement of a target against the wall:
+``CylinderMesh.locate`` returns its kind, region, radial gap and wall
+distance at once, so no other module under src/calorix calls
+``distance_to_wall``, and no module names a second wall measurement."""
+import pathlib
+import re
+
+import calorix
+
+WALL_DISTANCE = re.compile(r"\bdistance_to_wall\(")
+SECOND_MEASUREMENT = re.compile(r"\bwall_frame\b|\bWallFrame\b")
+
+
+def _hits(path, pattern):
+    return [f"{path.name}:{number}: {line.strip()}"
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+
+
+def test_patterns_catch_each_measurement():
+    assert WALL_DISTANCE.search("d = mesh.distance_to_wall(x)")
+    assert WALL_DISTANCE.search("    def distance_to_wall(self, x):")
+    assert not WALL_DISTANCE.search("loc.distance < _NEAR_FACTOR * spacing")
+    assert all(SECOND_MEASUREMENT.search(line) for line in
+               ["frame = mesh.wall_frame((x, t))", "class WallFrame:"])
+    assert not SECOND_MEASUREMENT.search("loc = mesh.locate((x, t))")
+    owner = (pathlib.Path(calorix.__file__).parent / "geometry.py").read_text()
+    assert len(WALL_DISTANCE.findall(owner)) == 2  # the method and its one call, in locate
+
+
+def test_only_geometry_measures_the_wall():
+    root = pathlib.Path(calorix.__file__).parent
+    paths = sorted(root.rglob("*.py"))
+    assert [hit for path in paths if path.name != "geometry.py"
+            for hit in _hits(path, WALL_DISTANCE)] == []
+    assert [hit for path in paths for hit in _hits(path, SECOND_MEASUREMENT)] == []
