@@ -453,6 +453,19 @@ def _task_verify_kernels(ctx, rep):
     rep.check("vanishes-nonpositive-time", dead == 0.0, f"max |G| at tau<=0 is {dead:g}")
 
 
+def _jump_density(mesh, c):
+    """The verify-jumps density of coefficients c: a trigonometric quadratic in the angle
+    times a quadratic in t, its nodal values (node b K + k) the factors' outer product."""
+    def angular(p):
+        th = np.arctan2(p[:, 1], p[:, 0])
+        return (c[0] + c[1] * np.cos(th) + c[2] * np.sin(th)
+                + c[3] * np.cos(2 * th) + c[4] * np.sin(2 * th))
+    def temporal(t):
+        return 1.0 + c[5] * t + c[6] * t * t
+    values = np.multiply.outer(angular(mesh.bpoints), temporal(mesh.tnodes)).reshape(-1)
+    return DensityField("sigma3", values, lambda p, t, nu: angular(p) * temporal(t))
+
+
 def _task_verify_jumps(ctx, rep):
     cfg = ctx.task_cfg
     if ctx.A.n != 2:
@@ -462,24 +475,13 @@ def _task_verify_jumps(ctx, rep):
     tol = cfg.get("tolerance", 1e-2)
     mesh, A = ctx.mesh, ctx.A
 
-    def random_density():
-        c = ctx.rng.normal(size=7)
-        def gen(p, t, nu):
-            th = np.arctan2(p[:, 1], p[:, 0])
-            ang = (c[0] + c[1] * np.cos(th) + c[2] * np.sin(th)
-                   + c[3] * np.cos(2 * th) + c[4] * np.sin(2 * th))
-            return ang * (1.0 + c[5] * t + c[6] * t * t)
-        return DensityField.from_function(mesh, "sigma3", gen)
-
     K = mesh.tnodes.shape[0]
-    time_ok = np.nonzero((mesh.tnodes > 0.1 * mesh.T)
-                         & (mesh.tnodes < 0.9 * mesh.T))[0]
+    time_ok = np.nonzero((mesh.tnodes > 0.1 * mesh.T) & (mesh.tnodes < 0.9 * mesh.T))[0]
 
-    jobs = []
-    attempts = 0
+    jobs, attempts = [], 0
     while len(jobs) < probes and attempts < 50 * probes:
         attempts += 1
-        phi = random_density()
+        phi = _jump_density(mesh, ctx.rng.normal(size=7))
         b = int(ctx.rng.integers(0, mesh.n_boundary))
         k = int(time_ok[ctx.rng.integers(0, time_ok.size)])
         node = b * K + k
@@ -489,9 +491,8 @@ def _task_verify_jumps(ctx, rep):
         jobs.append((phi, node))
     rows = [["probe", "kind", "jump", "predicted", "relative_error"]]
 
-    def run(job):
-        phi, node = job
-        return jump_probe(mesh, A, phi, node, tuple(kinds))
+    def run(job):  # (phi, node)
+        return jump_probe(mesh, A, *job, tuple(kinds))
 
     worst = {k: 0.0 for k in kinds}
     for i, reports in enumerate(ctx.parallel_map(run, jobs)):

@@ -302,13 +302,13 @@ class CylinderMesh:
         an (x, t) pair.
 
         h > 0 must land strictly inside, h < 0 strictly outside; anything
-        else (crossing the far wall, |h| beyond the diameter or NaN) raises
-        OffsetTooLarge.  The point is classified by its radial gap alone: no
-        wall distance is measured.
+        else (h = 0, crossing the far wall, |h| beyond the diameter or NaN)
+        raises OffsetTooLarge.  The point is classified by its radial gap
+        alone: no wall distance is measured.
         """
         b, k = self.lateral_index(lateral_flat_index)
-        if not abs(h) <= self.diameter:
-            raise OffsetTooLarge(f"offset {h} is not within the domain diameter")
+        if not 0.0 < abs(h) <= self.diameter:
+            raise OffsetTooLarge(f"offset {h} is zero or not within the domain diameter")
         x = self.bpoints[b] + float(h) * self.bnormals[b]
         t = float(self.tnodes[k])
         kind, _ = self._classify(self.cs.radial_gap(x), t)

@@ -25,7 +25,7 @@ of the lateral kernel (``_TimeGrid``: substituted time grid, barycentric
 matrix) serves the targets at one time on one rule, its space half
 (``_LateralKernel``: x - y, u0, one decay profile) one target.  A target builds
 both and its cap kernel once, and contracts the profile per kernel kind into
-one dot product per density.  A jump ladder's 18 offsets share one density on
+one dot product per density.  A jump ladder's 8 offsets share one density on
 one time grid instead, each summing only its live columns for all its kinds.
 The partition identity is the representation of u = 1.
 
@@ -73,10 +73,9 @@ _NEAR_FACTOR = 3.0
 # rule, trapezoid points in azimuth of both surface rules
 _SURFACE_POLAR = 64
 _SURFACE_AZIMUTH = 128
-# offset ladder of jump_probe (its docstring gives the values)
-_JUMP_LEVELS = 9
+# offset ladder of jump_probe: h0 2^-k for k in _JUMP_RUNGS, h0 = _JUMP_H0_FACTOR x diameter
 _JUMP_H0_FACTOR = 0.05
-_JUMP_RICHARDSON = 4
+_JUMP_RUNGS = range(5, 9)
 _JUMP_KINDS = {"double": "double", "conormal_single": "conormal_fixed"}  # -> lateral kind
 
 
@@ -162,7 +161,8 @@ class TranslatedKernelField:
 
 @dataclass
 class JumpProbeReport:
-    """Two-sided limit study of a lateral potential at one boundary node."""
+    """Two-sided limit study of a lateral potential at one boundary node: the
+    Richardson rungs (offsets, outermost first) and the values at them."""
 
     kind: str
     node_index: int
@@ -626,12 +626,13 @@ def elliptic_gauss_values(cs, A):
 def jump_probe(mesh, A, phi, node_index, kind="double"):
     """Approach a lateral node from both sides and extrapolate the limits.
 
-    Offsets are h0 * 2^-k, k = 0..8, along the interior normal with h0 = 0.05
-    times the domain diameter; the innermost 4 are extrapolated by
-    Richardson.  The two-sided difference of the Richardson limits
-    estimates the density jump: +phi for the double layer, -phi for the
-    conormal derivative of the single layer.  Nodes with times within 10% of
-    the corners are rejected, and so is n != 2: there is no graded rule
+    Offsets are h0 * 2^-k, k = 5..8, along the interior normal and against it,
+    with h0 = 0.05 times the domain diameter: 8 kernels, whose 4 values a side
+    (held in the report with the 4 offsets) Richardson extrapolates; one that
+    crosses the far wall raises OffsetTooLarge.  The two-sided difference of
+    the limits estimates the density jump: +phi for the double layer, -phi for
+    the conormal derivative of the single layer.  Nodes with times within 10%
+    of the corners are rejected, and so is n != 2: there is no graded rule
     toward a 3-D wall yet, and the mesh rule misses these limits.
 
     A tuple of kinds gives a tuple of reports from one ladder.  Its offsets
@@ -651,10 +652,9 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     t0 = float(mesh.tnodes[k])
     if not (0.1 * mesh.T < t0 < 0.9 * mesh.T):
         raise CornerTooClose(f"node time {t0} within 10% of the cylinder corners")
-    x0 = mesh.bpoints[b]
-    nu = mesh.bnormals[b]
+    x0, nu = mesh.bpoints[b], mesh.bnormals[b]
 
-    offsets = _JUMP_H0_FACTOR * mesh.diameter * 0.5 ** np.arange(_JUMP_LEVELS)
+    offsets = _JUMP_H0_FACTOR * mesh.diameter * 0.5 ** np.asarray(_JUMP_RUNGS)
 
     # one rule at every level keeps the h-expansion of the extrapolation smooth
     graded = _near_boundary_rule(mesh, x0, _graded_depth(mesh.cs, offsets[-1]))
@@ -662,16 +662,15 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
                for h in np.concatenate([offsets, -offsets])]
     grid = _TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
     on_grid = _samples(mesh, phi, graded) @ grid.interp
-    values, buffer = [], np.empty(on_grid.size)  # holds each offset's profile in turn
+    buffer = np.empty(on_grid.size)  # holds each offset's profile in turn
     lateral = tuple(_JUMP_KINDS[name] for name in kinds)  # one exponent, so one time sum
-    for kernel in kernels:
-        values.append(kernel.on(grid, buffer).apply(lateral, on_grid, nu))
+    values = [kernel.on(grid, buffer).apply(lateral, on_grid, nu) for kernel in kernels]
 
     phi0 = float(np.asarray(phi.generator(x0[None, :], np.array([t0]), nu[None, :]))[0])
     reports = []
     for name, column in zip(kinds, np.array(values).T):
-        vin, vex = column[:_JUMP_LEVELS], column[_JUMP_LEVELS:]
-        li, le = richardson(vin[-_JUMP_RICHARDSON:]), richardson(vex[-_JUMP_RICHARDSON:])
+        vin, vex = np.split(column, 2)
+        li, le = richardson(vin), richardson(vex)
         reports.append(JumpProbeReport(name, int(node_index), x0.copy(), t0, offsets, vin, vex,
                                        li, le, li - le, phi0 if name == "double" else -phi0))
     return reports[0] if isinstance(kind, str) else tuple(reports)

@@ -688,9 +688,9 @@ def test_non_utf8_file_exits_two(tmp_path, capsys, which):
 
 
 def test_jump_offset_leaving_a_thin_section_exits_two(tmp_path, capsys):
-    # the outermost jump offset is 0.05 of the diameter 2.4, so 0.12, and
-    # crosses an ellipse 0.08 thick
-    geom = {"kind": "ellipse", "params": {"a": 1.2, "b": 0.04}, "T": 0.5}
+    # the outermost jump offset is 0.05 / 32 of the diameter 2.4, so
+    # 0.00375, and crosses an ellipse 0.003 thick
+    geom = {"kind": "ellipse", "params": {"a": 1.2, "b": 0.0015}, "T": 0.5}
     cfg = make_config("verify-jumps", {"probes": 1}, geom=geom)
     assert run_cli("verify-jumps", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "o")) == 2
@@ -698,6 +698,60 @@ def test_jump_offset_leaving_a_thin_section_exits_two(tmp_path, capsys):
     assert "OffsetTooLarge" in err and "Traceback" not in err
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_jump_offsets_inside_a_thin_section_pass(tmp_path):
+    # an ellipse 0.08 thick holds every offset the probe places, up to
+    # 0.00375, though not 0.05 of the diameter
+    geom = {"kind": "ellipse", "params": {"a": 1.2, "b": 0.04}, "T": 0.5}
+    cfg = make_config("verify-jumps", {"probes": 1}, geom=geom)
+    assert run_cli("verify-jumps", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert [(a["name"], a["passed"]) for a in summary["assertions"]] == [
+        ("jump-double", True), ("jump-conormal_single", True)]
+
+
+def test_jumps_build_only_the_extrapolated_offsets(tmp_path, monkeypatch):
+    # each probe places the 8 offsets its Richardson limits read and samples
+    # its density's generator twice (on the graded rule and at the node); the
+    # densities are built from their two factors, never by from_function
+    calls = {"kernel": 0, "density": 0, "generator": 0, "probe": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def probe(mesh, A, phi, node, kinds):
+        calls["probe"] += 1
+        phi = cx.DensityField(phi.region, phi.values, counted("generator", phi.generator))
+        return jump_probe(mesh, A, phi, node, kinds)
+
+    potentials = sys.modules["calorix.potentials"]
+    monkeypatch.setattr(potentials._LateralKernel, "__init__",
+                        counted("kernel", potentials._LateralKernel.__init__))
+    monkeypatch.setattr(cx.DensityField, "from_function", classmethod(
+        counted("density", vars(cx.DensityField)["from_function"].__func__)))
+    jump_probe = cli.jump_probe
+    monkeypatch.setattr(cli, "jump_probe", probe)
+    shipped = pathlib.Path(__file__).parent.parent / "configs" / "verify_jumps.json"
+    assert json.loads(shipped.read_text())["task"]["probes"] == 10
+    assert run_cli("verify-jumps", str(shipped), "--out", str(tmp_path / "o")) == 0
+    assert calls == {"kernel": 80, "density": 0, "generator": 20, "probe": 10}
+
+
+@pytest.mark.parametrize("matrix", [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]])
+def test_jump_density_is_its_generator_at_the_nodes(matrix):
+    # the values are the outer product of the angular and time factors; they
+    # must be the generator's own samples at the lateral nodes, bit for bit
+    A = cx.make_coefficients(2, matrix)
+    mesh = cx.build_mesh(cx.CrossSection.disk(1.0), A, 1.0, 96, 48, 24)
+    for seed in range(50):
+        phi = cli._jump_density(mesh, np.random.default_rng(seed).normal(size=7))
+        sampled = cx.DensityField.from_function(mesh, "sigma3", phi.generator)
+        assert np.array_equal(phi.values, sampled.values), seed
 
 
 def test_traced_pass_runs_the_cli(tmp_path, monkeypatch):

@@ -246,7 +246,8 @@ def test_offset_point_moves_along_normal(disk_mesh_I):
     assert t == disk_mesh_I.tnodes[k]
     assert disk_mesh_I.locate(inner).kind == "interior"
     assert disk_mesh_I.locate(outer).kind == "exterior"
-    for h in (10.0, math.nan):
+    # h = 0 is the lateral node itself, on neither side of the wall
+    for h in (10.0, math.nan, 0.0, -0.0, 0):
         with pytest.raises(OffsetTooLarge):
             disk_mesh_I.offset_point(flat, h)
 

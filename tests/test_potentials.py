@@ -406,7 +406,7 @@ def test_jump_error_shrinks_under_probe_refinement(disk_mesh_I, I2):
                          ids=["double", "conormal_single", "both"])
 def test_jump_probe_samples_the_generator_once(disk_mesh_I, I2, kind):
     # one call samples the graded rule on its points x tnodes, shared by all
-    # 18 offsets and every kind, and one gives the density at the node
+    # 8 offsets and every kind, and one gives the density at the node
     base = smooth_density(disk_mesh_I)
     calls = []
 
@@ -427,7 +427,7 @@ def _star_mesh(A):
 @pytest.mark.parametrize("fix, mat", [("disk_mesh_I", "I2"), ("disk_mesh_B", "B2"),
                                       ("ellipse_mesh_B", "B2"), ("star", "B2")])
 def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
-    # the ladder lays one time grid out for the smallest u0 of its 18
+    # the ladder lays one time grid out for the smallest u0 of its 8
     # offsets and sums density first; each value must agree with the
     # per-target contraction of a kernel built for that offset alone, on
     # its own grid and the same graded rule
@@ -463,6 +463,38 @@ def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
         assert single.jump_estimate == rep.jump_estimate
 
 
+@pytest.mark.parametrize("fix, mat", [("disk_mesh_I", "I2"), ("disk_mesh_B", "B2"),
+                                      ("ellipse_mesh_B", "B2"), ("star", "B2")])
+def test_jump_ladder_is_the_inner_four_of_eighteen_offsets(fix, mat, request):
+    # the ladder once placed 18 offsets, h0 2^-k for k = 0..8 on each side,
+    # on one grid for the smallest u0 of all 18, and extrapolated only the
+    # innermost 4 a side; the 8 it places now give those floats exactly
+    A = request.getfixturevalue(mat)
+    mesh = _star_mesh(A) if fix == "star" else request.getfixturevalue(fix)
+    phi = smooth_density(mesh)
+    K = mesh.tnodes.shape[0]
+    b, k = mesh.n_boundary // 5, K // 2
+    node, t0, nu = b * K + k, float(mesh.tnodes[k]), mesh.bnormals[b]
+    offsets = potentials._JUMP_H0_FACTOR * mesh.diameter * 0.5 ** np.arange(9)
+    graded = potentials._near_boundary_rule(
+        mesh, mesh.bpoints[b], potentials._graded_depth(mesh.cs, offsets[-1]))
+    kernels = [potentials._LateralKernel(mesh, A, mesh.offset_point(node, h)[0], t0, False, graded)
+               for h in np.concatenate([offsets, -offsets])]
+    grid = potentials._TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
+    on_grid = potentials._samples(mesh, phi, graded) @ grid.interp
+    buffer = np.empty(on_grid.size)
+    kinds = ("double", "conormal_single")
+    full = np.array([kernel.on(grid, buffer).apply(("double", "conormal_fixed"), on_grid, nu)
+                     for kernel in kernels]).T
+    for rep, values in zip(cx.jump_probe(mesh, A, phi, node, kinds), full):
+        inner, outer = values[5:9], values[14:18]
+        assert np.array_equal(rep.offsets, offsets[5:])
+        assert np.array_equal(rep.interior_values, inner)
+        assert np.array_equal(rep.exterior_values, outer)
+        li, le = potentials.richardson(inner), potentials.richardson(outer)
+        assert (rep.interior_limit, rep.exterior_limit, rep.jump_estimate) == (li, le, li - le)
+
+
 def test_jump_ladder_builds_one_rule_and_one_grid(disk_mesh_B, B2, monkeypatch):
     # both kinds at one node: one graded rule, one barycentric matrix, one
     # decay profile per offset and two generator calls; the offsets are
@@ -493,7 +525,7 @@ def test_jump_ladder_builds_one_rule_and_one_grid(disk_mesh_B, B2, monkeypatch):
     K = disk_mesh_B.tnodes.shape[0]
     reports = cx.jump_probe(disk_mesh_B, B2, phi, 23 * K + K // 2, ("double", "conormal_single"))
     assert len(reports) == 2
-    assert calls == {"rule": 1, "barycentric": 1, "profile": 18, "generator": 2,
+    assert calls == {"rule": 1, "barycentric": 1, "profile": 8, "generator": 2,
                      "distance": 0}
 
 
@@ -556,11 +588,12 @@ def test_jump_ladder_trims_columns_and_shares_one_time_sum(disk_mesh_B, B2, monk
     K = disk_mesh_B.tnodes.shape[0]
     cx.jump_probe(disk_mesh_B, B2, smooth_density(disk_mesh_B), 23 * K + K // 2,
                   ("double", "conormal_single"))
-    assert len(profiles) == 18 and all(cols == live for _, cols, live, _ in profiles)
+    assert len(profiles) == 8 and all(cols == live for _, cols, live, _ in profiles)
     innermost, outermost = min(profiles), max(profiles)
     assert innermost[1] == innermost[3]
-    assert outermost[1] < 0.6 * outermost[3]
-    assert len(sums) == 18
+    # the outermost offset, h0 / 32, keeps 167 of the 210 columns here
+    assert outermost[1] < outermost[3]
+    assert len(sums) == 8
     shared, before = sums[0][1:3]
     assert all(kinds == ("double", "conormal_fixed") and on_grid is shared
                for kinds, on_grid, _ in sums)
@@ -573,7 +606,7 @@ def test_decay_profile_zeroes_exponents_below_the_floor(disk_mesh_B, B2):
     mesh = disk_mesh_B
     K = mesh.tnodes.shape[0]
     t0 = float(mesh.tnodes[K // 2])
-    h = potentials._JUMP_H0_FACTOR * mesh.diameter * 0.5 ** (potentials._JUMP_LEVELS - 1)
+    h = potentials._JUMP_H0_FACTOR * mesh.diameter * 0.5 ** potentials._JUMP_RUNGS[-1]
     x = mesh.offset_point(23 * K + K // 2, h)[0]
     graded = potentials._near_boundary_rule(mesh, x, depth=potentials._graded_depth(mesh.cs, h))
     kernel = potentials._LateralKernel(mesh, B2, x, t0, False, graded)
@@ -648,6 +681,16 @@ def test_conormal_single_layer_rejects_offset_beyond_diameter(disk_mesh_I, I2):
     for offset in (h, -h):
         with pytest.raises(OffsetTooLarge):
             cx.conormal_derivative_single_layer(disk_mesh_I, I2, phi, 3 * K + K // 2, offset)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0])
+def test_conormal_single_layer_refuses_a_zero_offset(disk_mesh_I, I2, h):
+    # the node itself is refused by offset_point before any kernel would
+    # find the target on the boundary
+    phi = smooth_density(disk_mesh_I)
+    K = disk_mesh_I.tnodes.shape[0]
+    with pytest.raises(OffsetTooLarge):
+        cx.conormal_derivative_single_layer(disk_mesh_I, I2, phi, 3 * K + K // 2, h)
 
 
 def test_jump_probe_needs_generator(disk_mesh_I, I2):
