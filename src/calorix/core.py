@@ -57,19 +57,8 @@ class CoefficientMatrix:
         self.inv.setflags(write=False)
 
     def qform_inv(self, z):
-        """<A^-1 z, z> over the last axis of z, as (z_i inv_ij) z_j summed
-        i-major in place into one buffer, over contiguous copies of the
-        components."""
-        z = np.asarray(z, dtype=float)
-        comps = [z[..., i].copy() for i in range(self.n)]
-        out = np.zeros(z.shape[:-1])
-        term = np.empty_like(out)
-        for i, zi in enumerate(comps):
-            for j, zj in enumerate(comps):
-                np.multiply(zi, self.inv[i, j], out=term)
-                term *= zj
-                out += term
-        return out[()]
+        """<A^-1 z, z> over the last axis of z: one product z A^-1, one row-wise dot with z."""
+        return np.einsum("...i,...i->...", z @ self.inv, z)
 
     @cached_property
     def entries_exact(self):

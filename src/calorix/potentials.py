@@ -25,9 +25,9 @@ of the lateral kernel (``_TimeGrid``: substituted time grid, barycentric
 matrix) serves the targets at one time on one rule, its space half
 (``_LateralKernel``: x - y, u0, one decay profile) one target.  A target builds
 both and its cap kernel once, and contracts the profile per kernel kind into
-one dot product per density.  A jump ladder's 8 offsets share one density on
-one time grid instead, each summing only its live columns for all its kinds.
-The partition identity is the representation of u = 1.
+one dot product per density, in the time basis they span (``_time_factors``).  A
+jump ladder's 8 offsets share one density on one time grid, each summing only its
+live columns for all its kinds.  The partition identity represents u = 1.
 
 This module composes; it owns no kernel, node offset or quadrature rule.
 Pointwise kernels (G, its conormal derivatives, the elliptic conormal
@@ -54,7 +54,8 @@ from .core import (
     shell_qform,
     shell_terms,
 )
-from .errors import CornerTooClose, DimensionMismatch, DimensionTooSmall, TargetOnBoundary
+from .errors import (CornerTooClose, DegenerateData, DimensionMismatch, DimensionTooSmall,
+                     TargetOnBoundary)
 from .quadrature import (
     composite_gauss,
     gauss_hermite,
@@ -83,7 +84,7 @@ _JUMP_KINDS = {"double": "double", "conormal_single": "conormal_fixed"}  # -> la
 class DensityField:
     """Density on one boundary region: samples at the region's nodes plus an
     optional closed-form generator (points, times, normals) -> values used for
-    resampling on refined rules."""
+    resampling on refined rules; ``from_function`` refuses non-finite samples."""
 
     region: str
     values: np.ndarray
@@ -95,6 +96,8 @@ class DensityField:
         pts, ts = ((mesh.lateral_points(), mesh.lateral_times()) if wall
                    else mesh.region_nodes(region)[:2])
         vals = np.asarray(fn(pts, ts, mesh.lateral_normals() if wall else None), dtype=float)
+        if not np.isfinite(vals).all():  # a shared time basis would spread it to other densities
+            raise DegenerateData(f"{region}: the sampled density is not finite")
         return cls(region, vals, fn)
 
     @classmethod
@@ -256,6 +259,34 @@ def _samples(mesh, phi, graded):
     return np.asarray(samples, dtype=float).reshape(bp.shape[0], K)
 
 
+def _time_factors(mesh, phis, graded=None):
+    """Densities ``phis`` as (B, blocks), samples ~ block @ B.T.  On the mesh rule B (K x r) is an
+    orthonormal time basis of their samples: row-pivoted Gram-Schmidt, re-orthogonalised, on their
+    stack at unit norms until the rest is at most max(shape) eps max |stack q| over the pivots q, so
+    r >= numpy's matrix_rank and each density drops at most max(shape) eps sqrt(len(phis)) of its
+    norm.  The graded rule and a rank with r (N + K) >= N K take the nodal B, None."""
+    samples = [_samples(mesh, phi, graded) for phi in phis]
+    if graded is not None or not samples:
+        return None, samples
+    N, K = samples[0].shape
+    peaks = (s / (np.abs(s).max() or 1.0) for s in samples)  # their squares cannot overflow
+    rest = np.concatenate([u / (np.linalg.norm(u) or 1.0) for u in peaks])
+    cut, sigma, basis = max(rest.shape) * np.finfo(float).eps, 0.0, np.empty((K, 0))
+    while basis.shape[1] * (N + K) < N * K:
+        sq = np.einsum("ij,ij->i", rest, rest)
+        if math.sqrt(sq.sum()) <= cut * sigma:
+            return basis, [s @ basis for s in samples]
+        q = rest[np.argmax(sq)]
+        for _ in range(2):
+            q = q - basis @ (basis.T @ q)
+        q /= np.linalg.norm(q)
+        coef = rest @ q
+        sigma = max(sigma, float(np.linalg.norm(coef)))
+        rest -= np.multiply.outer(coef, q)
+        basis = np.column_stack([basis, q])
+    return None, samples
+
+
 @functools.lru_cache(maxsize=16)
 def _barycentric_weights(node_bytes):
     """Barycentric weights of the float64 nodes packed in ``node_bytes``,
@@ -357,19 +388,20 @@ class _LateralKernel:
             self.decay[dead] = 0.0
         return self
 
-    def contract(self, kind, samples, nu_fixed=None):
-        """Potentials of ``kind`` of densities ``samples`` at the rule's points x tnodes,
-        0 when dead: vdot(samples, W) with W = decay @ (interp vw e^((p-1) v) tau_hi^(1-p))^T
-        over the live columns, times pref, weights and geometry factor by rows."""
-        if self.dead or not samples:
-            return [0.0] * len(samples)
+    def contract(self, kind, blocks, nu_fixed=None, basis=None):
+        """Potentials of ``kind`` of densities block @ basis.T (``_time_factors``; None: the
+        identity), 0 when dead: vdot(block, W), W = decay @ (interp vw e^((p-1) v)
+        tau_hi^(1-p))^T @ basis over the live columns, times pref, weights and geometry factor."""
+        if self.dead or not blocks:
+            return [0.0] * len(blocks)
         p = _kernel_exponent(kind, self.x.size)
         live = self.decay.shape[1]
         c = (self.grid.vw * np.exp((p - 1.0) * self.grid.vnodes))[:live] * self.tau_hi ** (1.0 - p)
-        W = self.decay @ (self.grid.interp[:, :live] * c).T
+        right = (self.grid.interp[:, :live] * c).T
+        W = self.decay @ (right if basis is None else right @ basis)
         W *= (self.grid.pref * self.weights
               * _geometry_factor(kind, self.diff, self.normals, nu_fixed))[:, None]
-        return [float(np.vdot(one, W)) for one in samples]
+        return [float(np.vdot(one, W)) for one in blocks]
 
     def apply(self, kinds, on_grid, nu_fixed):
         """Potentials of a tuple of kinds of one exponent p from one time sum of
@@ -389,19 +421,19 @@ class _LateralKernel:
 
 
 def _target_kernel(mesh, A, x, t, star, loc):
-    """The kernel of (x, t) on its own time grid, and the map of a density to
-    its samples on the graded rule if its ``Location`` ``loc`` puts x near the wall."""
+    """The kernel of (x, t) on its own time grid, and its rule: the graded one
+    if its ``Location`` ``loc`` puts x near the wall, else None (the mesh rule)."""
     graded = (_near_boundary_rule(mesh, x, _graded_depth(mesh.cs, abs(loc.gap)))
               if _near_wall(mesh, loc.distance) else None)
     kernel = _LateralKernel(mesh, A, x, t, star, graded)
     kernel.on(_TimeGrid(mesh, A, t, star, kernel.u0min))
-    return kernel, lambda phi: _samples(mesh, phi, graded)
+    return kernel, graded
 
 
 def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False):
     x, t = _as_xt(target)
-    kernel, samples = _target_kernel(mesh, A, x, t, star, mesh.locate((x, t)))
-    return kernel.contract(kind, [samples(phi)], nu_fixed)[0]
+    kernel, graded = _target_kernel(mesh, A, x, t, star, mesh.locate((x, t)))
+    return kernel.contract(kind, [_samples(mesh, phi, graded)], nu_fixed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -514,27 +546,30 @@ class ConstantField:
         return np.ones(np.atleast_2d(points).shape[0])
 
 
-def representation_at(mesh, A, densities, target, star=False, cap_rule=None):
+def representation_at(mesh, A, densities, target, star=False, cap_rule=None, factors=None):
     """Layer representation D[u] - S[f] + C[u] at one target, for each
     (trace, flux, cap) density triple from ``representation_values``; flux
     None stands for zero flux and adds no single layer.
 
-    All lateral densities share one lateral kernel, on the graded rule when
-    the target is near the wall (each density then needs a generator), and
-    all cap densities one cap kernel, on ``cap_rule`` if given.  Raises
-    TargetOnBoundary for a boundary target.  Public so that a traced run
-    attributes the per-target work to this layer; the package does not export it.
+    All lateral densities share one lateral kernel: near the wall on the graded rule in the
+    nodal basis (each density then needs a generator), else in ``factors``, the traces' and
+    fluxes' ``_time_factors`` (built here if None).  All cap densities share one cap kernel, on
+    ``cap_rule`` if given.  Raises TargetOnBoundary for a boundary target.  Public (not
+    exported) so that a traced run attributes the per-target work to this layer.
     """
     x, t = _as_xt(target)
     loc = mesh.locate((x, t))
     if loc.kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
-    kernel, samples = _target_kernel(mesh, A, x, t, star, loc)
+    kernel, graded = _target_kernel(mesh, A, x, t, star, loc)
     caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, loc, cap_rule)
-    doubles = kernel.contract("double", [samples(trace) for trace, _, _ in densities])
+    if graded is not None or factors is None:
+        factors = [_time_factors(mesh, [d[k] for d in densities if d[k] is not None], graded)
+                   for k in (0, 1)]  # the traces, then the fluxes
+    (trace_basis, traces), (flux_basis, fluxes) = factors
+    doubles = kernel.contract("double", traces, basis=trace_basis)
     # a zero single layer leaves D - S = D bit for bit, and needs no contraction
-    fluxes = [samples(flux) for _, flux, _ in densities if flux is not None]
-    singles = iter(kernel.contract("single", fluxes))
+    singles = iter(kernel.contract("single", fluxes, basis=flux_basis))
     return [d - (0.0 if flux is None else next(singles)) + c
             for d, (_, flux, _), c in zip(doubles, densities, caps)]
 
@@ -549,10 +584,10 @@ def representation_values(mesh, A, fields, which="H"):
     top-cap term vanishes).  which='H*' mirrors this with the adjoint
     operators and the top cap.  A field has ``value(points, times)`` and
     ``conormal(points, times, normals)``, or ``conormal = None`` for zero
-    flux (``ConstantField``).  The trace, flux and cap-trace densities and
-    their cap rule are built once, here; the returned callable holds them and
-    no other state, and evaluates them all at a target through ``representation_at``:
-    one contraction per kernel kind there, then one dot product per lateral density.
+    flux (``ConstantField``).  The trace, flux and cap-trace densities (DegenerateData if
+    not finite), their time factors and cap rule are built once, here; the returned callable
+    holds them and no other state, and evaluates them all at a target through
+    ``representation_at``: one contraction per kernel kind, then one dot product per density.
     """
     if which not in ("H", "H*"):
         raise ValueError("which must be 'H' or 'H*'")
@@ -566,7 +601,8 @@ def representation_values(mesh, A, fields, which="H"):
                 else DensityField.from_function(mesh, "sigma3", u.conormal))
         cap = DensityField.from_function(mesh, "sigma1" if star else "sigma2", value)
         densities.append((trace, flux, cap))
-    return functools.partial(representation_at, mesh, A, densities, star=star,
+    factors = [_time_factors(mesh, [d[k] for d in densities if d[k] is not None]) for k in (0, 1)]
+    return functools.partial(representation_at, mesh, A, densities, star=star, factors=factors,
                              cap_rule=_cap_rule(mesh, A, [cap for _, _, cap in densities]))
 
 

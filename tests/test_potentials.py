@@ -7,6 +7,7 @@ import calorix as cx
 from calorix import potentials
 from calorix.errors import (
     CornerTooClose,
+    DegenerateData,
     DimensionMismatch,
     DimensionTooSmall,
     OffsetTooLarge,
@@ -302,7 +303,7 @@ def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
         for x in (foot + d * nu, foot - d * nu):
             loc = mesh.locate((x, t))
             assert potentials._near_wall(mesh, loc.distance)
-            kernel, samples = potentials._target_kernel(mesh, B2, x, t, False, loc)
+            kernel, graded = potentials._target_kernel(mesh, B2, x, t, False, loc)
             depth = potentials._graded_depth(mesh.cs, abs(loc.gap)) + 8
             nodes, w = composite_gauss(
                 graded_edges_toward(math.atan2(x[1], x[0]), math.pi, depth), per)
@@ -310,7 +311,7 @@ def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
             refined = potentials._LateralKernel(mesh, B2, x, t, False, (bp, w * jac, normals))
             refined.on(potentials._TimeGrid(mesh, B2, t, False, refined.u0min))
             ref_samples = potentials._samples(mesh, phi, (bp, w * jac, normals))
-            got = [kernel.contract(kind, [samples(phi)], nu)[0]
+            got = [kernel.contract(kind, [potentials._samples(mesh, phi, graded)], nu)[0]
                    for kind in ("double", "conormal_fixed", "single")]
             want = [refined.contract(kind, [ref_samples], nu)[0]
                     for kind in ("double", "conormal_fixed", "single")]
@@ -809,9 +810,13 @@ def test_representation_check_keeps_no_state_between_targets(fix, mat, request):
 @pytest.mark.parametrize("fix, mat", [("ellipse_mesh_B", "B2"), ("ball_mesh", "I3")])
 @pytest.mark.parametrize("which", ["H", "H*"])
 def test_representation_values_match_the_per_layer_operators(fix, mat, which, request):
-    # the densities at one target share one lateral and one cap kernel, and
-    # that sharing must not move a bit; radial fractions 0.97 and 1.03 put
-    # n = 2 targets on the graded near-wall rule
+    # the densities at one target share one lateral and one cap kernel.  On
+    # the graded near-wall rule (radial fractions 0.97 and 1.03, n = 2) they
+    # keep the nodal time basis, and the sharing must not move a bit; on the
+    # mesh rule each kind contracts in its densities' time basis, which drops
+    # at most the rank cut max(shape) eps = len(fields) N eps of each density
+    # (``_time_factors``), so the value moves by at most that many eps of
+    # |D| + |S| + |C|
     mesh = request.getfixturevalue(fix)
     A = request.getfixturevalue(mat)
     star = which == "H*"
@@ -834,15 +839,24 @@ def test_representation_values_match_the_per_layer_operators(fix, mat, which, re
                None if u.conormal is None else sampled("sigma3", u.conormal),
                sampled(cap_region, lambda p, s, nu, u=u: u.value(p, s))) for u in fields]
     ones = (unit_density(mesh, "sigma3"), unit_density(mesh, cap_region))
+    cut = len(fields) * mesh.n_boundary * np.finfo(float).eps
+
+    def matches(value, d, s, c, graded):
+        expect = d - s + c
+        if graded:
+            return value == expect
+        return abs(value - expect) <= cut * (abs(d) + abs(s) + abs(c))
+
     for target in targets:
         got = values(target)
         assert len(got) == len(fields)
+        graded = potentials._near_wall(mesh, mesh.locate(target).distance)
         for value, (trace, flux, top_or_bottom) in zip(got, layers):
-            expect = double(mesh, A, trace, target)
-            if flux is not None:
-                expect = expect - single(mesh, A, flux, target)
-            assert value == expect + cap(mesh, A, top_or_bottom, target)
-        assert got[0] == double(mesh, A, ones[0], target) + cap(mesh, A, ones[1], target)
+            s = 0.0 if flux is None else single(mesh, A, flux, target)
+            assert matches(value, double(mesh, A, trace, target), s,
+                           cap(mesh, A, top_or_bottom, target), graded)
+        assert matches(got[0], double(mesh, A, ones[0], target), 0.0,
+                       cap(mesh, A, ones[1], target), graded)
     for on_wall in ((rim, 0.5), (mesh.bpoints[3], 0.5), (0.5 * rim, 0.0), (0.5 * rim, mesh.T)):
         with pytest.raises(TargetOnBoundary):
             values(on_wall)
@@ -853,6 +867,106 @@ def test_representation_values_match_the_per_layer_operators(fix, mat, which, re
         with pytest.raises(ValueError, match="generator"):
             potentials.representation_at(mesh, A, [(bare, None, layers[0][2])], targets[1],
                                          star=star)
+
+
+def _lateral_densities(mesh, field):
+    """The trace and the flux of ``field`` on the wall, as the layer
+    representation samples them."""
+    return (cx.DensityField.from_function(mesh, "sigma3", lambda p, s, nu: field.value(p, s)),
+            cx.DensityField.from_function(mesh, "sigma3", field.conormal))
+
+
+@pytest.mark.parametrize("fix, mat", [("disk_mesh_B", "B2"), ("ball_mesh", "I3")])
+def test_time_basis_spans_the_identity_densities_at_their_rank(fix, mat, request):
+    # the traces of u = 1 and u_H span two time functions, 1 and e^(rate t);
+    # the flux of u_H and the trace and flux of u_H* one each.  The basis
+    # has numpy's rank at numpy's default cut, is orthonormal, and drops at
+    # most max(shape) eps sqrt(m) of each of the m densities
+    mesh = request.getfixturevalue(fix)
+    A = request.getfixturevalue(mat)
+    xi = np.array([0.4, -0.3, 0.2][:A.n])
+    h_trace, h_flux = _lateral_densities(mesh, cx.CaloricExponentialField(A, xi, sign=+1))
+    star_trace, star_flux = _lateral_densities(mesh, cx.CaloricExponentialField(A, xi, sign=-1))
+    one = cx.DensityField.from_function(mesh, "sigma3", lambda p, s, nu: np.ones(len(s)))
+    eps = np.finfo(float).eps
+    for phis, rank in (([one, h_trace], 2), ([h_flux], 1), ([star_trace], 1), ([star_flux], 1)):
+        basis, blocks = potentials._time_factors(mesh, phis)
+        samples = [phi.values.reshape(mesh.n_boundary, -1) for phi in phis]
+        stack = np.concatenate([s / np.linalg.norm(s) for s in samples])
+        assert basis.shape == (mesh.tnodes.size, rank)
+        assert rank == np.linalg.matrix_rank(stack)
+        assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 4 * eps
+        for s, block in zip(samples, blocks):
+            assert np.array_equal(block, s @ basis)
+            dropped = np.linalg.norm(s - block @ basis.T)
+            assert dropped <= max(stack.shape) * eps * math.sqrt(len(phis)) * np.linalg.norm(s)
+
+
+def test_time_basis_of_a_density_whose_squares_overflow(disk_mesh_B, B2):
+    # a finite density near 1e160 has an infinite sum of squares; scaled by
+    # its norm alone it would read as zero and drop out of the basis
+    mesh = disk_mesh_B
+    trace, _ = _lateral_densities(mesh, cx.CaloricExponentialField(B2, np.array([0.4, -0.3])))
+    huge = cx.DensityField("sigma3", 1e160 * trace.values, None)
+    basis, (block,) = potentials._time_factors(mesh, [huge])
+    assert basis.shape == (mesh.tnodes.size, 1)
+    assert np.allclose(basis, potentials._time_factors(mesh, [trace])[0], rtol=0.0, atol=1e-15)
+    target = (np.array([0.3, 0.2]), 0.6)
+    (value,) = potentials.representation_at(mesh, B2, [(huge, None, unit_density(mesh, "sigma2"))],
+                                            target)
+    double = cx.double_layer(mesh, B2, huge, target)
+    assert abs(value - double - cx.cap_potential(mesh, B2, unit_density(mesh, "sigma2"), target)) \
+        <= mesh.n_boundary * np.finfo(float).eps * abs(double)
+
+
+@pytest.mark.parametrize("fix, mat", [("disk_mesh_B", "B2"), ("ball_mesh", "I3")])
+def test_full_time_rank_keeps_the_nodal_basis(fix, mat, request):
+    # a density of full time rank saves nothing in a basis of its own, so it
+    # keeps the nodal one and the per-layer operators' bits
+    mesh = request.getfixturevalue(fix)
+    A = request.getfixturevalue(mat)
+    rng = np.random.default_rng(29)
+    trace = cx.DensityField.from_values(mesh, "sigma3", rng.normal(size=mesh.n_lateral))
+    flux = cx.DensityField.from_values(mesh, "sigma3", rng.normal(size=mesh.n_lateral))
+    cap = cx.DensityField.from_values(mesh, "sigma2", rng.normal(size=len(mesh.cap_weights)))
+    for phis in ([trace], [trace, flux]):
+        basis, blocks = potentials._time_factors(mesh, phis)
+        assert basis is None
+        assert all(np.array_equal(block, phi.values.reshape(mesh.n_boundary, -1))
+                   for block, phi in zip(blocks, phis))
+    d = np.array([0.6, 0.8, 0.5][:A.n])
+    for x in (0.3 * d, 1.6 * d):
+        target = (x, 0.55)
+        (value,) = potentials.representation_at(mesh, A, [(trace, flux, cap)], target)
+        assert value == (cx.double_layer(mesh, A, trace, target)
+                         - cx.single_layer(mesh, A, flux, target)
+                         + cx.cap_potential(mesh, A, cap, target))
+
+
+def test_zero_density_contracts_to_zero(ball_mesh, I3):
+    # an all-zero density spans no time function: its kind's basis is empty,
+    # its value 0, and next to u = 1 it leaves that value alone
+    mesh = ball_mesh
+    zero = cx.DensityField.from_values(mesh, "sigma3", np.zeros(mesh.n_lateral))
+    zero_cap = cx.DensityField.from_values(mesh, "sigma2", np.zeros(len(mesh.cap_weights)))
+    one, one_cap = unit_density(mesh, "sigma3"), unit_density(mesh, "sigma2")
+    basis, blocks = potentials._time_factors(mesh, [zero])
+    assert basis.shape == (mesh.tnodes.size, 0) and blocks[0].shape == (mesh.n_boundary, 0)
+    target = (np.array([0.1, -0.2, 0.3]), 0.5)
+    assert potentials.representation_at(mesh, I3, [(zero, zero, zero_cap)], target) == [0.0]
+    alone = potentials.representation_at(mesh, I3, [(one, None, one_cap)], target)
+    paired = potentials.representation_at(mesh, I3, [(zero, zero, zero_cap), (one, None, one_cap)],
+                                          target)
+    assert paired == [0.0] + alone
+
+
+def test_representation_refuses_non_finite_samples(disk, B2):
+    # e^(rate t) overflows on the wall for |xi| = 400; under a shared time
+    # basis that density would spoil its neighbours' values too
+    mesh = cx.build_mesh(disk, B2, 1.0, 32, 16, 8)
+    field = cx.CaloricExponentialField(B2, (400.0, 0.0))
+    with pytest.raises(DegenerateData, match="sigma3"):
+        cx.representation_values(mesh, B2, [cx.ConstantField(), field])
 
 
 @pytest.mark.parametrize("fix, mat", [("ellipse_mesh_B", "B2"), ("ball_mesh", "I3")])
