@@ -28,7 +28,7 @@ from .errors import (
     TargetOnBoundary,
     TaskFailed,
 )
-from .geometry import CrossSection, CylinderMesh, build_mesh, mesh_to_csv
+from .geometry import CrossSection, CylinderMesh, build_mesh
 from .polynomials import (
     CaloricPolynomial,
     apply_parabolic_operator,

@@ -354,24 +354,3 @@ def build_mesh(cs, A, T, m_angular, m_time, m_radial):
 
     mesh.tnodes, mesh.tweights = gauss_legendre(m_time, 0.0, T)
     return mesh
-
-
-def mesh_to_csv(mesh, path):
-    """Dump all quadrature nodes as CSV (region, coords, time, normal, weight)."""
-    n = mesh.n
-    cols = (["region"] + [f"x{j + 1}" for j in range(n)] + ["t"]
-            + [f"nu{j + 1}" for j in range(n)] + ["weight"])
-    rows = []
-    lp, lt, lw = mesh.region_nodes("sigma3")
-    ln = mesh.lateral_normals()
-    for i in range(lp.shape[0]):
-        rows.append(["sigma3", *lp[i], lt[i], *ln[i], lw[i]])
-    for region in ("sigma2", "sigma1"):
-        cp, ct, cw = mesh.region_nodes(region)
-        zero = np.zeros(n)
-        for i in range(cp.shape[0]):
-            rows.append([region, *cp[i], ct[i], *zero, cw[i]])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) + "\n")

@@ -211,22 +211,6 @@ class CaloricPolynomial:
             "terms": items,
         }
 
-    @classmethod
-    def from_json_dict(cls, data, n=None):
-        terms = {}
-        for item in data["terms"]:
-            key = (tuple(item["beta"]), int(item["m"]))
-            terms[key] = Fraction(int(item["num"]), int(item["den"]))
-        if n is None:
-            if data.get("alpha") is not None:
-                n = len(data["alpha"])
-            elif terms:
-                n = len(next(iter(terms))[0])
-            else:
-                raise ValueError("cannot infer dimension of an empty polynomial")
-        alpha = _multi_index(data["alpha"], n) if data.get("alpha") is not None else None
-        return cls(n, terms, parity=data.get("parity"), alpha=alpha)
-
     def __str__(self):
         if not self.terms:
             return "0"

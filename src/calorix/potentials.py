@@ -9,12 +9,12 @@ as samples at its rule's points x ``mesh.tnodes`` and interpolated in time
 (barycentric Lagrange), so it must be smooth in t on [0, T].  The mesh rule
 takes the nodal samples.  A closed-form generator serves only angular
 resampling, onto the graded rule (sampled once per rule), and the
-Gauss-Hermite rule of the caps.  Every lateral operator reaches a target by
-one path: the target's ``Location`` picks the rule, and n = 2 targets within
-a few angular spacings of the wall take the graded one, so there a density
-without a generator raises ValueError instead of taking the mesh rule.  That
-rule is graded toward the polar angle of the target (of the node, for a jump
-probe), as deep as its radial gap asks; no nearest wall point is sought.
+Gauss-Hermite rule of the caps.  ``_plan`` is the one choice of a target's
+rules, from its one ``Location``: n = 2 targets near the wall take the graded
+lateral rule (a density without a generator raises ValueError there), graded
+toward their polar angle as deep as their radial gap asks, and inside targets
+whose Gaussian clears the wall take Gauss-Hermite caps, which no shipped run
+does.  A jump probe fixes its own graded rule, centred on its node.
 
 Adjoint (star) variants integrate against the time-reversed kernel; they are
 computed directly, and tests compare them with the forward operators on a
@@ -227,10 +227,23 @@ def _graded_depth(cs, dist):
     return int(min(48, max(8, math.ceil(math.log2(math.pi / max(scale, 1e-12))) + 1)))
 
 
-def _near_wall(mesh, distance):
-    """Whether a target ``distance`` from the nearest lateral mesh node takes
-    the graded rule: n = 2 targets within a few angular spacings of it."""
-    return mesh.cs.n == 2 and distance < _NEAR_FACTOR * mesh.boundary_spacing
+@dataclass(frozen=True)
+class _Plan:
+    """The rules of one target, chosen by ``_plan``."""
+    kind: str  # of its Location
+    depth: int | None  # of its graded lateral rule; None: the mesh rule
+    hermite: bool  # its caps take Gauss-Hermite
+
+
+def _plan(mesh, A, x, t, star):
+    """The rules of (x, t): the graded lateral rule within a few angular spacings of the nearest
+    lateral node (n = 2), as deep as the radial gap asks; Gauss-Hermite caps inside where the
+    Gaussian of width w = t (T - t if star) > 0 clears that node by 12 sqrt(w lambda_max)."""
+    loc = mesh.locate((x, t))
+    w = (mesh.T - t) if star else t
+    near = mesh.cs.n == 2 and loc.distance < _NEAR_FACTOR * mesh.boundary_spacing
+    hermite = loc.gap < 0.0 and w > 0.0 and 12.0 * math.sqrt(w * A.eig_max) <= loc.distance
+    return _Plan(loc.kind, _graded_depth(mesh.cs, abs(loc.gap)) if near else None, hermite)
 
 
 def _near_boundary_rule(mesh, centre, depth):
@@ -420,11 +433,10 @@ class _LateralKernel:
             for kind in kinds]
 
 
-def _target_kernel(mesh, A, x, t, star, loc):
+def _target_kernel(mesh, A, x, t, star, plan):
     """The kernel of (x, t) on its own time grid, and its rule: the graded one
-    if its ``Location`` ``loc`` puts x near the wall, else None (the mesh rule)."""
-    graded = (_near_boundary_rule(mesh, x, _graded_depth(mesh.cs, abs(loc.gap)))
-              if _near_wall(mesh, loc.distance) else None)
+    at the depth of its ``_Plan`` ``plan``, else None (the mesh rule)."""
+    graded = None if plan.depth is None else _near_boundary_rule(mesh, x, plan.depth)
     kernel = _LateralKernel(mesh, A, x, t, star, graded)
     kernel.on(_TimeGrid(mesh, A, t, star, kernel.u0min))
     return kernel, graded
@@ -432,7 +444,7 @@ def _target_kernel(mesh, A, x, t, star, loc):
 
 def _lateral_potential(mesh, A, phi, target, kind, nu_fixed=None, star=False):
     x, t = _as_xt(target)
-    kernel, graded = _target_kernel(mesh, A, x, t, star, mesh.locate((x, t)))
+    kernel, graded = _target_kernel(mesh, A, x, t, star, _plan(mesh, A, x, t, star))
     return kernel.contract(kind, [_samples(mesh, phi, graded)], nu_fixed)[0]
 
 
@@ -484,19 +496,15 @@ def _cap_rule(mesh, A, phis):
     return shell_terms(A, mesh.bpoints), [mesh.cap_weights * phi.values for phi in phis]
 
 
-def _cap_values(mesh, A, phis, x, t, star, loc, rule=None):
-    """Cap potentials at (x, t) of ``phis`` on one cap, on ``rule`` or a fresh ``_cap_rule``.
-
-    Densities with a generator take the tensor Gauss-Hermite rule when the
-    Gaussian fits inside the cross-section, by the target's ``Location`` ``loc``;
-    the rest share one G at the cap points, from the shell kernel.
-    """
+def _cap_values(mesh, A, phis, x, t, star, plan, rule=None):
+    """Cap potentials at (x, t) of ``phis`` on one cap, on ``rule`` or a fresh ``_cap_rule``:
+    the tensor Gauss-Hermite rule for densities with a generator where the target's ``_Plan``
+    ``plan`` says so, else one G at the cap points, from the shell kernel."""
     T = mesh.T
     w = (T - t) if star else t
     if w <= 0.0:
         return [0.0] * len(phis)
-    hermite = (any(phi.generator is not None for phi in phis) and loc.gap < 0.0
-               and 12.0 * math.sqrt(w * A.eig_max) <= loc.distance)
+    hermite = plan.hermite and any(phi.generator is not None for phi in phis)
     if hermite:
         uu, wwt = tensor_rule([gauss_hermite(_GH_POINTS)] * A.n)
         pts = x[None, :] + 2.0 * math.sqrt(w) * (uu @ A.chol.T)
@@ -520,7 +528,7 @@ def cap_potential(mesh, A, phi, target):
     if phi.region != "sigma2":
         raise DimensionMismatch("cap_potential needs a density on sigma2")
     x, t = _as_xt(target)
-    return _cap_values(mesh, A, [phi], x, t, False, mesh.locate((x, t)))[0]
+    return _cap_values(mesh, A, [phi], x, t, False, _plan(mesh, A, x, t, False))[0]
 
 
 def cap_potential_star(mesh, A, phi, target):
@@ -529,7 +537,7 @@ def cap_potential_star(mesh, A, phi, target):
     if phi.region != "sigma1":
         raise DimensionMismatch("cap_potential_star needs a density on sigma1")
     x, t = _as_xt(target)
-    return _cap_values(mesh, A, [phi], x, t, True, mesh.locate((x, t)))[0]
+    return _cap_values(mesh, A, [phi], x, t, True, _plan(mesh, A, x, t, True))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +566,11 @@ def representation_at(mesh, A, densities, target, star=False, cap_rule=None, fac
     exported) so that a traced run attributes the per-target work to this layer.
     """
     x, t = _as_xt(target)
-    loc = mesh.locate((x, t))
-    if loc.kind == "boundary":
+    plan = _plan(mesh, A, x, t, star)
+    if plan.kind == "boundary":
         raise TargetOnBoundary("the layer representation needs an off-boundary target")
-    kernel, graded = _target_kernel(mesh, A, x, t, star, loc)
-    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, loc, cap_rule)
+    kernel, graded = _target_kernel(mesh, A, x, t, star, plan)
+    caps = _cap_values(mesh, A, [cap for _, _, cap in densities], x, t, star, plan, cap_rule)
     if graded is not None or factors is None:
         factors = [_time_factors(mesh, [d[k] for d in densities if d[k] is not None], graded)
                    for k in (0, 1)]  # the traces, then the fluxes

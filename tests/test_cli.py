@@ -204,6 +204,35 @@ def test_identities_share_one_kernel_per_target(tmp_path, monkeypatch):
     assert calls["density"] == 8
 
 
+def test_identities_plan_each_target_once(tmp_path, monkeypatch):
+    # one rule plan per target and time direction; the shipped disk keeps
+    # every target on the mesh rules, the thin ellipse puts a quarter of them
+    # on the graded lateral rule; no run takes Gauss-Hermite caps
+    potentials = sys.modules["calorix.potentials"]
+    plans = []
+
+    def counted(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    plan = potentials._plan
+    monkeypatch.setattr(potentials, "_plan", counted)
+    shipped = pathlib.Path(__file__).parent.parent / "configs" / "verify_identities.json"
+    cfg = json.loads(shipped.read_text())
+    counts = []
+    for geometry in (cfg["geometry"], {"kind": "ellipse", "params": {"a": 1.0, "b": 0.25},
+                                       "T": cfg["geometry"]["T"]}):
+        plans.clear()
+        cfg["geometry"] = geometry
+        path, out = write_config(tmp_path, cfg), str(tmp_path / geometry["kind"])
+        # the ellipse's near-wall targets may miss the checks' tolerance: exit 1, not 2
+        assert run_cli("verify-identities", path, "--out", out) in (0, 1)
+        graded = sum(one.depth is not None for one in plans)
+        hermite = sum(one.hermite for one in plans)
+        counts.append((len(plans) - graded, graded, len(plans) - hermite, hermite))
+    assert counts == [(80, 0, 80, 0), (60, 20, 80, 0)]
+
+
 def test_values_file_relative_to_config_dir(tmp_path):
     cfg = make_config("solve", {"degree": 2,
                                 "data": {"kind": "values-file",

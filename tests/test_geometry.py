@@ -329,14 +329,6 @@ def test_fingerprint_tracks_inputs(disk, I2):
     assert m1.fingerprint() != m3.fingerprint()
 
 
-def test_mesh_to_csv(tmp_path, disk_mesh_I):
-    path = tmp_path / "mesh.csv"
-    cx.mesh_to_csv(disk_mesh_I, path)
-    text = path.read_text()
-    assert text.count("\n") > disk_mesh_I.n_boundary
-    assert text.splitlines()[0].startswith("region")
-
-
 def test_locate_measures_gap_and_distance_once(disk_mesh_I):
     # one Location per target: its classification, the radial gap and the
     # distance to the nearest lateral mesh node

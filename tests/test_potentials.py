@@ -240,13 +240,10 @@ def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
     graded_seen = 0
     for frac, t in ((0.5, 0.3), (0.97, 0.45), (1.03, 0.6), (1.5, 0.75)):
         x = frac * rim
-        depth = potentials._graded_depth(mesh.cs, abs(mesh.cs.radial_gap(x)))
-        graded = (potentials._near_boundary_rule(mesh, x, depth)
-                  if potentials._near_wall(mesh, mesh.distance_to_wall(x)) else None)
+        kernel, graded = potentials._target_kernel(mesh, A, x, t, star,
+                                                   potentials._plan(mesh, A, x, t, star))
         graded_seen += graded is not None
         samples = potentials._samples(mesh, phi, graded)
-        kernel = potentials._LateralKernel(mesh, A, x, t, star, graded)
-        kernel.on(potentials._TimeGrid(mesh, A, t, star, kernel.u0min))
         assert not kernel.dead
         for kind in ("double", "single", "conormal_fixed"):
             got = kernel.contract(kind, [samples], nu_fixed)[0]
@@ -301,10 +298,10 @@ def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
     worst = np.zeros(3)
     for foot, nu, d in zip(feet, inward, distances):
         for x in (foot + d * nu, foot - d * nu):
-            loc = mesh.locate((x, t))
-            assert potentials._near_wall(mesh, loc.distance)
-            kernel, graded = potentials._target_kernel(mesh, B2, x, t, False, loc)
-            depth = potentials._graded_depth(mesh.cs, abs(loc.gap)) + 8
+            plan = potentials._plan(mesh, B2, x, t, False)
+            assert plan.depth is not None
+            kernel, graded = potentials._target_kernel(mesh, B2, x, t, False, plan)
+            depth = plan.depth + 8
             nodes, w = composite_gauss(
                 graded_edges_toward(math.atan2(x[1], x[0]), math.pi, depth), per)
             bp, jac, normals = mesh.cs.surface_frame(on_circle(nodes))
@@ -850,7 +847,7 @@ def test_representation_values_match_the_per_layer_operators(fix, mat, which, re
     for target in targets:
         got = values(target)
         assert len(got) == len(fields)
-        graded = potentials._near_wall(mesh, mesh.locate(target).distance)
+        graded = potentials._plan(mesh, A, *target, star).depth is not None
         for value, (trace, flux, top_or_bottom) in zip(got, layers):
             s = 0.0 if flux is None else single(mesh, A, flux, target)
             assert matches(value, double(mesh, A, trace, target), s,
@@ -1085,6 +1082,31 @@ def test_cap_quadrature_paths_agree(disk_mesh_I, I2):
     hermite = cx.cap_potential(disk_mesh_I, I2, phi, target)
     mesh_rule = cx.cap_potential(disk_mesh_I, I2, sampled, target)
     assert hermite == pytest.approx(mesh_rule, rel=1e-8)
+
+
+def test_plan_takes_gauss_hermite_where_the_gaussian_clears_the_wall(disk_mesh_I, I2):
+    # the target above, and one whose Gaussian reaches the wall
+    x = np.array([0.05, 0.0])
+    assert potentials._plan(disk_mesh_I, I2, x, 2e-3, False).hermite
+    assert not potentials._plan(disk_mesh_I, I2, x, 0.5, False).hermite
+    assert not potentials._plan(disk_mesh_I, I2, x, 2e-3, True).hermite
+
+
+def test_caps_outside_their_time_window(disk_mesh_I, I2):
+    # the bottom cap is empty before t = 0 and the top cap after t = T: their
+    # potentials are 0 there, and finite on the other side of the cylinder
+    def f(p, t, nu):
+        return np.cos(p[:, 0]) * (1.0 + 0.2 * p[:, 1])
+    x = np.array([0.3, 0.1])
+    bottom = cx.DensityField.from_function(disk_mesh_I, "sigma2", f)
+    top = cx.DensityField.from_function(disk_mesh_I, "sigma1", f)
+    assert disk_mesh_I.T == 1.0
+    assert cx.cap_potential(disk_mesh_I, I2, bottom, (x, -0.2)) == 0.0
+    assert cx.cap_potential(disk_mesh_I, I2, bottom, (x, 1.3)) == pytest.approx(
+        0.1522185959456192, rel=1e-12)
+    assert cx.cap_potential_star(disk_mesh_I, I2, top, (x, -0.2)) == pytest.approx(
+        0.16349639158321638, rel=1e-12)
+    assert cx.cap_potential_star(disk_mesh_I, I2, top, (x, 1.3)) == 0.0
 
 
 # -- elliptic boundary identity --------------------------------------------

@@ -1,18 +1,11 @@
 """``quadrature`` owns every rule and the frame of every rule: no other
 module under src/calorix calls a Gauss rule generator or builds a frame with
 a cross product."""
-import pathlib
 import re
 
-import calorix
+from owners import SRC, hits
 
 RULE_BUILDERS = re.compile(r"\bleggauss\b|\bhermgauss\b|\bnp\.cross\(")
-
-
-def _hits(path):
-    return [f"{path.name}:{number}: {line.strip()}"
-            for number, line in enumerate(path.read_text().splitlines(), 1)
-            if RULE_BUILDERS.search(line)]
 
 
 def test_pattern_catches_each_rule_builder():
@@ -22,13 +15,11 @@ def test_pattern_catches_each_rule_builder():
     assert not any(RULE_BUILDERS.search(line) for line in
                    ["x, w = gauss_legendre(m, 0.0, 1.0)", "u, w = gauss_hermite(m)",
                     "# the offset crosses the wall"])
-    owner = (pathlib.Path(calorix.__file__).parent / "quadrature.py").read_text()
+    owner = (SRC / "quadrature.py").read_text()
     assert {hit.group() for hit in RULE_BUILDERS.finditer(owner)} == {
         "leggauss", "hermgauss", "np.cross("}
 
 
 def test_only_quadrature_builds_rules_and_frames():
-    root = pathlib.Path(calorix.__file__).parent
-    hits = [hit for path in sorted(root.rglob("*.py")) if path.name != "quadrature.py"
-            for hit in _hits(path)]
-    assert hits == []
+    assert [hit for path in sorted(SRC.rglob("*.py")) if path.name != "quadrature.py"
+            for hit in hits(path, RULE_BUILDERS)] == []

@@ -2,19 +2,12 @@
 ``CylinderMesh.locate`` returns its kind, region, radial gap and wall
 distance at once, so no other module under src/calorix calls
 ``distance_to_wall``, and no module names a second wall measurement."""
-import pathlib
 import re
 
-import calorix
+from owners import SRC, hits
 
 WALL_DISTANCE = re.compile(r"\bdistance_to_wall\(")
 SECOND_MEASUREMENT = re.compile(r"\bwall_frame\b|\bWallFrame\b")
-
-
-def _hits(path, pattern):
-    return [f"{path.name}:{number}: {line.strip()}"
-            for number, line in enumerate(path.read_text().splitlines(), 1)
-            if pattern.search(line)]
 
 
 def test_patterns_catch_each_measurement():
@@ -24,13 +17,12 @@ def test_patterns_catch_each_measurement():
     assert all(SECOND_MEASUREMENT.search(line) for line in
                ["frame = mesh.wall_frame((x, t))", "class WallFrame:"])
     assert not SECOND_MEASUREMENT.search("loc = mesh.locate((x, t))")
-    owner = (pathlib.Path(calorix.__file__).parent / "geometry.py").read_text()
+    owner = (SRC / "geometry.py").read_text()
     assert len(WALL_DISTANCE.findall(owner)) == 2  # the method and its one call, in locate
 
 
 def test_only_geometry_measures_the_wall():
-    root = pathlib.Path(calorix.__file__).parent
-    paths = sorted(root.rglob("*.py"))
+    paths = sorted(SRC.rglob("*.py"))
     assert [hit for path in paths if path.name != "geometry.py"
-            for hit in _hits(path, WALL_DISTANCE)] == []
-    assert [hit for path in paths for hit in _hits(path, SECOND_MEASUREMENT)] == []
+            for hit in hits(path, WALL_DISTANCE)] == []
+    assert [hit for path in paths for hit in hits(path, SECOND_MEASUREMENT)] == []
