@@ -77,7 +77,7 @@ _SURFACE_AZIMUTH = 128
 # offset ladder of jump_probe: h0 2^-k for k in _JUMP_RUNGS, h0 = _JUMP_H0_FACTOR x diameter
 _JUMP_H0_FACTOR = 0.05
 _JUMP_RUNGS = range(5, 9)
-_JUMP_KINDS = {"double": "double", "conormal_single": "conormal_fixed"}  # -> lateral kind
+_JUMP_KINDS = ("double", "conormal_single")  # the lateral kinds a jump probe accepts
 
 
 @dataclass
@@ -216,7 +216,7 @@ def _geometry_factor(kind, diff, normals, nu_fixed):
         return np.ones(normals.shape[0])
     if kind == "double":
         return 0.5 * np.einsum("ij,ij->i", normals, diff)
-    if kind == "conormal_fixed":
+    if kind == "conormal_single":
         return -0.5 * diff @ nu_fixed
     raise ValueError(f"unknown kernel kind {kind!r}")
 
@@ -483,7 +483,7 @@ def conormal_derivative_single_layer(mesh, A, phi, node_index, h):
     """
     b, _ = mesh.lateral_index(node_index)
     target = mesh.offset_point(node_index, h)
-    return _lateral_potential(mesh, A, phi, target, "conormal_fixed",
+    return _lateral_potential(mesh, A, phi, target, "conormal_single",
                               nu_fixed=mesh.bnormals[b])
 
 
@@ -707,8 +707,7 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     grid = _TimeGrid(mesh, A, t0, False, min(kernel.u0min for kernel in kernels))
     on_grid = _samples(mesh, phi, graded) @ grid.interp
     buffer = np.empty(on_grid.size)  # holds each offset's profile in turn
-    lateral = tuple(_JUMP_KINDS[name] for name in kinds)  # one exponent, so one time sum
-    values = [kernel.on(grid, buffer).apply(lateral, on_grid, nu) for kernel in kernels]
+    values = [kernel.on(grid, buffer).apply(kinds, on_grid, nu) for kernel in kernels]
 
     phi0 = float(np.asarray(phi.generator(x0[None, :], np.array([t0]), nu[None, :]))[0])
     reports = []

@@ -27,6 +27,7 @@ the node rows, and maps each rhs itself.
 import math
 import numbers
 import time
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
@@ -266,40 +267,35 @@ def assemble_system(mesh, A, parity, degree):
                          row_maps=maps, mesh_fingerprint=mesh.fingerprint(), a=A.a)
 
 
+def _fields_dict(record, skip=()):
+    """A record's fields by name, but those in ``skip``."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+
+
+@dataclass(eq=False)
 class CaloricApproximant:
     """Result of one least-squares fit: coefficients of the scaled basis in
     graded-lex order plus diagnostics."""
 
-    def __init__(self, parity, degree, n, alphas, coefficients, column_scales,
-                 residual, rank, cond, mesh_fingerprint):
-        self.parity = parity
-        self.degree = degree
-        self.n = n
-        self.alphas = alphas
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        self.column_scales = np.asarray(column_scales, dtype=float)
-        self.residual = float(residual)
-        self.rank = int(rank)
-        self.cond = float(cond)
-        self.mesh_fingerprint = mesh_fingerprint
+    parity: str
+    degree: int
+    n: int
+    alphas: list
+    coefficients: np.ndarray
+    column_scales: np.ndarray
+    residual: float
+    rank: int
+    cond: float
+    mesh_fingerprint: str
 
     def raw_coefficients(self):
         """Coefficients against the unscaled caloric polynomials."""
         return self.coefficients / self.column_scales
 
     def to_json_dict(self):
-        return {
-            "parity": self.parity,
-            "degree": self.degree,
-            "n": self.n,
-            "alphas": [list(a) for a in self.alphas],
-            "coefficients": self.coefficients.tolist(),
-            "column_scales": self.column_scales.tolist(),
-            "residual": self.residual,
-            "rank": self.rank,
-            "cond": self.cond,
-            "mesh_fingerprint": self.mesh_fingerprint,
-        }
+        return {**_fields_dict(self), "alphas": [list(a) for a in self.alphas],
+                "coefficients": self.coefficients.tolist(),
+                "column_scales": self.column_scales.tolist()}
 
 
 def _svd_solve(matrix, rhs, rcond):
@@ -393,40 +389,38 @@ def evaluate_solution(approx, A, points, times):
     return out
 
 
+@dataclass
 class StudyReport:
-    """Residual-decay record over a sequence of basis degrees.
+    """Residual-decay record over a sequence of basis degrees; the fields
+    typed ``list`` are its per-degree columns.
 
     seconds[i] is the time of degree i alone: its solve and probe errors,
     without the design-matrix assembly (assembly_s), the one QR
     factorization the degrees share (factorization_s) and the shared
-    probe-grid evaluation.  rows and columns are the shape of each
-    degree's least-squares problem.  final is the CaloricApproximant of
-    the last degree; it is not serialized.
+    probe-grid evaluation.  rows[i] is the number of Dirichlet nodes the
+    fit weighs, not the rows the TSQR factors after the row maps, and
+    columns[i] the number of basis columns of degree i.  final is the
+    CaloricApproximant of the last degree; it is not serialized.
     """
 
-    def __init__(self, parity, degrees, residuals, ranks, conds,
-                 interior_max_errors, seconds, mesh_fingerprint, tag,
-                 exploratory, rows, columns, assembly_s, factorization_s,
-                 final):
-        self.parity = parity
-        self.degrees = list(degrees)
-        self.residuals = list(residuals)
-        self.ranks = list(ranks)
-        self.conds = list(conds)
-        self.interior_max_errors = list(interior_max_errors)
-        self.seconds = list(seconds)
-        self.mesh_fingerprint = mesh_fingerprint
-        self.tag = tag
-        self.exploratory = bool(exploratory)
-        self.rows = list(rows)
-        self.columns = list(columns)
-        self.assembly_s = assembly_s
-        self.factorization_s = factorization_s
-        self.final = final
-        lengths = {len(self.degrees), len(self.residuals), len(self.ranks),
-                   len(self.conds), len(self.interior_max_errors),
-                   len(self.seconds), len(self.rows), len(self.columns)}
-        if len(lengths) != 1:
+    parity: str
+    degrees: list
+    residuals: list
+    ranks: list
+    conds: list
+    interior_max_errors: list
+    seconds: list
+    mesh_fingerprint: str
+    tag: str
+    exploratory: bool
+    rows: list
+    columns: list
+    assembly_s: float
+    factorization_s: float
+    final: CaloricApproximant
+
+    def __post_init__(self):
+        if len({len(getattr(self, f.name)) for f in fields(self) if f.type is list}) != 1:
             raise ValueError("study columns must share one length")
 
     def to_csv_rows(self):
@@ -440,22 +434,7 @@ class StudyReport:
         return rows
 
     def to_json_dict(self):
-        return {
-            "parity": self.parity,
-            "tag": self.tag,
-            "exploratory": self.exploratory,
-            "mesh_fingerprint": self.mesh_fingerprint,
-            "degrees": self.degrees,
-            "residuals": self.residuals,
-            "ranks": self.ranks,
-            "conds": self.conds,
-            "interior_max_errors": self.interior_max_errors,
-            "seconds": self.seconds,
-            "rows": self.rows,
-            "columns": self.columns,
-            "assembly_s": self.assembly_s,
-            "factorization_s": self.factorization_s,
-        }
+        return _fields_dict(self, skip=("final",))
 
 
 def interior_probe_grid(mesh):
@@ -507,22 +486,18 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12):
         probe = basis_matrix(A, system.alphas, parity, probe_points, probe_times)
         ref = np.asarray(data.exact.value(probe_points, probe_times), dtype=float)
 
-    residuals, ranks, conds, errors, seconds = [], [], [], [], []
-    columns = []
+    per_degree = []  # one (residual, rank, cond, error, seconds, columns) per degree
     for deg in degrees:
         start = time.perf_counter()
         approx = solve_dirichlet(mesh, A, parity, deg, data, rcond=rcond,
                                  system=system)
-        residuals.append(approx.residual)
-        ranks.append(approx.rank)
-        conds.append(approx.cond)
-        columns.append(len(approx.alphas))
+        error = None
         if data.exact is not None:
             vals = probe[:, :len(approx.alphas)] @ approx.raw_coefficients()
-            errors.append(float(np.max(np.abs(vals - ref))))
-        else:
-            errors.append(None)
-        seconds.append(time.perf_counter() - start)
+            error = float(np.max(np.abs(vals - ref)))
+        per_degree.append((approx.residual, approx.rank, approx.cond, error,
+                           time.perf_counter() - start, len(approx.alphas)))
+    residuals, ranks, conds, errors, seconds, columns = map(list, zip(*per_degree))
     return StudyReport(parity, degrees, residuals, ranks, conds, errors,
                        seconds, mesh.fingerprint(), data.tag,
                        exploratory=(A.n == 2),
@@ -531,13 +506,13 @@ def completeness_study(mesh, A, parity, data, degrees, rcond=1e-12):
                        factorization_s=factorization_s, final=approx)
 
 
+@dataclass
 class CrossValidation:
     """Coarse-mesh coefficients re-scored on a finer mesh."""
 
-    def __init__(self, degree, coarse_residual, fine_residual):
-        self.degree = degree
-        self.coarse_residual = float(coarse_residual)
-        self.fine_residual = float(fine_residual)
+    degree: int
+    coarse_residual: float
+    fine_residual: float
 
     @property
     def ratio(self):
@@ -550,13 +525,7 @@ class CrossValidation:
         return self.fine_residual > 2.0 * self.coarse_residual + 1e-14
 
     def to_json_dict(self):
-        return {
-            "degree": self.degree,
-            "coarse_residual": self.coarse_residual,
-            "fine_residual": self.fine_residual,
-            "ratio": float(self.ratio),
-            "flagged": bool(self.flagged),
-        }
+        return {**_fields_dict(self), "ratio": self.ratio, "flagged": self.flagged}
 
 
 def cross_validate(approx, fine_mesh, A, data):

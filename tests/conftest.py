@@ -11,6 +11,8 @@ ENTRIES = {
     "D3": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
     "C3": [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 3.0]],
 }
+# the matrix of the n = 3 completeness ladder
+LADDER_A = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]]
 
 
 @pytest.fixture(scope="session")

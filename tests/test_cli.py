@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import importlib.util
 import json
 import math
@@ -633,6 +634,17 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "list-tasks"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "completeness" in proc.stdout
+
+
+def test_declared_entry_point_lists_tasks(capsys):
+    # what the installed script would run, without installing it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["calorix"]
+    module, _, name = target.partition(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main(["list-tasks"]) == 0
+    assert "completeness" in capsys.readouterr().out
 
 
 def test_catalog_names_every_schema_key():

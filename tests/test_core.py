@@ -13,7 +13,7 @@ from calorix.errors import (
     NotSymmetric,
 )
 
-from conftest import ENTRIES, shell_kernel_bound, unit_density
+from conftest import ENTRIES, LADDER_A, shell_kernel_bound, unit_density
 from fdtools import (
     FD_STEP,
     heat_operator_residual,
@@ -142,6 +142,30 @@ def test_satisfies_parabolic_equation(B2, C3):
         z = np.full(A.n, 0.5)
         res = heat_operator_residual(fn, ENTRIES[key], z, 0.4)
         assert abs(res) < 1e-6 * max(1.0, fn(z, 0.4))
+
+
+_RANDOM = np.random.default_rng(11).normal(size=(3, 3))
+
+
+@pytest.mark.parametrize("entries", [ENTRIES["B2"], LADDER_A, np.eye(3).tolist(),
+                                     (_RANDOM @ _RANDOM.T + 0.5 * np.eye(3)).tolist()],
+                         ids=["planar", "ladder", "identity3", "random"])
+def test_kernel_is_a_product_of_one_dimensional_kernels(entries):
+    # with A = L L^T and w = L^-1 z, <A^-1 z, z> = |w|^2 and |A|^(1/2) = det L,
+    # so G is the product of n one-dimensional heat kernels of w over det L:
+    # an oracle that sees errors far below the finite-difference residual's
+    # roundoff.  Both sides lose about eps q to the exponent q = |w|^2 / (4 tau)
+    A = cx.make_coefficients(len(entries), entries)
+    chol = np.linalg.cholesky(np.asarray(entries))
+    rng = np.random.default_rng(3)
+    tau = rng.uniform(0.05, 1.0, 2000)
+    z = rng.uniform(-6.0, 6.0, (len(tau), A.n)) * np.sqrt(tau)[:, None]
+    w = np.linalg.solve(chol, z.T).T
+    line = np.exp(-w**2 / (4.0 * tau[:, None])) / np.sqrt(4.0 * np.pi * tau[:, None])
+    oracle = np.prod(line, axis=1) / np.prod(np.diag(chol))
+    q = np.sum(w**2, axis=1) / (4.0 * tau)
+    err = np.abs(cx.fundamental_solution(A, z, tau) - oracle) / oracle
+    assert np.all(err <= 16 * np.finfo(float).eps * (1.0 + q))
 
 
 # the sections and matrices the shell kernel is checked on

@@ -9,7 +9,7 @@ import calorix as cx
 from calorix.errors import NotCaloric
 from calorix.polynomials import _family_terms
 
-from conftest import ENTRIES
+from conftest import ENTRIES, LADDER_A
 from fdtools import series_polynomial_terms
 
 
@@ -136,9 +136,6 @@ def test_series_extraction_matches_recurrence(I1, B2, C3):
 
 
 # -- float basis against the exact family -----------------------------------
-
-LADDER_A = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]]
-
 
 @pytest.mark.parametrize("entries", [ENTRIES["B2"], LADDER_A], ids=["B2", "ladder"])
 @pytest.mark.parametrize("parity", ["v", "w"])

@@ -245,7 +245,7 @@ def test_split_profile_matches_the_unsplit_kernel(fix, mat, star, request):
         graded_seen += graded is not None
         samples = potentials._samples(mesh, phi, graded)
         assert not kernel.dead
-        for kind in ("double", "single", "conormal_fixed"):
+        for kind in ("double", "single", "conormal_single"):
             got = kernel.contract(kind, [samples], nu_fixed)[0]
             want = _unsplit_apply(kernel, kind, samples, nu_fixed)
             assert abs(got - want) <= 1e-13 * abs(want)
@@ -309,9 +309,9 @@ def test_near_wall_rule_matches_the_refined_rule(fix, B2, request):
             refined.on(potentials._TimeGrid(mesh, B2, t, False, refined.u0min))
             ref_samples = potentials._samples(mesh, phi, (bp, w * jac, normals))
             got = [kernel.contract(kind, [potentials._samples(mesh, phi, graded)], nu)[0]
-                   for kind in ("double", "conormal_fixed", "single")]
+                   for kind in ("double", "conormal_single", "single")]
             want = [refined.contract(kind, [ref_samples], nu)[0]
-                    for kind in ("double", "conormal_fixed", "single")]
+                    for kind in ("double", "conormal_single", "single")]
             worst = np.maximum(worst, np.abs(np.subtract(got, want)))
     assert np.all(worst <= _NEAR_WALL_BOUNDS[fix]), worst
 
@@ -449,7 +449,7 @@ def test_jump_ladder_matches_per_offset_kernels(fix, mat, request):
             kernel = potentials._LateralKernel(mesh, A, x, t0, False, graded)
             grid = potentials._TimeGrid(mesh, A, t0, False, kernel.u0min)
             kernel.on(grid)
-            for rep, lateral in zip(reports, ("double", "conormal_fixed")):
+            for rep, lateral in zip(reports, ("double", "conormal_single")):
                 want = kernel.contract(lateral, [samples], nu)[0]
                 worst = max(worst, abs(getattr(rep, side)[i] - want) / abs(want))
     assert worst <= 1e-13
@@ -482,7 +482,7 @@ def test_jump_ladder_is_the_inner_four_of_eighteen_offsets(fix, mat, request):
     on_grid = potentials._samples(mesh, phi, graded) @ grid.interp
     buffer = np.empty(on_grid.size)
     kinds = ("double", "conormal_single")
-    full = np.array([kernel.on(grid, buffer).apply(("double", "conormal_fixed"), on_grid, nu)
+    full = np.array([kernel.on(grid, buffer).apply(("double", "conormal_single"), on_grid, nu)
                      for kernel in kernels]).T
     for rep, values in zip(cx.jump_probe(mesh, A, phi, node, kinds), full):
         inner, outer = values[5:9], values[14:18]
@@ -593,7 +593,7 @@ def test_jump_ladder_trims_columns_and_shares_one_time_sum(disk_mesh_B, B2, monk
     assert outermost[1] < outermost[3]
     assert len(sums) == 8
     shared, before = sums[0][1:3]
-    assert all(kinds == ("double", "conormal_fixed") and on_grid is shared
+    assert all(kinds == ("double", "conormal_single") and on_grid is shared
                for kinds, on_grid, _ in sums)
     assert np.array_equal(shared, before)
 
@@ -628,7 +628,7 @@ def test_offset_without_live_columns_adds_nothing(disk_mesh_B, B2):
     assert kernel.on(grid, buffer).decay.shape == (kernel.u0.size, 0)
     on_grid = np.ones((kernel.u0.size, grid.vnodes.size))
     nu = disk_mesh_B.bnormals[0]
-    assert kernel.apply(("double", "conormal_fixed"), on_grid, nu) == [0.0, 0.0]
+    assert kernel.apply(("double", "conormal_single"), on_grid, nu) == [0.0, 0.0]
 
 
 def test_jump_probe_refuses_before_sampling(disk_mesh_I, ball_mesh, I2, I3, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -9,6 +11,8 @@ from calorix import solver
 from calorix.errors import DegenerateData, RegionMismatch
 from calorix.polynomials import basis_matrix
 from calorix.quadrature import gauss_legendre
+
+from conftest import LADDER_A
 
 
 def poly_data(mesh, A, alpha, parity="v"):
@@ -239,7 +243,6 @@ TSQR_CASES = {
     "ball-adjoint": ("ball", (16, 12, 4), 6, "w", 2048, 281),
 }
 IDENTITY_SPACE_MODES = ("star", "star-full-chunk", "star-one-node-chunk", "wide")
-LADDER_A = [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]]
 # each TSQR_CASES kind: its cross-section and coefficient matrix
 TSQR_SECTIONS = {
     "disk": (cx.CrossSection.disk(1.0), np.eye(2)),
@@ -661,6 +664,28 @@ def test_study_report_round_trip(solver_mesh, I2):
     assert d["columns"] == [1, 6]
     assert d["assembly_s"] > 0.0 and d["factorization_s"] > 0.0
     assert len(d["seconds"]) == 2 and all(s > 0.0 for s in d["seconds"])
+
+
+def test_records_serialise_their_fields_as_plain_json(solver_mesh, disk, I2):
+    # the constructors do not coerce, so a numpy scalar from a producer
+    # would reach summary.json; json.dumps without default= refuses one
+    data = exp_data(solver_mesh, I2)
+    report = cx.completeness_study(solver_mesh, I2, "v", data, [0, 2])
+    cv = cx.cross_validate(report.final, cx.build_mesh(disk, I2, 0.5, 48, 24, 12), I2, data)
+    solve = cx.solve_dirichlet(solver_mesh, I2, "v", 2, data)
+    for record, dropped, added in ((solve, set(), set()), (report, {"final"}, set()),
+                                   (cv, set(), {"ratio", "flagged"})):
+        d = record.to_json_dict()
+        names = {f.name for f in dataclasses.fields(record)}
+        assert set(d) == names - dropped | added
+        assert json.loads(json.dumps(d)) == d
+
+
+def test_study_report_refuses_columns_of_unequal_length(solver_mesh, I2):
+    report = cx.completeness_study(solver_mesh, I2, "v", exp_data(solver_mesh, I2), [0, 2])
+    for name in ("degrees", "residuals", "interior_max_errors", "seconds", "rows", "columns"):
+        with pytest.raises(ValueError, match="one length"):
+            dataclasses.replace(report, **{name: getattr(report, name)[:1]})
 
 
 # -- cross validation -------------------------------------------------------
