@@ -112,63 +112,46 @@ class CaloricPolynomial:
         return CaloricPolynomial(self.n, out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return CaloricPolynomial(self.n, out)
+        return self + other.scaled(-1)
 
     def scaled(self, c):
         c = Fraction(c)
         return CaloricPolynomial(self.n, {k: c * v for k, v in self.terms.items()})
 
-    def diff_x(self, j):
+    def _diff(self, i):
+        """d/d(variable i) of (x_1, ..., x_n, t), i = n being t; distinct terms stay distinct."""
         out = {}
         for (beta, m), c in self.terms.items():
-            if beta[j] > 0:
-                nb = list(beta)
-                nb[j] -= 1
-                key = (tuple(nb), m)
-                out[key] = out.get(key, Fraction(0)) + c * beta[j]
+            e = beta + (m,)
+            if e[i] > 0:
+                low = _lowered(e, i)
+                out[low[:-1], low[-1]] = c * e[i]
         return CaloricPolynomial(self.n, out)
 
+    def diff_x(self, j):
+        return self._diff(j)
+
     def diff_t(self):
-        out = {}
-        for (beta, m), c in self.terms.items():
-            if m > 0:
-                key = (beta, m - 1)
-                out[key] = out.get(key, Fraction(0)) + c * m
-        return CaloricPolynomial(self.n, out)
+        return self._diff(self.n)
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, points, times):
-        """Float evaluation at points (m, n) with times (m,)."""
+        """Float evaluation at points (m, n) with times (m,) or one time for all."""
         x = np.atleast_2d(np.asarray(points, dtype=float))
         t = np.asarray(times, dtype=float).reshape(-1)
-        if not self.terms:
-            return np.zeros(x.shape[0])
         keys = sorted(self.terms)
-        betas = np.array([k[0] for k in keys], dtype=np.int64).reshape(len(keys), self.n)
-        ms = np.array([k[1] for k in keys], dtype=np.int64)
-        coeffs = np.array([float(self.terms[k]) for k in keys])
-        max_b = betas.max(initial=0)
-        max_m = ms.max(initial=0)
-        # power tables: pow_x[j][d] = x_j^d over the batch
-        pow_x = np.ones((self.n, max_b + 1, x.shape[0]))
-        for j in range(self.n):
-            for d in range(1, max_b + 1):
-                pow_x[j, d] = pow_x[j, d - 1] * x[:, j]
-        pow_t = np.ones((max_m + 1, x.shape[0]))
-        for d in range(1, max_m + 1):
-            pow_t[d] = pow_t[d - 1] * t
+        exps = [beta + (m,) for beta, m in keys]
+        # powers[d - 1, i] = (row i of [x | t])^d by repeated multiplication
+        xt = np.vstack([x.T, np.broadcast_to(t, x.shape[:1])])
+        top = max(map(max, exps), default=0)
+        powers = np.cumprod(np.broadcast_to(xt, (top, *xt.shape)), axis=0)
         acc = np.zeros(x.shape[0])
-        for k in range(len(coeffs)):
-            term = np.full(x.shape[0], coeffs[k])
-            for j in range(self.n):
-                if betas[k, j]:
-                    term = term * pow_x[j, betas[k, j]]
-            if ms[k]:
-                term = term * pow_t[ms[k]]
+        for key, e in zip(keys, exps):
+            term = np.full(x.shape[0], float(self.terms[key]))
+            for i, d in enumerate(e):
+                if d:
+                    term = term * powers[d - 1, i]
             acc += term
         return acc
 
@@ -180,13 +163,12 @@ class CaloricPolynomial:
 
     def evaluate_exact(self, x, t):
         """Exact evaluation at rational (x, t)."""
-        x = [Fraction(v) for v in x]
-        t = Fraction(t)
+        xt = [Fraction(v) for v in x] + [Fraction(t)]
         acc = Fraction(0)
         for (beta, m), c in self.terms.items():
-            term = c * t**m
-            for j, b in enumerate(beta):
-                term *= x[j] ** b
+            term = c
+            for v, d in zip(xt, beta + (m,), strict=True):
+                term *= v**d
             acc += term
         return acc
 
@@ -214,20 +196,12 @@ class CaloricPolynomial:
     def __str__(self):
         if not self.terms:
             return "0"
+        names = [f"x{j + 1}" for j in range(self.n)] + ["t"]
         pieces = []
         for (beta, m) in sorted(self.terms, key=lambda k: (sum(k[0]) + 2 * k[1], k[1], k[0])):
             c = self.terms[(beta, m)]
-            factors = []
-            for j, b in enumerate(beta):
-                if b == 1:
-                    factors.append(f"x{j + 1}")
-                elif b > 1:
-                    factors.append(f"x{j + 1}^{b}")
-            if m == 1:
-                factors.append("t")
-            elif m > 1:
-                factors.append(f"t^{m}")
-            body = "*".join(factors)
+            body = "*".join(name if d == 1 else f"{name}^{d}"
+                            for name, d in zip(names, beta + (m,)) if d)
             if not body:
                 pieces.append(str(c))
             elif c == 1:
@@ -250,21 +224,14 @@ def _family_terms(entries, n, alpha, sign):
     if all(a == 0 for a in alpha):
         return ((((0,) * n, 0), Fraction(1)),)
     j = next(i for i, a in enumerate(alpha) if a > 0)
-    prev = list(alpha)
-    prev[j] -= 1
-    prev = tuple(prev)
-    out = {}
-    for (beta, m), c in _family_terms(entries, n, prev, sign):
-        nb = list(beta)
-        nb[j] += 1
-        key = (tuple(nb), m)
-        out[key] = out.get(key, Fraction(0)) + c
+    prev = _lowered(alpha, j)
+    # x_j v_prev: raising beta_j keeps distinct terms distinct
+    out = {(beta[:j] + (beta[j] + 1,) + beta[j + 1:], m): c
+           for (beta, m), c in _family_terms(entries, n, prev, sign)}
     for k in range(n):
         if prev[k] > 0:
-            lower = list(prev)
-            lower[k] -= 1
             coeff = Fraction(2 * sign) * entries[j][k] * prev[k]
-            for (beta, m), c in _family_terms(entries, n, tuple(lower), sign):
+            for (beta, m), c in _family_terms(entries, n, _lowered(prev, k), sign):
                 key = (beta, m + 1)
                 out[key] = out.get(key, Fraction(0)) + coeff * c
     return tuple(sorted((k, v) for k, v in out.items() if v != 0))

@@ -77,7 +77,7 @@ _SURFACE_AZIMUTH = 128
 # offset ladder of jump_probe: h0 2^-k for k in _JUMP_RUNGS, h0 = _JUMP_H0_FACTOR x diameter
 _JUMP_H0_FACTOR = 0.05
 _JUMP_RUNGS = range(5, 9)
-_JUMP_KINDS = ("double", "conormal_single")  # the lateral kinds a jump probe accepts
+JUMP_KINDS = ("double", "conormal_single")  # the lateral kinds a jump probe accepts
 
 
 @dataclass
@@ -686,8 +686,9 @@ def jump_probe(mesh, A, phi, node_index, kind="double"):
     and the kinds, of one exponent, share that sum.  Refusals precede sampling.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
-    if not kinds or any(name not in _JUMP_KINDS for name in kinds):
-        raise ValueError("kind must be 'double', 'conormal_single' or a non-empty tuple of them")
+    if not kinds or any(name not in JUMP_KINDS for name in kinds):
+        raise ValueError(f"kind must be {', '.join(map(repr, JUMP_KINDS))} "
+                         "or a non-empty tuple of them")
     if mesh.cs.n != 2:
         raise DimensionMismatch("jump probes need a planar cross-section (n = 2)")
     if phi.generator is None:

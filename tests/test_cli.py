@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -15,6 +16,8 @@ import pytest
 
 import calorix as cx
 from calorix import cli, solver
+
+from conftest import ENTRIES, LADDER_A
 
 
 def make_config(task, extra=None, *, n=2, matrix=None, geom=None,
@@ -85,6 +88,36 @@ def test_poly_table_output(tmp_path, capsys):
     assert all(a["passed"] for a in summary["assertions"])
     assert len(summary["polynomials"]) == 6
     assert "pass" in capsys.readouterr().out
+
+
+# SHA-256 of the poly-table CSV body (comment lines dropped) and of its
+# summary's "polynomials"; the arithmetic is exact, so they hold on any platform
+POLY_TABLE_DIGESTS = {
+    "shipped": ("1e3d9c688898e4f2827cd65744a5f8611628d2ae3c4229aa1138aa106ebe2dad",
+                "447a85369be5ad798dd8b4f2db70db92402f58ad4f0ef0f69317cb4cb1fb1ad6"),
+    "ladder-w8": ("0acbe5988eec7353f18833ab7a5dafc75646fdfa3cf33cb92aa086b02ec1c1a3",
+                  "65778761472f5fb43d88b97718892604de0d6092bd9b33527c2b91ab4a024814"),
+    "planar-v10": ("b77fad28bbe7cfc26d0d78ac007781285fefdc06f0da0ab98d1e17d289a11098",
+                   "3697d029587435d51676f3025fb5fabcba2c5e159bc3cc979417e959b81167fb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLY_TABLE_DIGESTS))
+def test_poly_table_golden_digests(tmp_path, name):
+    ball = {"kind": "ball", "params": {"radius": 1.0}, "T": 1.0}
+    shipped = pathlib.Path(__file__).parent.parent / "configs" / "poly_table.json"
+    cfg = {"shipped": json.loads(shipped.read_text()),
+           "ladder-w8": make_config("poly-table", {"max_degree": 8}, n=3, matrix=LADDER_A,
+                                    geom=ball, mesh=(8, 4, 4), parity="w"),
+           "planar-v10": make_config("poly-table", {"max_degree": 10},
+                                     matrix=ENTRIES["B2"], mesh=(8, 4, 4))}[name]
+    assert run_cli("poly-table", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")) == 0
+    body = b"".join(ln for ln in (tmp_path / "o" / "polynomials.csv").read_bytes()
+                    .splitlines(keepends=True) if not ln.startswith(b"#"))
+    polys = json.loads((tmp_path / "o" / "summary.json").read_text())["polynomials"]
+    got = (hashlib.sha256(body).hexdigest(),
+           hashlib.sha256(json.dumps(polys, sort_keys=True).encode()).hexdigest())
+    assert got == POLY_TABLE_DIGESTS[name]
 
 
 def test_solve_reproduction_run(tmp_path):

@@ -189,6 +189,36 @@ def test_evaluate_reads_the_current_terms(I2):
     assert got == pytest.approx(float(p.evaluate_exact(x, t)), rel=1e-14)
 
 
+def _power(v, d):
+    """v^d by d - 1 repeated multiplications."""
+    out = v
+    for _ in range(d - 1):
+        out = out * v
+    return out
+
+
+def test_evaluate_is_bit_exact():
+    # reference order: the coefficient, each x_j^b in j order, then t^m,
+    # summed over the terms in sorted order
+    rng = np.random.default_rng(3)
+    terms = {(tuple(int(b) for b in rng.integers(0, 10, 3)), int(rng.integers(0, 10))):
+             Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 30)))
+             for _ in range(40)}
+    p = cx.CaloricPolynomial(3, terms)
+    x = rng.uniform(-1.5, 1.5, (50, 3))
+    for t in (rng.uniform(-1.0, 1.0, 50), -0.7):  # a scalar time is broadcast
+        ref = np.zeros(50)
+        for beta, m in sorted(p.terms):
+            term = np.full(50, float(p.terms[beta, m]))
+            for j, b in enumerate(beta):
+                if b:
+                    term = term * _power(x[:, j], b)
+            if m:
+                term = term * _power(np.broadcast_to(t, 50), m)
+            ref += term
+        assert np.array_equal(p.evaluate(x, t), ref)
+
+
 def test_algebra_and_differentiation(I2):
     p = cx.caloric_poly(I2, (2, 0))
     q = p.diff_x(0)          # 2 x1
